@@ -10,7 +10,6 @@ from .errors import (
     InexactDivision,
     RascalError,
     ResourceLimit,
-    UnknownBijection,
     UnknownIdentity,
 )
 from .generate import (

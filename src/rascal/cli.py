@@ -13,20 +13,15 @@ import json
 import sys
 
 from . import identities, maps
-from .errors import (
-    DomainViolation,
-    ResourceLimit,
-    UnknownBijection,
-    UnknownIdentity,
-)
+from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import (
     ascent_sequences,
     avoiders,
     restricted_subsets,
     words_with_ascents,
 )
-from .limits import check_cells
-from .numbers import e_defect, rascal_gen_value, rascal_value, triangle_rows
+from .limits import DEFAULT_ASCSEQ_CAP, check_cells, max_cells
+from .numbers import METHODS, e_defect, rascal_gen_value, rascal_value, triangle_rows
 from .words import as_word, is_pattern, word_str
 
 FORMATS = ("table", "json", "csv", "bfile")
@@ -97,6 +92,8 @@ def _enumerate_items(args):
         if args.n is None:
             raise DomainViolation("words needs --n")
         if args.k is None:
+            total = sum(rascal_gen_value(args.n, k, args.j) for k in range(args.n + 1))
+            check_cells(total, "word listing")
             merged = []
             for k in range(args.n + 1):
                 merged.extend(words_with_ascents(args.n, k, args.j))
@@ -109,15 +106,13 @@ def _enumerate_items(args):
     if args.family == "ascseq":
         if args.n is None:
             raise DomainViolation("ascseq needs --n")
-        cap = args.cap if args.cap is not None else 12
-        items = list(ascent_sequences(args.n, cap=cap))
+        items = list(ascent_sequences(args.n, cap=args.cap))
         return [word_str(w) for w in items], len(items)
     if args.family == "avoiders":
         if args.n is None:
             raise DomainViolation("avoiders needs --n")
         patterns = _parse_patterns(args.patterns) if args.patterns else ()
-        cap = args.cap if args.cap is not None else 12
-        items = list(avoiders(args.n, patterns, args.k, cap=cap))
+        items = list(avoiders(args.n, patterns, args.k, cap=args.cap))
         return [word_str(w) for w in items], len(items)
     if args.family == "subsets":
         if args.n is None or args.k is None:
@@ -199,34 +194,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    name = args.name
-    if name == "sym":
-        report = maps.verify_sym(args.n_max)
-    elif name == "strip":
-        report = maps.verify_strip(args.n_max)
-    elif name == "ascseq":
-        report = maps.verify_ascseq(args.n_max)
-    elif name == "subset":
-        report = maps.verify_subset(args.n_max, args.j_max)
-    elif name == "divider":
-        report = maps.verify_divider(args.n_max, args.j_max)
-    elif name == "ratio":
-        report = maps.verify_ratio(args.n, args.k)
+    verifier, params = maps.BIJECTIONS[args.name]
+    report = verifier(*(getattr(args, p) for p in params))
+    if "missed" in report:
         print(
             f"image {report['image_size']} of {report['target_size']}, "
             f"missed: {', '.join(report['missed'])}"
         )
-    elif name == "altbin":
-        report = maps.verify_altbin(args.r, args.n, args.k)
+    if "signed_sum" in report:
         print(f"signed sum {report['signed_sum']}")
-    elif name == "genalt":
-        report = maps.verify_genalt(args.n, args.j)
-        print(f"signed sum {report['signed_sum']}")
-    else:
-        raise UnknownBijection(f"no bijection named {name!r}")
     for line in report["details"]:
         print(line)
-    print(f"{name}: {'PASS' if report['ok'] else 'FAIL'} ({report['checked']} checks)")
+    print(f"{args.name}: {'PASS' if report['ok'] else 'FAIL'} ({report['checked']} checks)")
     return 0 if report["ok"] else 1
 
 
@@ -299,21 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--j", type=int, default=1, help="ascent bound (default 1)")
-    p.add_argument(
-        "--method",
-        choices=("closed", "multiplicative", "linear", "enumeration"),
-        default="closed",
-    )
+    p.add_argument("--method", choices=METHODS, default="closed")
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("triangle", help="rows 0..n_max")
     p.add_argument("n_max", type=int)
     p.add_argument("--j", type=int, default=1)
-    p.add_argument(
-        "--method",
-        choices=("closed", "multiplicative", "linear", "enumeration"),
-        default="closed",
-    )
+    p.add_argument("--method", choices=METHODS, default="closed")
     p.add_argument("--format", choices=FORMATS, default="table")
     p.add_argument("--offset", type=int, default=0, help="first index in bfile output")
     p.set_defaults(func=_cmd_triangle)
@@ -324,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--patterns", help="comma-separated patterns, e.g. 001,210")
-    p.add_argument("--cap", type=int, help="raise the generation length cap")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_ASCSEQ_CAP, help="raise the generation length cap"
+    )
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -341,10 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bijection", help="exhaustively check one constructive map")
-    p.add_argument(
-        "name",
-        choices=("sym", "strip", "ascseq", "subset", "divider", "ratio", "altbin", "genalt"),
-    )
+    p.add_argument("name", choices=tuple(maps.BIJECTIONS))
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--j", type=int, default=1)
@@ -367,14 +337,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        max_cells()  # reject a malformed RASCAL_MAX_CELLS on every command
         return args.func(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (UnknownIdentity, UnknownBijection) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainViolation, ValueError) as exc:
+    except (UnknownIdentity, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,3 @@ class DomainViolation(RascalError, ValueError):
 class UnknownIdentity(RascalError, LookupError):
     """No identity is registered under the requested name."""
 
-
-class UnknownBijection(RascalError, LookupError):
-    """No bijection checker is registered under the requested name."""

@@ -3,8 +3,7 @@
 Every stream yields in strictly increasing lexicographic order, so
 listings are deterministic and diffable.  The slow 2^n oracle and the
 fast structured generators are kept separate on purpose: the structured
-routes are cross-checked against brute force by the test suite (and at
-run time via words_with_ascents(..., check=True)).
+routes are cross-checked against brute force by the test suite.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def words_with_ascents(n: int, k: int, j: int = 1, *, check: bool = False) -> Iterator[Word]:
+def words_with_ascents(n: int, k: int, j: int = 1) -> Iterator[Word]:
     """The words of length n with k ones and at most j ascents.
 
     Built structurally: a word with exactly r ascents is
     1^x0 0^y1 1^x1 ... 0^yr 1^xr 0^y0 with the x's summing to k and the
     y's to n-k (outer runs may be empty, inner runs may not), so we walk
-    run-length profiles instead of filtering 2^n words.  `check=True`
-    additionally compares the result against the brute-force filter.
+    run-length profiles instead of filtering 2^n words.
     """
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
@@ -72,12 +70,6 @@ def words_with_ascents(n: int, k: int, j: int = 1, *, check: bool = False) -> It
                 bits.extend([0] * ys[0])
                 out.append(tuple(bits))
     out.sort()
-    if check:
-        brute = [w for w in all_binary_words(n) if sum(w) == k and asc(w) <= j]
-        if out != brute:
-            raise AssertionError(
-                f"structured generation disagrees with brute force at n={n}, k={k}, j={j}"
-            )
     yield from out
 
 

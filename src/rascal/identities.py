@@ -28,7 +28,10 @@ from .numbers import choose, falling_factorial, rascal_gen_value
 
 
 class ClosedValues:
-    """Closed-form value source with a per-instance memo."""
+    """Closed-form value source with a per-instance memo; subclasses
+    change only `count`, the function that fills the memo."""
+
+    count = staticmethod(rascal_gen_value)
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, int, int], int] = {}
@@ -37,22 +40,14 @@ class ClosedValues:
         key = (n, k, j)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = rascal_gen_value(n, k, j)
+            got = self._memo[key] = self.count(n, k, j)
         return got
 
 
-class EnumerationCounts:
+class EnumerationCounts(ClosedValues):
     """Value source backed by explicit word enumeration (the oracle)."""
 
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int, int], int] = {}
-
-    def __call__(self, n: int, k: int, j: int = 1) -> int:
-        key = (n, k, j)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = count_words_with_ascents(n, k, j)
-        return got
+    count = staticmethod(count_words_with_ascents)
 
 
 ValueSource = Callable[..., int]

@@ -7,7 +7,7 @@ the RASCAL_MAX_CELLS environment variable for grid-shaped work).
 
 import os
 
-from .errors import ResourceLimit
+from .errors import DomainViolation, ResourceLimit
 
 DEFAULT_MAX_CELLS = 1 << 20
 DEFAULT_ENUM_CAP = 20     # max word length for 2^n filtering
@@ -21,9 +21,11 @@ def max_cells(override: int | None = None) -> int:
     if override is not None:
         return override
     raw = os.environ.get(ENV_MAX_CELLS)
-    if raw:
-        return int(raw)
-    return DEFAULT_MAX_CELLS
+    if not raw:
+        return DEFAULT_MAX_CELLS
+    if not raw.strip().isdecimal():
+        raise DomainViolation(f"{ENV_MAX_CELLS}={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 def check_cells(count: int, what: str, override: int | None = None) -> None:

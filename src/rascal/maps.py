@@ -2,15 +2,22 @@
 on the word families, each paired with an exhaustive small-size verifier.
 
 The maps act pointwise and never enumerate; the verify_* functions
-materialize the small domains and check well-definedness, injectivity /
-bijectivity / involution claims, and round trips, returning a plain dict
-report consumed by the CLI and the tests.
+materialize the small domains and return a plain dict report consumed
+by the CLI and the tests.  The five bijection verifiers (sym, strip,
+ascseq, subset, divider) share one check, _check_bijection: every image
+lies in a target family built by a generator (never by the map under
+test), the inverse undoes the map, and the image is the whole target.
+Each verifier adds only its own counting facts.  The ratio, altbin and
+genalt verifiers check their injection and involutions directly.
+BIJECTIONS maps each verifier's name to the function and the names of
+its arguments; `rascal bijection` is a lookup in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 from .errors import DomainViolation
 from .generate import (
@@ -406,11 +413,6 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
 # the alternating-row-sum involution chain
 
 
-def _genalt_pairs(w: Word) -> tuple[int, list[tuple[int, int]], int]:
-    x0, pairs, y0 = run_profile(w)
-    return x0, pairs, y0
-
-
 def in_genalt_fix(w, d: int, j: int) -> bool:
     """Is w a fixed point of the involutions 0..d of the chain?"""
     w = binary_word(w)
@@ -475,153 +477,127 @@ def _report(ok: bool, checked: int, details: list[str], **extra) -> dict:
     return out
 
 
+def _require_sizes(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 0:
+            raise DomainViolation(f"{name} must be >= 0, got {value}")
+
+
+def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int:
+    """Add a line to `details` for each domain object that f sends outside
+    `target` or that f_inv does not recover, and one if the image is not
+    all of `target`; return the number of objects checked."""
+    image = set()
+    checked = 0
+    for checked, x in enumerate(domain, 1):
+        y = f(x)
+        if y not in target:
+            details.append(f"{tag}: image of {show(x)} is outside the target family")
+        if f_inv(y) != x:
+            details.append(f"{tag}: round trip fails on {show(x)}")
+        image.add(y)
+    if image != target:
+        details.append(f"{tag}: not onto at ({where})")
+    return checked
+
+
 def verify_sym(n_max: int) -> dict:
     """sym_map is a bijection from the k-ones family onto the (n-k)-ones
     family and squares to the identity."""
+    _require_sizes(n_max=n_max)
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
-            family = list(words_with_ascents(n, k, 1))
             target = set(words_with_ascents(n, n - k, 1))
-            image = set()
-            for b in family:
-                fb = sym_map(b)
-                checked += 1
-                if fb not in target:
-                    details.append(f"sym: {word_str(b)} maps outside the target family")
-                if sym_map(fb) != b:
-                    details.append(f"sym: double application does not fix {word_str(b)}")
-                image.add(fb)
-            if len(image) != len(family) or (len(family) == len(target) and image != target):
-                details.append(f"sym: not a bijection at n={n}, k={k}")
+            checked += _check_bijection(
+                "sym", f"n={n}, k={k}", words_with_ascents(n, k, 1), target,
+                sym_map, sym_map, word_str, details,
+            )
     return _report(not details, checked, details)
 
 
 def verify_strip(n_max: int) -> dict:
     """strip is a bijection from the constrained family onto the smaller
     one, with unstrip as two-sided inverse, in the counted quantity."""
+    _require_sizes(n_max=n_max)
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
             family = list(words_with_ascents(n, k, 1))
-            for lead in range(0, k + 1):
-                for trail in range(0, n - k + 1):
-                    domain = [
-                        b
-                        for b in family
-                        if _leading(b, 1) >= lead and _trailing(b, 0) >= trail
-                    ]
-                    expected = rascal_value(n - lead - trail, k - lead)
-                    if len(domain) != expected:
-                        details.append(
-                            f"strip: count {len(domain)} != R = {expected} at "
-                            f"(n={n}, k={k}, lead={lead}, trail={trail})"
-                        )
-                    target = set(words_with_ascents(n - lead - trail, k - lead, 1))
-                    image = set()
-                    for b in domain:
-                        out = strip(b, lead, trail)
-                        checked += 1
-                        if out not in target:
-                            details.append(f"strip: {word_str(b)} leaves the family")
-                        if unstrip(out, lead, trail) != b:
-                            details.append(f"strip: round trip fails on {word_str(b)}")
-                        image.add(out)
-                    if image != target:
-                        details.append(
-                            f"strip: not onto at (n={n}, k={k}, lead={lead}, trail={trail})"
-                        )
+            for lead, trail in product(range(k + 1), range(n - k + 1)):
+                where = f"n={n}, k={k}, lead={lead}, trail={trail}"
+                domain = [b for b in family if _leading(b, 1) >= lead and _trailing(b, 0) >= trail]
+                expected = rascal_value(n - lead - trail, k - lead)
+                if len(domain) != expected:
+                    details.append(f"strip: count {len(domain)} != R = {expected} at ({where})")
+                target = set(words_with_ascents(n - lead - trail, k - lead, 1))
+                checked += _check_bijection(
+                    "strip", where, domain, target, lambda b: strip(b, lead, trail),
+                    lambda b: unstrip(b, lead, trail), word_str, details,
+                )
     return _report(not details, checked, details)
 
 
 def verify_ascseq(n_max: int) -> dict:
     """word_to_ascseq is a bijection onto the {001,210}-avoiding ascent
     sequences of length n+1 with k ascents, inverse ascseq_to_word."""
+    _require_sizes(n_max=n_max)
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
-            family = list(words_with_ascents(n, k, 1))
             target = set(avoiders(n + 1, ((0, 0, 1), (2, 1, 0)), k))
-            canonical = set(canonical_avoiders(n + 1, k))
-            if target != canonical:
+            if target != set(canonical_avoiders(n + 1, k)):
                 details.append(f"ascseq: canonical family differs at n={n + 1}, k={k}")
-            image = set()
-            for b in family:
-                seq = word_to_ascseq(b)
-                checked += 1
-                if seq not in target:
-                    details.append(f"ascseq: image of {word_str(b)} is outside the family")
-                if ascseq_to_word(seq) != b:
-                    details.append(f"ascseq: round trip fails on {word_str(b)}")
-                if asc(seq) != k:
-                    details.append(f"ascseq: image of {word_str(b)} has wrong ascent count")
-                image.add(seq)
-            if image != target:
-                details.append(f"ascseq: not onto at n={n}, k={k}")
+            checked += _check_bijection(
+                "ascseq", f"n={n}, k={k}", words_with_ascents(n, k, 1), target,
+                word_to_ascseq, ascseq_to_word, word_str, details,
+            )
     return _report(not details, checked, details)
 
 
 def verify_subset(n_max: int, j_max: int) -> dict:
     """word_to_subset / subset_to_word are mutually inverse bijections."""
+    _require_sizes(n_max=n_max, j_max=j_max)
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
-        for k in range(n + 1):
-            for j in range(j_max + 1):
-                family = list(words_with_ascents(n, k, j))
-                subsets = list(restricted_subsets(n, k, j))
-                if len(family) != len(subsets):
-                    details.append(f"subset: family sizes differ at (n={n}, k={k}, j={j})")
-                subset_set = {s.elements for s in subsets}
-                image = set()
-                for b in family:
-                    s = word_to_subset(b, j)
-                    checked += 1
-                    if s.elements not in subset_set:
-                        details.append(f"subset: image of {word_str(b)} is invalid")
-                    if subset_to_word(s) != b:
-                        details.append(f"subset: round trip fails on {word_str(b)}")
-                    image.add(s.elements)
-                if image != subset_set:
-                    details.append(f"subset: not onto at (n={n}, k={k}, j={j})")
-                for s in subsets:
-                    b = subset_to_word(s)
-                    checked += 1
-                    if word_to_subset(b, j) != s:
-                        details.append(f"subset: reverse round trip fails on {s.elements}")
+        for k, j in product(range(n + 1), range(j_max + 1)):
+            where = f"n={n}, k={k}, j={j}"
+            family = list(words_with_ascents(n, k, j))
+            subsets = list(restricted_subsets(n, k, j))
+            if len(family) != len(subsets):
+                details.append(f"subset: family sizes differ at ({where})")
+            to_subset = partial(word_to_subset, j=j)
+            checked += _check_bijection(
+                "subset", where, family, set(subsets), to_subset, subset_to_word, word_str, details
+            )
+            checked += _check_bijection(
+                "subset", where, subsets, set(family), subset_to_word, to_subset,
+                lambda s: str(s.elements), details,
+            )
     return _report(not details, checked, details)
 
 
 def verify_divider(n_max: int, j_max: int) -> dict:
     """divider_encode is a bijection from subsets of size <= 2j+1 onto
     the at-most-j-ascent words, with divider_decode as inverse."""
+    _require_sizes(n_max=n_max, j_max=j_max)
     details: list[str] = []
     checked = 0
-    for n in range(n_max + 1):
-        for j in range(j_max + 1):
-            target = set()
-            for k in range(n + 1):
-                target.update(words_with_ascents(n, k, j))
-            image = set()
-            count = 0
-            for size in range(min(n, 2 * j + 1) + 1):
-                for subset in combinations(range(1, n + 1), size):
-                    w = divider_encode(subset, n)
-                    checked += 1
-                    count += 1
-                    if w not in target:
-                        details.append(f"divider: image of {subset} has too many ascents")
-                    if divider_decode(w) != subset:
-                        details.append(f"divider: decode(encode({subset})) fails")
-                    image.add(w)
-            if image != target or count != len(target):
-                details.append(f"divider: not a bijection at (n={n}, j={j})")
-            expected = sum(choose(n, t) for t in range(2 * j + 2))
-            if count != expected:
-                details.append(f"divider: subset count {count} != {expected} at (n={n}, j={j})")
+    for n, j in product(range(n_max + 1), range(j_max + 1)):
+        where = f"n={n}, j={j}"
+        domain = [s for t in range(min(n, 2 * j + 1) + 1) for s in combinations(range(1, n + 1), t)]
+        target = {w for k in range(n + 1) for w in words_with_ascents(n, k, j)}
+        encode = partial(divider_encode, n=n)
+        checked += _check_bijection(
+            "divider", where, domain, target, encode, divider_decode, str, details
+        )
+        expected = sum(choose(n, t) for t in range(2 * j + 2))
+        if len(domain) != expected:
+            details.append(f"divider: subset count {len(domain)} != {expected} at ({where})")
     return _report(not details, checked, details)
 
 
@@ -629,7 +605,7 @@ def verify_ratio(n: int, k: int) -> dict:
     """ratio_map is injective from the non-first-circled set into the
     starts-with-1 set and misses exactly one element."""
     if not 0 < k < n:
-        raise DomainViolation("the ratio construction needs 0 < k < n")
+        raise DomainViolation(f"the ratio construction needs 0 < k < n, got n={n}, k={k}")
     details: list[str] = []
     family = list(words_with_ascents(n, k, 1))
     source = [
@@ -684,7 +660,9 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     """Both stages are sign-reversing involutions; stage 2 has no fixed
     points, so the signed sum collapses to zero."""
     if r < 2 or not 0 <= k <= n:
-        raise DomainViolation("the alternating-sum check needs r >= 2 and 0 <= k <= n")
+        raise DomainViolation(
+            f"the alternating-sum check needs r >= 2 and 0 <= k <= n, got r={r}, n={n}, k={k}"
+        )
     details: list[str] = []
     space = _altbin_space(r, n, k)
     signed_sum = sum(p.weight for p in space)
@@ -725,6 +703,7 @@ def verify_genalt(n: int, j: int) -> dict:
     """Each stage of the chain is a sign-reversing involution on the
     fixed points of the previous ones; the final fixed-point signed sum
     equals the alternating row sum."""
+    _require_sizes(n=n, j=j)
     details: list[str] = []
     domain: list[Word] = []
     for k in range(n + 1):
@@ -755,3 +734,18 @@ def verify_genalt(n: int, j: int) -> dict:
     if n % 2 == 1 and current:
         details.append("genalt: odd length should leave no fixed points")
     return _report(not details, checked, details, signed_sum=fixed_sum, fixed_points=len(current))
+
+
+# name -> (verifier, the names of its arguments); `rascal bijection`
+# looks names up here and takes each argument from the option of the
+# same name.
+BIJECTIONS = {
+    "sym": (verify_sym, ("n_max",)),
+    "strip": (verify_strip, ("n_max",)),
+    "ascseq": (verify_ascseq, ("n_max",)),
+    "subset": (verify_subset, ("n_max", "j_max")),
+    "divider": (verify_divider, ("n_max", "j_max")),
+    "ratio": (verify_ratio, ("n", "k")),
+    "altbin": (verify_altbin, ("r", "n", "k")),
+    "genalt": (verify_genalt, ("n", "j")),
+}

@@ -135,6 +135,11 @@ class TriangleCache:
         return row
 
 
+def _table_cells(n: int) -> int:
+    """Cells in rows 0..n of a triangle table."""
+    return (n + 1) * (n + 2) // 2
+
+
 def _enum_row_counts(n: int, j: int, cap: int) -> list[int]:
     """Counts per ones-count k of length-n binary words with <= j ascents,
     by filtering all 2^n words."""
@@ -173,8 +178,10 @@ def rascal_value(
     if method == "closed":
         return k * (n - k) + 1
     if method == "linear":
+        check_cells(_table_cells(n), "linear recurrence table")
         return (cache or TriangleCache()).linear_value(n, k, 1)
     if method == "multiplicative":
+        check_cells(_table_cells(n), "multiplicative recurrence table")
         return (cache or TriangleCache()).product_value(n, k)
     return _enum_row_counts(n, 1, enum_cap)[k]
 
@@ -198,6 +205,7 @@ def rascal_gen_value(
     if method == "closed":
         return sum(math.comb(k, i) * math.comb(n - k, i) for i in range(j + 1))
     if method == "linear":
+        check_cells(_table_cells(n), "linear recurrence table")
         return (cache or TriangleCache()).linear_value(n, k, j)
     return _enum_row_counts(n, j, enum_cap)[k]
 
@@ -241,7 +249,7 @@ def triangle_rows(
         raise ValueError("ascent bound j must be >= 0")
     if n_max < 0:
         return []
-    check_cells((n_max + 1) * (n_max + 2) // 2, "triangle", max_cells)
+    check_cells(_table_cells(n_max), "triangle", max_cells)
     if method == "multiplicative":
         if j != 1:
             raise ValueError("the multiplicative route is defined for j = 1 only")

@@ -1,10 +1,24 @@
 """Command-line behaviour: golden outputs, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from rascal.cli import main
+from rascal.maps import BIJECTIONS
+
+# full stdout of `rascal bijection <name>` at the default arguments
+BIJECTION_DEFAULTS = {
+    "sym": "sym: PASS (255 checks)\n",
+    "strip": "strip: PASS (1419 checks)\n",
+    "ascseq": "ascseq: PASS (255 checks)\n",
+    "subset": "subset: PASS (1530 checks)\n",
+    "divider": "divider: PASS (765 checks)\n",
+    "ratio": "image 9 of 10, missed: 110000 mark 1\nratio: PASS (19 checks)\n",
+    "altbin": "signed sum 0\naltbin: PASS (44 checks)\n",
+    "genalt": "signed sum -2\ngenalt: PASS (52 checks)\n",
+}
 
 TRIANGLE6 = "1\n1 1\n1 2 1\n1 3 3 1\n1 4 5 4 1\n1 5 7 7 5 1\n1 6 9 10 9 6 1\n"
 
@@ -29,6 +43,15 @@ class TestValue:
         for method in ("closed", "multiplicative", "linear", "enumeration"):
             code, out, _ = run(capsys, "value", "5", "2", "--method", method)
             assert (code, out) == (0, "7\n")
+
+    @pytest.mark.parametrize("method", ["linear", "multiplicative"])
+    def test_recurrence_table_cap(self, capsys, monkeypatch, method):
+        # the (n+1)(n+2)/2-cell table is refused before it is built
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "100")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "value", "1500", "3", "--method", method)
+        assert (code, time.perf_counter() - start < 1.0) == (3, True)
+        assert "1127251 cells" in err
 
     def test_multiplicative_needs_j1(self, capsys):
         code, _, err = run(capsys, "value", "6", "3", "--j", "2", "--method", "multiplicative")
@@ -72,6 +95,14 @@ class TestTriangle:
         code, _, err = run(capsys, "triangle", "20")
         assert code == 3
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+    @pytest.mark.parametrize("argv", [("triangle", "3"), ("value", "6", "3")])
+    def test_bad_env_cap(self, capsys, monkeypatch, raw, argv):
+        monkeypatch.setenv("RASCAL_MAX_CELLS", raw)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "RASCAL_MAX_CELLS" in err and repr(raw) in err
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -87,6 +118,13 @@ class TestEnumerate:
     def test_words_all_k(self, capsys):
         code, out, _ = run(capsys, "enumerate", "words", "--n", "2", "--count-only")
         assert out == "4\n"  # every 2-letter word has at most one ascent
+
+    def test_words_all_k_cap(self, capsys, monkeypatch):
+        # the closed-form total over every k is checked before listing
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "100")
+        code, out, err = run(capsys, "enumerate", "words", "--n", "10", "--j", "4", "--count-only")
+        assert (code, out) == (3, "")
+        assert "1023 cells" in err
 
     def test_avoiders(self, capsys):
         code, out, _ = run(capsys, "enumerate", "avoiders", "--n", "4", "--patterns", "001,210")
@@ -200,6 +238,18 @@ class TestBijection:
         code, out, _ = run(capsys, "bijection", "altbin", "--r", "2", "--n", "2", "--k", "1")
         assert code == 0
         assert out.splitlines()[0] == "signed sum 0"
+
+    @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+    def test_default_output(self, capsys, name):
+        assert run(capsys, "bijection", name) == (0, BIJECTION_DEFAULTS[name], "")
+
+    @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+    def test_negative_sizes(self, capsys, name):
+        for param in BIJECTIONS[name][1]:
+            flag = "--" + param.replace("_", "-")
+            code, out, err = run(capsys, "bijection", name, flag, "-1")
+            assert (code, out) == (2, ""), (name, param)
+            assert "-1" in err, (name, param, err)
 
     def test_each_remaining_name(self, capsys):
         for name in ("sym", "strip", "subset", "divider"):

@@ -89,11 +89,12 @@ class TestWordsWithAscents:
         assert got == ["001", "010", "100"]
 
     def test_structured_equals_brute_force(self):
-        # check=True raises if the structured stream differs from the filter
         for n in range(11):
+            words = list(all_binary_words(n))
             for k in range(n + 1):
                 for j in range(4):
-                    list(words_with_ascents(n, k, j, check=True))
+                    brute = [w for w in words if sum(w) == k and asc(w) <= j]
+                    assert list(words_with_ascents(n, k, j)) == brute, (n, k, j)
 
     def test_counts_match_values(self):
         for n in range(13):

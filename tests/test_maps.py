@@ -266,3 +266,40 @@ class TestGenaltInvolution:
             for j in range(4):
                 report = verify_genalt(n, j)
                 assert report["ok"], (n, j, report["details"][:3])
+
+
+class TestCheckedCounts:
+    """Objects checked at fixed sizes; a verifier that silently skips
+    part of its domain changes these counts."""
+
+    @pytest.mark.parametrize(
+        "verifier, args, checked",
+        [
+            (verify_sym, (10,), 561),
+            (verify_strip, (10,), 4004),
+            (verify_ascseq, (7,), 162),
+            (verify_subset, (10, 3), 8184),
+            (verify_divider, (10, 3), 4092),
+            (verify_ratio, (10, 5), 209),
+            (verify_altbin, (3, 8, 4), 184),
+            (verify_genalt, (10, 3), 1402),
+        ],
+    )
+    def test_pinned(self, verifier, args, checked):
+        report = verifier(*args)
+        assert (report["ok"], report["checked"], report["details"]) == (True, checked, [])
+
+
+class TestCheckBijection:
+    def test_reports_each_failure(self):
+        from rascal.maps import _check_bijection
+
+        details = []
+        checked = _check_bijection(
+            "t", "n=3", [1, 2, 3], {1, 2, 4}, lambda x: min(x, 2), lambda y: y, str, details
+        )
+        assert checked == 3
+        assert details == ["t: round trip fails on 3", "t: not onto at (n=3)"]
+        details = []
+        _check_bijection("t", "n=1", [5], {5}, lambda x: 6, lambda y: 5, str, details)
+        assert details == ["t: image of 5 is outside the target family", "t: not onto at (n=1)"]
