@@ -19,6 +19,7 @@ from .generate import (
     avoiders,
     canonical_avoiders,
     count_words_with_ascents,
+    fishburn_numbers,
     restricted_subsets,
     words_with_ascents,
 )

@@ -20,7 +20,7 @@ from .generate import (
     restricted_subsets,
     words_with_ascents,
 )
-from .limits import DEFAULT_ASCSEQ_CAP, check_cells, max_cells
+from .limits import check_cells, max_cells
 from .numbers import METHODS, e_defect, rascal_gen_value, rascal_value, triangle_rows
 from .words import as_word, is_pattern, word_str
 
@@ -87,45 +87,29 @@ def _parse_patterns(raw: str):
     return tuple(patterns)
 
 
-def _enumerate_items(args):
-    if args.family == "words":
-        if args.n is None:
-            raise DomainViolation("words needs --n")
-        if args.k is None:
-            total = sum(rascal_gen_value(args.n, k, args.j) for k in range(args.n + 1))
-            check_cells(total, "word listing")
-            merged = []
-            for k in range(args.n + 1):
-                merged.extend(words_with_ascents(args.n, k, args.j))
-            merged.sort()
-            return [word_str(w) for w in merged], len(merged)
-        expected = rascal_gen_value(args.n, args.k, args.j)
-        check_cells(expected, "word listing")
-        items = list(words_with_ascents(args.n, args.k, args.j))
-        return [word_str(w) for w in items], len(items)
-    if args.family == "ascseq":
-        if args.n is None:
-            raise DomainViolation("ascseq needs --n")
-        items = list(ascent_sequences(args.n, cap=args.cap))
-        return [word_str(w) for w in items], len(items)
-    if args.family == "avoiders":
-        if args.n is None:
-            raise DomainViolation("avoiders needs --n")
+def _enumerate_lines(args) -> list[str]:
+    subsets = args.family == "subsets"
+    if args.n is None or (subsets and args.k is None):
+        raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
+    if args.family in ("words", "subsets"):
+        ks = [args.k] if args.k is not None else range(args.n + 1)
+        check_cells(sum(rascal_gen_value(args.n, k, args.j) for k in ks), f"{args.family} listing")
+        if subsets:
+            items = restricted_subsets(args.n, args.k, args.j)
+            return [" ".join(map(str, s.elements)) for s in items]
+        items = sorted(w for k in ks for w in words_with_ascents(args.n, k, args.j))
+    elif args.family == "ascseq":
+        items = ascent_sequences(args.n)
+    else:
         patterns = _parse_patterns(args.patterns) if args.patterns else ()
-        items = list(avoiders(args.n, patterns, args.k, cap=args.cap))
-        return [word_str(w) for w in items], len(items)
-    if args.family == "subsets":
-        if args.n is None or args.k is None:
-            raise DomainViolation("subsets needs --n and --k")
-        items = list(restricted_subsets(args.n, args.k, args.j))
-        return [" ".join(str(e) for e in s.elements) for s in items], len(items)
-    raise DomainViolation(f"unknown family {args.family!r}")
+        items = avoiders(args.n, patterns, args.k)
+    return [word_str(w) for w in items]
 
 
 def _cmd_enumerate(args) -> int:
-    lines, count = _enumerate_items(args)
+    lines = _enumerate_lines(args)
     if args.count_only:
-        print(count)
+        print(len(lines))
     else:
         for line in lines:
             print(line)
@@ -295,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--patterns", help="comma-separated patterns, e.g. 001,210")
-    p.add_argument(
-        "--cap", type=int, default=DEFAULT_ASCSEQ_CAP, help="raise the generation length cap"
-    )
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -8,22 +8,24 @@ routes are cross-checked against brute force by the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from collections.abc import Iterator
 
 from .errors import DomainViolation, ResourceLimit
-from .limits import DEFAULT_ASCSEQ_CAP, DEFAULT_ENUM_CAP
+from .limits import max_cells
 from .words import Word, as_word, asc, contains_001, contains_210, contains_pattern, is_pattern, word_str
 
 
-def all_binary_words(n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Word]:
+def all_binary_words(n: int) -> Iterator[Word]:
     """All 2^n binary words of length n, lexicographic with 0 < 1."""
     if n < 0:
         raise ValueError("word length must be >= 0")
-    if n > cap:
-        raise ResourceLimit(f"2^{n} words exceeds the enumeration cap n <= {cap}")
-    yield from product((0, 1), repeat=n)
+    cap = max_cells()
+    if n >= cap.bit_length():  # 2^n > cap, without building 2^n
+        raise ResourceLimit(f"2^{n} binary words exceed the cap {cap}")
+    return product((0, 1), repeat=n)
 
 
 def _head_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -93,12 +95,27 @@ def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
     return total
 
 
-def ascent_sequences(n: int, *, cap: int = DEFAULT_ASCSEQ_CAP) -> Iterator[Word]:
+def fishburn_numbers() -> Iterator[int]:
+    """How many ascent sequences have length 0, 1, 2, ... (OEIS A022493),
+    counted by (ascents, last letter) state without building any."""
+    yield 1
+    states = Counter({(0, 0): 1})
+    while True:
+        yield sum(states.values())
+        grown = Counter()
+        for (ascents, last), count in states.items():
+            for x in range(ascents + 2):
+                grown[ascents + (x > last), x] += count
+        states = grown
+
+
+def ascent_sequences(n: int) -> Iterator[Word]:
     """All ascent sequences of length n (lexicographic; Fishburn counts)."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    if n > cap:
-        raise ResourceLimit(f"ascent sequences of length {n} exceed the cap n <= {cap}")
+    cap = max_cells()
+    if any(count > cap for count in islice(fishburn_numbers(), n + 1)):
+        raise ResourceLimit(f"ascent sequences of length {n} number more than the cap {cap}")
     if n == 0:
         yield ()
         return
@@ -127,14 +144,14 @@ def _avoids_all(w: Word, patterns: tuple[Word, ...]) -> bool:
     return True
 
 
-def avoiders(n: int, patterns=(), k: int | None = None, *, cap: int = DEFAULT_ASCSEQ_CAP) -> Iterator[Word]:
+def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     """Ascent sequences of length n avoiding every given pattern,
     optionally restricted to exactly k ascents."""
     pats = tuple(as_word(p) for p in patterns)
     for p in pats:
         if not is_pattern(p):
             raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
-    for w in ascent_sequences(n, cap=cap):
+    for w in ascent_sequences(n):
         if not _avoids_all(w, pats):
             continue
         if k is not None and asc(w) != k:
@@ -196,12 +213,21 @@ class RestrictedSubset:
 
 def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
     """All k-subsets of {1..n} whose intersection with {1..n-k} has at
-    most j elements, in lexicographic order of the sorted element lists."""
+    most j elements, in lexicographic order of the sorted element lists.
+
+    Built as a low part (t <= j elements of {1..n-k}) times a high part
+    (k-t elements of {n-k+1..n}), so the cost follows the output.
+    """
     if j < 0:
         raise ValueError("intersection bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return
-    low = n - k
-    for combo in combinations(range(1, n + 1), k):
-        if sum(1 for e in combo if e <= low) <= j:
-            yield RestrictedSubset(combo, n, k, j)
+    low, high = range(1, n - k + 1), range(n - k + 1, n + 1)
+    combos = [
+        lo + hi
+        for t in range(min(j, k) + 1)
+        for lo in combinations(low, t)
+        for hi in combinations(high, k - t)
+    ]
+    for combo in sorted(combos):
+        yield RestrictedSubset(combo, n, k, j)

@@ -17,13 +17,13 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
+from itertools import islice
 from math import factorial
 from typing import Callable
 
-from .errors import DomainViolation, UnknownIdentity
+from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import count_words_with_ascents
-from .limits import check_cells
+from . import limits
 from .numbers import choose, falling_factorial, rascal_gen_value
 
 
@@ -359,6 +359,18 @@ def _grid_desc(ident: Identity, grid: dict[str, tuple[int, int]]) -> str:
     return ", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params)
 
 
+def _grid_cells(ranges):
+    """The cells of itertools.product(*ranges), in its order, without
+    first copying every axis into a tuple as product does."""
+    if not ranges:
+        yield ()
+        return
+    *outer, last = ranges
+    for head in _grid_cells(outer):
+        for x in last:
+            yield (*head, x)
+
+
 def verify_range(
     name: str,
     grid: dict[str, tuple[int, int]],
@@ -379,10 +391,11 @@ def verify_range(
     if missing:
         raise DomainViolation(f"grid for {name} is missing ranges for {missing}")
     ranges = [range(grid[p][0], grid[p][1] + 1) for p in ident.params]
-    cells = [
-        c for c in product(*ranges) if ident.domain(**dict(zip(ident.params, c)))
-    ]
-    check_cells(len(cells), f"grid for identity {name}", max_cells)
+    cells = (c for c in _grid_cells(ranges) if ident.domain(**dict(zip(ident.params, c))))
+    cap = limits.max_cells(max_cells)
+    cells = list(islice(cells, cap + 1))  # never more than one cell past the cap
+    if len(cells) > cap:
+        raise ResourceLimit(f"grid for identity {name} needs more than {cap} cells")
     v: ValueSource = EnumerationCounts() if oracle else ClosedValues()
     failures = []
     corrected_failures = [] if ident.corrected_rhs is not None else None

@@ -1,8 +1,7 @@
-"""Resource caps.
-
-Caps are deliberate, conservative defaults guarding the brute-force
-paths; callers raise them explicitly (function argument, CLI flag, or
-the RASCAL_MAX_CELLS environment variable for grid-shaped work).
+"""One resource budget: every path that builds values or objects is
+priced in cells from exact counts of its inputs, before anything is
+built, against RASCAL_MAX_CELLS (else 2^20).  Binary-word enumeration
+costs 2^n, full ascent-sequence generation the Fishburn number.
 """
 
 import os
@@ -10,8 +9,6 @@ import os
 from .errors import DomainViolation, ResourceLimit
 
 DEFAULT_MAX_CELLS = 1 << 20
-DEFAULT_ENUM_CAP = 20     # max word length for 2^n filtering
-DEFAULT_ASCSEQ_CAP = 12   # max ascent-sequence length for full generation
 
 ENV_MAX_CELLS = "RASCAL_MAX_CELLS"
 
@@ -33,3 +30,15 @@ def check_cells(count: int, what: str, override: int | None = None) -> None:
     cap = max_cells(override)
     if count > cap:
         raise ResourceLimit(f"{what} needs {count} cells, over the cap {cap}")
+
+
+def check_sum(terms, what: str) -> None:
+    """Raise ResourceLimit once the running total of `terms` passes the
+    cap.  Terms are drawn lazily, so an absurd size is refused after the
+    few terms it takes to pass the cap."""
+    cap = max_cells()
+    total = 0
+    for term in terms:
+        total += term
+        if total > cap:
+            raise ResourceLimit(f"{what} needs more than {cap} cells")

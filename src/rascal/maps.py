@@ -9,6 +9,8 @@ lies in a target family built by a generator (never by the map under
 test), the inverse undoes the map, and the image is the whole target.
 Each verifier adds only its own counting facts.  The ratio, altbin and
 genalt verifiers check their injection and involutions directly.
+Before building anything, every verifier prices the objects it will
+check from closed forms against the one cell budget (limits.check_sum).
 BIJECTIONS maps each verifier's name to the function and the names of
 its arguments; `rascal bijection` is a lookup in it.
 """
@@ -17,17 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import DomainViolation
 from .generate import (
     RestrictedSubset,
-    all_binary_words,
     avoiders,
     canonical_avoiders,
+    fishburn_numbers,
     restricted_subsets,
     words_with_ascents,
 )
+from .limits import check_sum
 from .numbers import choose, rascal_gen_value, rascal_value
 from .words import Word, as_word, asc, binary_word, complement, reverse_word, word_str
 
@@ -505,6 +508,7 @@ def verify_sym(n_max: int) -> dict:
     """sym_map is a bijection from the k-ones family onto the (n-k)-ones
     family and squares to the identity."""
     _require_sizes(n_max=n_max)
+    check_sum((rascal_value(n, k) for n in range(n_max + 1) for k in range(n + 1)), "sym check")
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
@@ -521,6 +525,14 @@ def verify_strip(n_max: int) -> dict:
     """strip is a bijection from the constrained family onto the smaller
     one, with unstrip as two-sided inverse, in the counted quantity."""
     _require_sizes(n_max=n_max)
+    domains = (
+        rascal_value(n - lead - trail, k - lead)
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for lead in range(k + 1)
+        for trail in range(n - k + 1)
+    )
+    check_sum(domains, "strip check")
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
@@ -542,13 +554,18 @@ def verify_strip(n_max: int) -> dict:
 
 def verify_ascseq(n_max: int) -> dict:
     """word_to_ascseq is a bijection onto the {001,210}-avoiding ascent
-    sequences of length n+1 with k ascents, inverse ascseq_to_word."""
+    sequences of length n+1 with k ascents, inverse ascseq_to_word.
+    Priced by the Fishburn(n+1) ascent sequences it filters for each n."""
     _require_sizes(n_max=n_max)
+    check_sum(islice(fishburn_numbers(), 1, n_max + 2), "ascseq check")
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
+        targets: dict[int, set[Word]] = {}
+        for w in avoiders(n + 1, ((0, 0, 1), (2, 1, 0))):
+            targets.setdefault(asc(w), set()).add(w)
         for k in range(n + 1):
-            target = set(avoiders(n + 1, ((0, 0, 1), (2, 1, 0)), k))
+            target = targets.get(k, set())
             if target != set(canonical_avoiders(n + 1, k)):
                 details.append(f"ascseq: canonical family differs at n={n + 1}, k={k}")
             checked += _check_bijection(
@@ -561,6 +578,13 @@ def verify_ascseq(n_max: int) -> dict:
 def verify_subset(n_max: int, j_max: int) -> dict:
     """word_to_subset / subset_to_word are mutually inverse bijections."""
     _require_sizes(n_max=n_max, j_max=j_max)
+    families = (  # both directions, with R(n, k; j) = R(n, k; n) for j > n
+        2 * rascal_gen_value(n, k, min(j, n))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for j in range(j_max + 1)
+    )
+    check_sum(families, "subset check")
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
@@ -585,6 +609,13 @@ def verify_divider(n_max: int, j_max: int) -> dict:
     """divider_encode is a bijection from subsets of size <= 2j+1 onto
     the at-most-j-ascent words, with divider_decode as inverse."""
     _require_sizes(n_max=n_max, j_max=j_max)
+    subsets = (
+        choose(n, t)
+        for n in range(n_max + 1)
+        for j in range(j_max + 1)
+        for t in range(min(n, 2 * j + 1) + 1)
+    )
+    check_sum(subsets, "divider check")
     details: list[str] = []
     checked = 0
     for n, j in product(range(n_max + 1), range(j_max + 1)):
@@ -606,6 +637,7 @@ def verify_ratio(n: int, k: int) -> dict:
     starts-with-1 set and misses exactly one element."""
     if not 0 < k < n:
         raise DomainViolation(f"the ratio construction needs 0 < k < n, got n={n}, k={k}")
+    check_sum(((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1)), "ratio check")
     details: list[str] = []
     family = list(words_with_ascents(n, k, 1))
     source = [
@@ -621,15 +653,16 @@ def verify_ratio(n: int, k: int) -> dict:
         for i in range(len(w))
         if w[i] == 1
     ]
-    image = []
+    target_set = set(target)
+    image = set()
     for mw in source:
         out = ratio_map(mw)
-        if out not in target:
+        if out not in target_set:
             details.append(f"ratio: image of ({mw}) is outside the target set")
-        image.append(out)
-    if len(set(image)) != len(source):
+        image.add(out)
+    if len(image) != len(source):
         details.append("ratio: map is not injective")
-    missed = [mw for mw in target if mw not in set(image)]
+    missed = [mw for mw in target if mw not in image]
     if len(missed) != 1:
         details.append(f"ratio: expected exactly one missed element, got {len(missed)}")
     elif missed[0] != MarkedWord((1,) * k + (0,) * (n - k), 1):
@@ -640,7 +673,7 @@ def verify_ratio(n: int, k: int) -> dict:
         not details,
         len(source) + len(target),
         details,
-        image_size=len(set(image)),
+        image_size=len(image),
         target_size=len(target),
         missed=[str(m) for m in missed],
     )
@@ -663,6 +696,8 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
         raise DomainViolation(
             f"the alternating-sum check needs r >= 2 and 0 <= k <= n, got r={r}, n={n}, k={k}"
         )
+    # 2^r * R(n+r, k) pairs scanned, summed by subset size
+    check_sum((choose(r, t) * rascal_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
     space = _altbin_space(r, n, k)
     signed_sum = sum(p.weight for p in space)
@@ -704,6 +739,8 @@ def verify_genalt(n: int, j: int) -> dict:
     fixed points of the previous ones; the final fixed-point signed sum
     equals the alternating row sum."""
     _require_sizes(n=n, j=j)
+    # the domain; R(n, k; j) = R(n, k; n) for j > n keeps each term cheap
+    check_sum((rascal_gen_value(n, k, min(j, n)) for k in range(n + 1)), "genalt check")
     details: list[str] = []
     domain: list[Word] = []
     for k in range(n + 1):

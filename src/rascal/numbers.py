@@ -14,7 +14,7 @@ Four routes are implemented and cross-checked by the test suite:
 * multiplicative -- product recurrence
                     R(n,k) = (R(n-1,k)*R(n-1,k-1) + 1) / R(n-2,k-1),
                     asserting exact divisibility at every cell
-* enumeration    -- literally filter all 2^n binary words (capped)
+* enumeration    -- literally filter all 2^n binary words (priced at 2^n cells)
 
 Both recurrences apply to interior cells 1 <= k <= n-1 only; boundary
 columns k = 0 and k = n are the base value 1.  Python ints are exact at
@@ -24,10 +24,10 @@ any size, so all arithmetic here is exact by construction.
 from __future__ import annotations
 
 import math
-from itertools import product
 
-from .errors import InexactDivision, ResourceLimit
-from .limits import DEFAULT_ENUM_CAP, check_cells
+from .errors import InexactDivision
+from .generate import all_binary_words
+from .limits import check_cells
 
 METHODS = ("closed", "multiplicative", "linear", "enumeration")
 GEN_METHODS = ("closed", "linear", "enumeration")
@@ -140,13 +140,12 @@ def _table_cells(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def _enum_row_counts(n: int, j: int, cap: int) -> list[int]:
+def _enum_row_counts(n: int, j: int) -> list[int]:
     """Counts per ones-count k of length-n binary words with <= j ascents,
     by filtering all 2^n words."""
-    if n > cap:
-        raise ResourceLimit(f"enumeration over 2^{n} words exceeds the cap n <= {cap}")
+    words = all_binary_words(n)  # priced at 2^n before the counts exist
     counts = [0] * (n + 1)
-    for bits in product((0, 1), repeat=n):
+    for bits in words:
         ascents = 0
         for i in range(1, n):
             if bits[i - 1] < bits[i]:
@@ -164,7 +163,6 @@ def rascal_value(
     method: str = "closed",
     *,
     cache: TriangleCache | None = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> int:
     """R(n, k) by the chosen route; 0 outside the triangle.
 
@@ -183,7 +181,7 @@ def rascal_value(
     if method == "multiplicative":
         check_cells(_table_cells(n), "multiplicative recurrence table")
         return (cache or TriangleCache()).product_value(n, k)
-    return _enum_row_counts(n, 1, enum_cap)[k]
+    return _enum_row_counts(n, 1)[k]
 
 
 def rascal_gen_value(
@@ -193,7 +191,6 @@ def rascal_gen_value(
     method: str = "closed",
     *,
     cache: TriangleCache | None = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> int:
     """R(n, k; j): binary words of length n, k ones, at most j ascents."""
     if j < 0:
@@ -207,7 +204,7 @@ def rascal_gen_value(
     if method == "linear":
         check_cells(_table_cells(n), "linear recurrence table")
         return (cache or TriangleCache()).linear_value(n, k, j)
-    return _enum_row_counts(n, j, enum_cap)[k]
+    return _enum_row_counts(n, j)[k]
 
 
 def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int:
@@ -241,7 +238,6 @@ def triangle_rows(
     *,
     method: str = "closed",
     cache: TriangleCache | None = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
     max_cells: int | None = None,
 ) -> list[list[int]]:
     """Rows 0..n_max of the triangle for ascent bound j."""
@@ -259,7 +255,7 @@ def triangle_rows(
         cache = cache or TriangleCache()
         return [list(cache.linear_row(n, j)) for n in range(n_max + 1)]
     if method == "enumeration":
-        return [_enum_row_counts(n, j, enum_cap) for n in range(n_max + 1)]
+        return [_enum_row_counts(n, j) for n in range(n_max + 1)]
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
     return [

@@ -146,14 +146,20 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "ascseq", "--n", "4", "--count-only")
         assert out == "15\n"
 
-    def test_ascseq_cap_exit(self, capsys):
-        code, _, err = run(capsys, "enumerate", "ascseq", "--n", "13")
+    def test_ascseq_cap_exit(self, capsys, monkeypatch):
+        # Fishburn(11) = 1,422,074 is over the default 2^20 budget
+        code, _, err = run(capsys, "enumerate", "ascseq", "--n", "11")
         assert code == 3
-        code, _, err = run(capsys, "enumerate", "ascseq", "--n", "6", "--cap", "5")
-        assert code == 3
+        # Fishburn(6) = 217 sequences: one cell short of the budget
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "216")
+        code, out, err = run(capsys, "enumerate", "ascseq", "--n", "6", "--count-only")
+        assert (code, out) == (3, "")
+        assert "resource limit" in err
 
-    def test_ascseq_cap_raised(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "ascseq", "--n", "6", "--cap", "6", "--count-only")
+    def test_ascseq_cap_raised(self, capsys, monkeypatch):
+        # exactly Fishburn(6) cells admit length 6
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "217")
+        code, out, _ = run(capsys, "enumerate", "ascseq", "--n", "6", "--count-only")
         assert code == 0
         assert out == "217\n"
 
@@ -255,6 +261,69 @@ class TestBijection:
         for name in ("sym", "strip", "subset", "divider"):
             code, out, _ = run(capsys, "bijection", name, "--n-max", "6", "--j-max", "2")
             assert code == 0, (name, out)
+
+
+# one small run of every command; each must be refused under a tiny budget
+TINY_CAP_RUNS = [
+    ("value", "8", "3", "--method", "enumeration"),
+    ("triangle", "3"),
+    ("enumerate", "words", "--n", "6"),
+    ("enumerate", "ascseq", "--n", "6"),
+    ("enumerate", "avoiders", "--n", "6", "--patterns", "001,210"),
+    ("enumerate", "subsets", "--n", "6", "--k", "3"),
+    ("verify", "all"),
+    *[("bijection", name) for name in sorted(BIJECTIONS)],
+    ("etable", "4", "1"),
+]
+
+# absurd sizes, refused under the default budget without building anything
+ABSURD_RUNS = [
+    ("value", "100000000000", "3", "--method", "enumeration"),
+    ("enumerate", "ascseq", "--n", "1000000"),
+    ("enumerate", "avoiders", "--n", "1000000"),
+    ("enumerate", "subsets", "--n", "1000000", "--k", "500000"),
+    ("bijection", "sym", "--n-max", "1000000000"),
+    ("bijection", "strip", "--n-max", "1000000000"),
+    ("bijection", "ascseq", "--n-max", "1000000000"),
+    ("bijection", "subset", "--n-max", "1000000000", "--j-max", "3"),
+    ("bijection", "divider", "--n-max", "1000000000", "--j-max", "3"),
+    ("bijection", "ratio", "--n", "1000000000000", "--k", "5"),
+    ("bijection", "altbin", "--r", "1000000000000", "--n", "6", "--k", "2"),
+    ("bijection", "genalt", "--n", "1000000000", "--j", "3"),
+]
+
+
+class TestBudget:
+    @pytest.mark.parametrize("argv", TINY_CAP_RUNS, ids=" ".join)
+    def test_tiny_cap_exits_3(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "2")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
+        assert err.startswith("resource limit: ")
+
+    @pytest.mark.parametrize("argv", ABSURD_RUNS, ids=" ".join)
+    def test_absurd_size_exits_3(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
+
+    def test_bijection_subset_small_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "10")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "bijection", "subset", "--n-max", "40", "--j-max", "3")
+        assert (code, time.perf_counter() - start < 1.0) == (3, True)
+        assert "more than 10 cells" in err
+
+    def test_verify_grid_small_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "10")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "row_sum", "--n-max", "100000000")
+        assert (code, time.perf_counter() - start < 1.0) == (3, True)
+        assert "more than 10 cells" in err
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "11")
+        assert run(capsys, "verify", "row_sum", "--n-max", "10")[0] == 0
 
 
 class TestEtable:

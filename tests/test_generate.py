@@ -1,6 +1,7 @@
 """Streams for the word families: golden listings, counts, ordering."""
 
-from itertools import product
+import time
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from rascal.generate import (
     avoiders,
     canonical_avoiders,
     count_words_with_ascents,
+    fishburn_numbers,
     restricted_subsets,
     words_with_ascents,
 )
@@ -66,11 +68,15 @@ class TestAllBinaryWords:
     def test_n4_count(self):
         assert sum(1 for _ in all_binary_words(4)) == 16
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ResourceLimit):
-            list(all_binary_words(25))
+            list(all_binary_words(21))  # 2^21 words, over the default 2^20
+        assert sum(1 for _ in all_binary_words(20)) == 1 << 20
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "255")
         with pytest.raises(ResourceLimit):
-            list(all_binary_words(8, cap=6))
+            all_binary_words(8)  # refused on the call, before any word
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "256")
+        assert sum(1 for _ in all_binary_words(8)) == 256
 
 
 class TestWordsWithAscents:
@@ -150,13 +156,33 @@ class TestAscentSequences:
         for w in ascent_sequences(7):
             assert is_ascent_sequence(w)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ResourceLimit):
-            list(ascent_sequences(13))
-        assert sum(1 for _ in ascent_sequences(6, cap=6)) == 217
+            list(ascent_sequences(11))  # Fishburn(11) = 1,422,074 > 2^20
+        with pytest.raises(ResourceLimit):
+            list(avoiders(11, PATTERNS))
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "216")
+        with pytest.raises(ResourceLimit):
+            list(ascent_sequences(6))
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "217")
+        assert sum(1 for _ in ascent_sequences(6)) == 217
 
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(ascent_sequences(6)))
+
+    def test_fishburn_numbers(self):
+        # OEIS A022493
+        assert list(islice(fishburn_numbers(), 14)) == [
+            1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608, 1422074, 10886503, 89903100,
+        ]
+        for n, count in enumerate(islice(fishburn_numbers(), 9)):
+            assert sum(1 for _ in ascent_sequences(n)) == count
+
+    def test_absurd_length_refused_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit):
+            list(ascent_sequences(1_000_000))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAvoiders:
@@ -243,6 +269,24 @@ class TestRestrictedSubsets:
     def test_stream_strictly_increasing(self):
         elems = [s.elements for s in restricted_subsets(8, 3, 2)]
         assert lex_increasing(elems)
+
+    def test_equals_filter_over_all_k_subsets(self):
+        # the direct filter over all C(n, k) subsets is the oracle for
+        # the low-part-times-high-part construction
+        for n in range(13):
+            for k in range(n + 1):
+                for j in range(4):
+                    oracle = [
+                        c
+                        for c in combinations(range(1, n + 1), k)
+                        if sum(1 for e in c if e <= n - k) <= j
+                    ]
+                    assert [s.elements for s in restricted_subsets(n, k, j)] == oracle
+
+    def test_cost_follows_output(self):
+        start = time.perf_counter()
+        assert [s.elements for s in restricted_subsets(40, 20, 0)] == [tuple(range(21, 41))]
+        assert time.perf_counter() - start < 1.0
 
     def test_validation(self):
         with pytest.raises(DomainViolation):

@@ -77,11 +77,14 @@ class TestRascalValue:
             row = triangle_rows(n, method="enumeration")[n]
             assert row == [rascal_value(n, k) for k in range(n + 1)]
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         with pytest.raises(ResourceLimit):
             rascal_value(25, 3, "enumeration")
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "255")
         with pytest.raises(ResourceLimit):
-            rascal_value(8, 3, "enumeration", enum_cap=6)
+            rascal_value(8, 3, "enumeration")  # 2^8 words, one over the cap
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "256")
+        assert rascal_value(8, 3, "enumeration") == 16
 
 
 class TestRascalGenValue:
