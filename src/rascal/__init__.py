@@ -51,6 +51,7 @@ from .maps import (
 from .numbers import (
     TriangleCache,
     choose,
+    closed_row,
     e_defect,
     falling_factorial,
     prefix_suffix_count,

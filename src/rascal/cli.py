@@ -20,8 +20,8 @@ from .generate import (
     restricted_subsets,
     words_with_ascents,
 )
-from .limits import check_cells, max_cells
-from .numbers import METHODS, e_defect, rascal_gen_value, rascal_value, triangle_rows
+from .limits import check_cells, check_sum, max_cells
+from .numbers import METHODS, choose, e_defect, rascal_gen_value, rascal_value, triangle_rows
 from .words import as_word, is_pattern, word_str
 
 FORMATS = ("table", "json", "csv", "bfile")
@@ -93,7 +93,19 @@ def _enumerate_lines(args) -> list[str]:
         raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
     if args.family in ("words", "subsets"):
         ks = [args.k] if args.k is not None else range(args.n + 1)
-        check_cells(sum(rascal_gen_value(args.n, k, args.j) for k in ks), f"{args.family} listing")
+        what = f"{args.family} listing"
+        if args.k is not None:
+            check_cells(rascal_gen_value(args.n, args.k, args.j), what)
+        else:
+            # every k: sum_k R(n, k; j) = sum_{t <= 2j+1} C(n, t), as in
+            # gen_row_sum.  Up to 64 binomials are summed outright, so the
+            # message gives the total; more are drawn only until past the cap.
+            t_max = min(2 * args.j + 1, args.n)
+            terms = (choose(args.n, t) for t in range(t_max + 1))
+            if t_max < 64:
+                check_cells(sum(terms), what)
+            else:
+                check_sum(terms, what)
         if subsets:
             items = restricted_subsets(args.n, args.k, args.j)
             return [" ".join(map(str, s.elements)) for s in items]

@@ -9,6 +9,14 @@ both, so the discrepancy stays visible as a permanent regression check.
 Left-hand sides are expressed through a value source `v(n, k, j=1)`,
 which is either the closed form or an explicit enumeration count; that
 is what lets the same registry run against brute-force ground truth.
+Row sums read a whole row at once through `v.row(n, j)`, which each
+source builds once: the closed form by `numbers.closed_row`, the
+enumeration source cell by cell from its own counts.
+
+An entry whose sum runs along its last parameter also carries a
+`step(v, prev, **params)`, the left side at `params` from `prev`, the
+left side one less on that parameter.  `verify_range` folds a grid's
+last axis with it, so each cell costs only its new terms.
 """
 
 from __future__ import annotations
@@ -17,24 +25,27 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import factorial
+from operator import mul
 from typing import Callable
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import count_words_with_ascents
 from . import limits
-from .numbers import choose, falling_factorial, rascal_gen_value
+from .numbers import choose, closed_row, falling_factorial, rascal_gen_value
 
 
 class ClosedValues:
     """Closed-form value source with a per-instance memo; subclasses
-    change only `count`, the function that fills the memo."""
+    change only `count`, the function that fills the memo, and `_row`,
+    the function that fills a whole row of it."""
 
     count = staticmethod(rascal_gen_value)
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, int, int], int] = {}
+        self._rows: dict[tuple[int, int], list[int]] = {}
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
@@ -43,14 +54,27 @@ class ClosedValues:
             got = self._memo[key] = self.count(n, k, j)
         return got
 
+    def row(self, n: int, j: int = 1) -> list[int]:
+        """[v(n, k, j) for k in 0..n], built once per (n, j); its cells
+        enter the memo in k order, as that comprehension would put them."""
+        got = self._rows.get((n, j))
+        if got is None:
+            got = self._rows[n, j] = self._row(n, j)
+        return got
+
+    def _row(self, n: int, j: int) -> list[int]:
+        row = closed_row(n, j)
+        self._memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), row))
+        return row
+
 
 class EnumerationCounts(ClosedValues):
     """Value source backed by explicit word enumeration (the oracle)."""
 
     count = staticmethod(count_words_with_ascents)
 
-
-ValueSource = Callable[..., int]
+    def _row(self, n: int, j: int) -> list[int]:
+        return [self(n, k, j) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -64,6 +88,7 @@ class Identity:
     rhs: Callable[..., int]
     corrected_rhs: Callable[..., int] | None = None
     corrected_note: str = ""
+    step: Callable[..., int] | None = None
 
 
 @dataclass(frozen=True)
@@ -121,11 +146,12 @@ def _register(
     rhs,
     corrected_rhs=None,
     corrected_note: str = "",
+    step=None,
 ) -> None:
     if name in _REGISTRY:
         raise ValueError(f"duplicate identity name {name!r}")
     _REGISTRY[name] = Identity(
-        name, statement, params, domain_desc, domain, lhs, rhs, corrected_rhs, corrected_note
+        name, statement, params, domain_desc, domain, lhs, rhs, corrected_rhs, corrected_note, step
     )
 
 
@@ -149,12 +175,24 @@ def identity_names() -> list[str]:
 # registry entries
 
 
-def _row_sum_lhs(v, n):
-    return sum(v(n, k) for k in range(n + 1))
+def _alt_sum(row) -> int:
+    """sum_k (-1)^k * row[k]"""
+    return sum(row[::2]) - sum(row[1::2])
 
 
-def _gen_row_sum_lhs(v, n, j):
-    return sum(v(n, k, j) for k in range(n + 1))
+def _binomial_row(n):
+    """C(n, k) for k = 0..n, each from the one before."""
+    return accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+
+
+def _triangle_row_sum(v, n):
+    """sum_{k=1..n-1} R(n,k), cell by cell: the end cells k = 0 and
+    k = n are not in the sum, so they are not fetched."""
+    return sum(v(n, k) for k in range(1, n))
+
+
+def _product_step(v, prev, n, m):
+    return prev * (v(n, m) - 1)
 
 
 _register(
@@ -163,7 +201,7 @@ _register(
     ("n",),
     "n >= 0",
     lambda n: n >= 0,
-    _row_sum_lhs,
+    lambda v, n: sum(v.row(n)),
     lambda n: choose(n + 1, 3) + n + 1,
 )
 
@@ -175,6 +213,7 @@ _register(
     lambda k, r: k >= 0 and r >= 0,
     lambda v, k, r: sum(v(k + i, k) for i in range(r + 1)),
     lambda k, r: k * choose(r + 1, 2) + r + 1,
+    step=lambda v, prev, k, r: prev + v(k + r, k),
 )
 
 _register(
@@ -183,7 +222,7 @@ _register(
     ("n",),
     "n >= 0",
     lambda n: n >= 0,
-    lambda v, n: sum(choose(n, k) * v(n, k) for k in range(n + 1)),
+    lambda v, n: sum(map(mul, _binomial_row(n), v.row(n))),
     lambda n: (choose(n, 2) * 2 ** (n - 2) if n >= 2 else 0) + 2**n,
     corrected_rhs=lambda n: (choose(n, 2) * 2 ** (n - 1) if n >= 2 else 0) + 2**n,
     corrected_note=(
@@ -198,8 +237,9 @@ _register(
     ("n",),
     "n >= 2",
     lambda n: n >= 2,
-    lambda v, n: sum(v(i, k) for i in range(1, n + 1) for k in range(1, i)),
+    lambda v, n: sum(_triangle_row_sum(v, i) for i in range(1, n + 1)),
     lambda n: choose(n + 2, 4) + choose(n, 2),
+    step=lambda v, prev, n: prev + _triangle_row_sum(v, n),
 )
 
 _register(
@@ -220,7 +260,7 @@ _register(
     ("n",),
     "n >= 0",
     lambda n: n >= 0,
-    lambda v, n: sum((-1) ** k * v(n, k) for k in range(n + 1)),
+    lambda v, n: _alt_sum(v.row(n)),
     lambda n: 0 if n % 2 else 1 - n // 2,
 )
 
@@ -232,6 +272,7 @@ _register(
     lambda n, m: 1 <= m <= n,
     lambda v, n, m: _product_int(v(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) * falling_factorial(n - 1, m),
+    step=_product_step,
 )
 
 _register(
@@ -252,6 +293,7 @@ _register(
     lambda n, m: 1 <= m <= n,
     lambda v, n, m: _product_int(v(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) ** 2 * choose(n - 1, m),
+    step=_product_step,
 )
 
 _register(
@@ -260,7 +302,7 @@ _register(
     ("n", "j"),
     "n >= 0, j >= 0",
     lambda n, j: n >= 0 and j >= 0,
-    _gen_row_sum_lhs,
+    lambda v, n, j: sum(v.row(n, j)),
     lambda n, j: sum(choose(n, k) for k in range(2 * j + 2)),
 )
 
@@ -270,7 +312,7 @@ _register(
     ("j",),
     "j >= 0",
     lambda j: j >= 0,
-    lambda v, j: sum(v(4 * j + 3, k, j) for k in range(4 * j + 4)),
+    lambda v, j: sum(v.row(4 * j + 3, j)),
     lambda j: 2 ** (4 * j + 2),
 )
 
@@ -281,7 +323,7 @@ _register(
     "n >= 0, j >= 0",
     lambda n, j: n >= 0 and j >= 0,
     lambda v, n, j: sum(
-        (-1) ** (2 * j + 1 - t) * choose(2 * j + 1, t) * _gen_row_sum_lhs(v, n + t, j)
+        (-1) ** (2 * j + 1 - t) * choose(2 * j + 1, t) * sum(v.row(n + t, j))
         for t in range(2 * j + 2)
     ),
     lambda n, j: 1,
@@ -293,7 +335,7 @@ _register(
     ("n", "j"),
     "n >= 0, j >= 0",
     lambda n, j: n >= 0 and j >= 0,
-    lambda v, n, j: sum((-1) ** k * v(n, k, j) for k in range(n + 1)),
+    lambda v, n, j: _alt_sum(v.row(n, j)),
     lambda n, j: _gen_alt_rhs(n, j),
 )
 
@@ -306,17 +348,13 @@ def _product_int(values) -> int:
 
 
 def _subset_ie_lhs(v, n: int, m: int) -> int:
-    r_values = [v(n, i) for i in range(1, m + 1)]
-    total = 0
-    for mask in range(1 << m):
-        term = 1
-        size = 0
-        for i in range(m):
-            if mask >> i & 1:
-                term *= r_values[i]
-                size += 1
-        total += (-1) ** (m - size) * term
-    return total
+    # signed products over the subsets of {1..i}, doubled once per i:
+    # a subset without i flips sign, a subset with i takes the factor R(n, i)
+    terms = [1]
+    for i in range(1, m + 1):
+        r = v(n, i)
+        terms = [-t for t in terms] + [t * r for t in terms]
+    return sum(terms)
 
 
 def _gen_alt_rhs(n: int, j: int) -> int:
@@ -384,7 +422,9 @@ def verify_range(
     outside the identity's domain are skipped.  Every remaining cell is
     evaluated (no short-circuit) so the report lists every failure.
     With `oracle=True` the left side uses enumeration counts instead of
-    the closed form.
+    the closed form.  A cell whose last parameter is one more than the
+    previous cell's, the others equal, folds the previous left side
+    with the entry's `step`; any other cell is summed from scratch.
     """
     ident = get_identity(name)
     missing = [p for p in ident.params if p not in grid]
@@ -396,14 +436,19 @@ def verify_range(
     cells = list(islice(cells, cap + 1))  # never more than one cell past the cap
     if len(cells) > cap:
         raise ResourceLimit(f"grid for identity {name} needs more than {cap} cells")
-    v: ValueSource = EnumerationCounts() if oracle else ClosedValues()
+    v = EnumerationCounts() if oracle else ClosedValues()
     failures = []
     corrected_failures = [] if ident.corrected_rhs is not None else None
     start = time.perf_counter()
+    prev_cell = prev_lhs = None
     for cell in cells:
         params = dict(zip(ident.params, cell))
         frozen = tuple(params.items())
-        lhs = ident.lhs(v, **params)
+        if ident.step and prev_cell == (*cell[:-1], cell[-1] - 1):
+            lhs = ident.step(v, prev_lhs, **params)
+        else:
+            lhs = ident.lhs(v, **params)
+        prev_cell, prev_lhs = cell, lhs
         rhs = ident.rhs(**params)
         if lhs != rhs:
             failures.append((frozen, lhs, rhs))

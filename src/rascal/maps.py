@@ -739,8 +739,8 @@ def verify_genalt(n: int, j: int) -> dict:
     fixed points of the previous ones; the final fixed-point signed sum
     equals the alternating row sum."""
     _require_sizes(n=n, j=j)
-    # the domain; R(n, k; j) = R(n, k; n) for j > n keeps each term cheap
-    check_sum((rascal_gen_value(n, k, min(j, n)) for k in range(n + 1)), "genalt check")
+    # each of the j + 1 stages visits at most the whole domain
+    check_sum(((j + 1) * rascal_gen_value(n, k, j) for k in range(n + 1)), "genalt check")
     details: list[str] = []
     domain: list[Word] = []
     for k in range(n + 1):

@@ -24,6 +24,8 @@ any size, so all arithmetic here is exact by construction.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul
 
 from .errors import InexactDivision
 from .generate import all_binary_words
@@ -200,11 +202,25 @@ def rascal_gen_value(
     if not in_triangle(n, k):
         return 0
     if method == "closed":
-        return sum(math.comb(k, i) * math.comb(n - k, i) for i in range(j + 1))
+        # C(k, i) * C(n-k, i) vanishes for i > min(k, n-k)
+        return sum(math.comb(k, i) * math.comb(n - k, i) for i in range(min(j, k, n - k) + 1))
     if method == "linear":
         check_cells(_table_cells(n), "linear recurrence table")
         return (cache or TriangleCache()).linear_value(n, k, j)
     return _enum_row_counts(n, j)[k]
+
+
+def closed_row(n: int, j: int = 1) -> list[int]:
+    """R(n, k; j) for k = 0..n by the closed form, one binomial column
+    C(0..n, i) per i <= min(j, n // 2); C(n-k, i) is that column reversed.
+    Only k <= n // 2 is summed: the row is symmetric in k <-> n-k."""
+    if j < 0:
+        raise ValueError("ascent bound j must be >= 0")
+    half = [1] * (n // 2 + 1)
+    for i in range(1, min(j, n // 2) + 1):
+        col = list(map(math.comb, range(n + 1), repeat(i)))
+        half = list(map(add, half, map(mul, col, reversed(col))))
+    return half + half[: (n + 1) // 2][::-1]
 
 
 def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int:
@@ -258,6 +274,4 @@ def triangle_rows(
         return [_enum_row_counts(n, j) for n in range(n_max + 1)]
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    return [
-        [rascal_gen_value(n, k, j) for k in range(n + 1)] for n in range(n_max + 1)
-    ]
+    return [closed_row(n, j) for n in range(n_max + 1)]

@@ -39,6 +39,11 @@ class TestValue:
     def test_generalized(self, capsys):
         assert run(capsys, "value", "6", "3", "--j", "2") == (0, "19\n", "")
 
+    def test_huge_j(self, capsys):
+        start = time.perf_counter()
+        assert run(capsys, "value", "5", "2", "--j", "100000000") == (0, "10\n", "")
+        assert time.perf_counter() - start < 1.0
+
     def test_methods(self, capsys):
         for method in ("closed", "multiplicative", "linear", "enumeration"):
             code, out, _ = run(capsys, "value", "5", "2", "--method", method)
@@ -290,6 +295,10 @@ ABSURD_RUNS = [
     ("bijection", "ratio", "--n", "1000000000000", "--k", "5"),
     ("bijection", "altbin", "--r", "1000000000000", "--n", "6", "--k", "2"),
     ("bijection", "genalt", "--n", "1000000000", "--j", "3"),
+    ("bijection", "genalt", "--n", "2", "--j", "100000000"),
+    ("enumerate", "words", "--n", "10000000"),
+    ("enumerate", "words", "--n", "3000000", "--j", "0"),
+    ("enumerate", "words", "--n", "10000000", "--j", "10000000"),
 ]
 
 

@@ -2,12 +2,17 @@
 disagreement between the stated weighted row sum and enumeration."""
 
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rascal import identities
 from rascal.errors import DomainViolation, ResourceLimit, UnknownIdentity
 from rascal.identities import (
+    ClosedValues,
     EnumerationCounts,
     default_grids,
     evaluate,
@@ -230,3 +235,55 @@ class TestEnumerationSource:
         for name, grid in grids.items():
             ident = get_identity(name)
             assert set(grid) == set(ident.params)
+
+
+STEPPED = [name for name in identity_names() if get_identity(name).step]
+
+
+class TestFolds:
+    def test_stepped_entries(self):
+        assert STEPPED == ["col_sum", "triangle_sum", "product_formula", "binom_corollary"]
+
+    @pytest.mark.parametrize("name", STEPPED)
+    @pytest.mark.parametrize("source, hi", [(ClosedValues, 300), (EnumerationCounts, 10)])
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_step_extends_previous_cell(self, name, source, hi, data):
+        ident = get_identity(name)
+        values = data.draw(st.lists(st.integers(0, hi), min_size=len(ident.params), max_size=len(ident.params)))
+        cell = dict(zip(ident.params, values))
+        prev = {**cell, ident.params[-1]: values[-1] - 1}
+        assume(ident.domain(**cell) and ident.domain(**prev))
+        v = source()
+        assert ident.step(v, ident.lhs(v, **prev), **cell) == ident.lhs(source(), **cell)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize(
+        "name, origin, mid",
+        [
+            ("col_sum", {"k": (0, 12), "r": (0, 9)}, {"k": (0, 12), "r": (5, 9)}),
+            ("product_formula", {"n": (1, 14), "m": (1, 7)}, {"n": (1, 14), "m": (3, 7)}),
+        ],
+    )
+    def test_grid_start_does_not_matter(self, monkeypatch, oracle, name, origin, mid):
+        folded = [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)]
+        assert [r["failures"] for r in folded] == [[], []]
+        # the same grids with every cell summed from scratch
+        monkeypatch.setitem(identities._REGISTRY, name, replace(get_identity(name), step=None))
+        assert [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)] == folded
+
+    def test_domain_gap_restarts_fold(self, monkeypatch):
+        gapped = replace(get_identity("col_sum"), domain=lambda k, r: k >= 0 and r != 3)
+        monkeypatch.setitem(identities._REGISTRY, "col_sum", gapped)
+        report = verify_range("col_sum", {"k": (0, 6), "r": (0, 8)})
+        assert (report.cells, report.failures) == (56, ())
+
+
+class TestRows:
+    @pytest.mark.parametrize("source", [ClosedValues, EnumerationCounts])
+    def test_row_fills_memo_in_k_order(self, source):
+        v = source()
+        v(5, 3, 2)
+        assert v.row(5, 2) == [v(5, k, 2) for k in range(6)]
+        assert list(v._memo) == [(5, 3, 2)] + [(5, k, 2) for k in (0, 1, 2, 4, 5)]
+        assert v.row(5, 2) is v.row(5, 2)

@@ -1,12 +1,17 @@
 """Rascal values across routes, helper quantities, and the recurrences."""
 
+import time
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rascal.errors import ResourceLimit
 from rascal.numbers import (
     TriangleCache,
+    closed_row,
     e_defect,
     falling_factorial,
     prefix_suffix_count,
@@ -121,6 +126,35 @@ class TestRascalGenValue:
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
             rascal_gen_value(3, 1, -1)
+
+    def test_huge_j_sums_only_nonzero_terms(self):
+        start = time.perf_counter()
+        assert rascal_gen_value(5, 2, 10**8) == 10
+        # every word of length 60 with 30 ones has at most 30 ascents
+        assert rascal_gen_value(60, 30, 10**12) == comb(60, 30)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestClosedRow:
+    def test_exhaustive_small(self):
+        for n in range(41):
+            for j in range(7):
+                assert closed_row(n, j) == [rascal_gen_value(n, k, j) for k in range(n + 1)], (n, j)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 400), st.integers(0, 250))
+    def test_random_large(self, n, j):
+        assert closed_row(n, j) == [rascal_gen_value(n, k, j) for k in range(n + 1)]
+
+    def test_row_sums_cover_every_word(self):
+        # j >= n/2 admits every word: the row sums to 2^n
+        for n in range(30):
+            assert sum(closed_row(n, n)) == 2**n
+
+    def test_empty_and_negative(self):
+        assert closed_row(-1, 2) == []
+        with pytest.raises(ValueError):
+            closed_row(3, -1)
 
 
 class TestFallingFactorial:
