@@ -42,6 +42,10 @@ def _cmd_value(args) -> int:
             return 2
         value = rascal_value(args.n, args.k, "multiplicative")
     else:
+        if args.method == "closed":
+            # min(j, k, n-k)+1 terms, each of up to n+1 bits
+            terms = max(0, min(args.j, args.k, args.n - args.k) + 1)
+            check_cells(terms * (args.n + 1), "closed-form value")
         value = rascal_gen_value(args.n, args.k, args.j, args.method)
     print(value)
     return 0

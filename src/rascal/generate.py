@@ -75,24 +75,32 @@ def words_with_ascents(n: int, k: int, j: int = 1) -> Iterator[Word]:
     yield from out
 
 
-def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
-    """|B_k^(j)(n)| by walking every run-length profile.
+def _profile_count(total: int, parts: int) -> int:
+    """How many _head_compositions(total, parts) there are, counted by
+    walking them: the oracle never takes a binomial from the closed form."""
+    return sum(1 for _ in _head_compositions(total, parts))
 
-    Same enumeration as words_with_ascents, one count per word, without
-    materializing the letters; this is the cheap oracle used for large
-    identity grids.
-    """
+
+def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
+    """|B_k^(j)(n)| by the product rule: a word with exactly r ascents is
+    a free pair of an r-part profile of its k ones and one of its n-k
+    zeros (see words_with_ascents), so it sums
+    profile_count(k, r) * profile_count(n-k, r) over r."""
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return 0
-    total = 0
-    for r in range(min(j, k, n - k) + 1):
-        y_profiles = list(_head_compositions(n - k, r))
-        for _xs in _head_compositions(k, r):
-            for _ys in y_profiles:
-                total += 1
-    return total
+    return sum(
+        profile_count(k, r) * profile_count(n - k, r) for r in range(min(j, k, n - k) + 1)
+    )
+
+
+def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
+    """|B_k^(j)(n)| from the run-length profiles of words_with_ascents,
+    each side's profiles walked and counted once per r, then multiplied;
+    no letters and no binomials, so this is the cheap oracle for large
+    identity grids."""
+    return _count_by_profiles(_profile_count, n, k, j)
 
 
 def fishburn_numbers() -> Iterator[int]:

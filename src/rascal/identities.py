@@ -7,8 +7,9 @@ side, a corrected variant is registered alongside it and reports show
 both, so the discrepancy stays visible as a permanent regression check.
 
 Left-hand sides are expressed through a value source `v(n, k, j=1)`,
-which is either the closed form or an explicit enumeration count; that
-is what lets the same registry run against brute-force ground truth.
+which is either the closed form or an enumeration count (the product
+rule over walked run-length profiles, never a binomial); that is what
+lets the same registry run against brute-force ground truth.
 Row sums read a whole row at once through `v.row(n, j)`, which each
 source builds once: the closed form by `numbers.closed_row`, the
 enumeration source cell by cell from its own counts.
@@ -26,12 +27,12 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate, islice, repeat
-from math import factorial
+from math import comb, factorial
 from operator import mul
 from typing import Callable
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
-from .generate import count_words_with_ascents
+from .generate import _count_by_profiles, _profile_count
 from . import limits
 from .numbers import choose, closed_row, falling_factorial, rascal_gen_value
 
@@ -69,9 +70,29 @@ class ClosedValues:
 
 
 class EnumerationCounts(ClosedValues):
-    """Value source backed by explicit word enumeration (the oracle)."""
+    """Value source backed by enumeration (the oracle): each count is
+    the product rule over run-length profiles (`generate`), and each
+    profile family (t, r) is walked at most once per instance.  The
+    walks are priced: C(t, r) profiles are added to a running total
+    before a family is walked, and past the cell cap (`max_cells`, else
+    RASCAL_MAX_CELLS) the source raises ResourceLimit."""
 
-    count = staticmethod(count_words_with_ascents)
+    def __init__(self, max_cells: int | None = None) -> None:
+        super().__init__()
+        self._profiles: dict[tuple[int, int], int] = {}
+        self._walked = 0
+        self._cap = limits.max_cells(max_cells)
+
+    def count(self, n: int, k: int, j: int = 1) -> int:
+        return _count_by_profiles(self._family_size, n, k, j)
+
+    def _family_size(self, t: int, r: int) -> int:
+        got = self._profiles.get((t, r))
+        if got is None:
+            self._walked += comb(t, r)  # the price only; the value is walked
+            limits.check_cells(self._walked, "walking oracle profiles", self._cap)
+            got = self._profiles[t, r] = _profile_count(t, r)
+        return got
 
     def _row(self, n: int, j: int) -> list[int]:
         return [self(n, k, j) for k in range(n + 1)]
@@ -436,7 +457,7 @@ def verify_range(
     cells = list(islice(cells, cap + 1))  # never more than one cell past the cap
     if len(cells) > cap:
         raise ResourceLimit(f"grid for identity {name} needs more than {cap} cells")
-    v = EnumerationCounts() if oracle else ClosedValues()
+    v = EnumerationCounts(cap) if oracle else ClosedValues()
     failures = []
     corrected_failures = [] if ident.corrected_rhs is not None else None
     start = time.perf_counter()

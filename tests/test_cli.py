@@ -1,6 +1,7 @@
 """Command-line behaviour: golden outputs, formats, exit codes."""
 
 import json
+import math
 import time
 
 import pytest
@@ -57,6 +58,21 @@ class TestValue:
         code, _, err = run(capsys, "value", "1500", "3", "--method", method)
         assert (code, time.perf_counter() - start < 1.0) == (3, True)
         assert "1127251 cells" in err
+
+    @pytest.mark.parametrize("n, k, j", [(10000, 5000, 5000), (20000, 10000, 10000)])
+    def test_closed_route_priced(self, capsys, monkeypatch, n, k, j):
+        # (min(j, k, n-k)+1) terms times n+1 bits each
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "value", str(n), str(k), "--j", str(j))
+        assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
+        assert f"needs {(j + 1) * (n + 1)} cells" in err
+
+    def test_closed_route_under_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        # 501,501 cells; sum_i C(500, i)^2 = C(1000, 500)
+        code, out, _ = run(capsys, "value", "1000", "500", "--j", "500")
+        assert (code, out) == (0, f"{math.comb(1000, 500)}\n")
 
     def test_multiplicative_needs_j1(self, capsys):
         code, _, err = run(capsys, "value", "6", "3", "--j", "2", "--method", "multiplicative")
@@ -324,6 +340,22 @@ class TestBudget:
         code, _, err = run(capsys, "bijection", "subset", "--n-max", "40", "--j-max", "3")
         assert (code, time.perf_counter() - start < 1.0) == (3, True)
         assert "more than 10 cells" in err
+
+    def test_verify_all_oracle_exits_3(self, capsys, monkeypatch):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "all", "--oracle")
+        assert (code, out, time.perf_counter() - start < 10.0) == (3, "", True)
+        assert "walking oracle profiles" in err
+
+    def test_oracle_profiles_small_cap(self, capsys, monkeypatch):
+        argv = ("verify", "forward_diff", "--n-max", "16", "--j-max", "4", "--oracle")
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "1000")
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "walking oracle profiles" in err and "over the cap 1000" in err
+        monkeypatch.delenv("RASCAL_MAX_CELLS")
+        assert run(capsys, *argv)[0] == 0
 
     def test_verify_grid_small_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("RASCAL_MAX_CELLS", "10")

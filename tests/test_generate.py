@@ -4,6 +4,8 @@ import time
 from itertools import combinations, islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rascal.errors import DomainViolation, ResourceLimit
 from rascal.generate import (
@@ -109,6 +111,14 @@ class TestWordsWithAscents:
                     words = list(words_with_ascents(n, k, j))
                     assert len(words) == rascal_gen_value(n, k, j)
                     assert count_words_with_ascents(n, k, j) == len(words)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_count_matches_closed_form_at_random_sizes(self, data):
+        n = data.draw(st.integers(0, 60))
+        k = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, 5))
+        assert count_words_with_ascents(n, k, j) == rascal_gen_value(n, k, j)
 
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(words_with_ascents(9, 4, 3)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rascal import identities
+from rascal import generate, identities
 from rascal.errors import DomainViolation, ResourceLimit, UnknownIdentity
 from rascal.identities import (
     ClosedValues,
@@ -21,7 +21,7 @@ from rascal.identities import (
     list_identities,
     verify_range,
 )
-from rascal.numbers import rascal_value
+from rascal.numbers import _enum_row_counts, rascal_value
 
 SMALLEST_POINT = {
     "row_sum": {"n": 0},
@@ -228,6 +228,33 @@ class TestEnumerationSource:
                     from rascal.numbers import rascal_gen_value
 
                     assert counts(n, k, j) == rascal_gen_value(n, k, j)
+
+    def test_rows_match_word_filter(self):
+        # the 2^n filter of numbers is independent of the profile walks
+        counts = EnumerationCounts()
+        for n in range(15):
+            for j in range(5):
+                assert counts.row(n, j) == _enum_row_counts(n, j), (n, j)
+
+    def test_each_profile_family_walked_once(self, monkeypatch):
+        walked = []
+
+        def recording(total, parts):
+            walked.append((total, parts))
+            return head_compositions(total, parts)
+
+        head_compositions = generate._head_compositions
+        monkeypatch.setattr(generate, "_head_compositions", recording)
+        report = verify_range("forward_diff", {"n": (0, 16), "j": (0, 4)}, oracle=True)
+        assert (report.cells, report.failures) == (85, ())
+        assert walked and len(walked) == len(set(walked))
+
+    def test_profile_walks_priced(self):
+        # forward_diff on this grid walks 37,539 profiles
+        grid = {"n": (0, 16), "j": (0, 4)}
+        with pytest.raises(ResourceLimit, match="over the cap 37538"):
+            verify_range("forward_diff", grid, oracle=True, max_cells=37538)
+        assert verify_range("forward_diff", grid, oracle=True, max_cells=37539).passed
 
     def test_default_grids_cover_registry(self):
         grids = default_grids()
