@@ -96,10 +96,15 @@ def _enumerate_lines(args) -> list[str]:
     if args.n is None or (subsets and args.k is None):
         raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
     if args.family in ("words", "subsets"):
+        if args.j < 0:
+            raise ValueError("ascent bound j must be >= 0")
         ks = [args.k] if args.k is not None else range(args.n + 1)
         what = f"{args.family} listing"
         if args.k is not None:
-            check_cells(rascal_gen_value(args.n, args.k, args.j), what)
+            # R(n, k; j) term by term, stopping once past the cap
+            n, k = args.n, args.k
+            terms = (choose(k, i) * choose(n - k, i) for i in range(min(args.j, k, n - k) + 1))
+            check_sum(terms, what)
         else:
             # every k: sum_k R(n, k; j) = sum_{t <= 2j+1} C(n, t), as in
             # gen_row_sum.  Up to 64 binomials are summed outright, so the

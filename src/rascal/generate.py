@@ -15,7 +15,16 @@ from collections.abc import Iterator
 
 from .errors import DomainViolation, ResourceLimit
 from .limits import max_cells
-from .words import Word, as_word, asc, contains_001, contains_210, contains_pattern, is_pattern, word_str
+from .words import (
+    Word,
+    _asc,
+    _contains_001,
+    _contains_210,
+    as_word,
+    contains_pattern,
+    is_pattern,
+    word_str,
+)
 
 
 def all_binary_words(n: int) -> Iterator[Word]:
@@ -140,12 +149,14 @@ def ascent_sequences(n: int) -> Iterator[Word]:
 
 
 def _avoids_all(w: Word, patterns: tuple[Word, ...]) -> bool:
+    """Pattern checks on an ascent sequence built here, so the linear
+    special cases skip the public re-check of the word."""
     for p in patterns:
         if p == (0, 0, 1):
-            if contains_001(w):
+            if _contains_001(w):
                 return False
         elif p == (2, 1, 0):
-            if contains_210(w):
+            if _contains_210(w):
                 return False
         elif contains_pattern(w, p):
             return False
@@ -162,7 +173,7 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     for w in ascent_sequences(n):
         if not _avoids_all(w, pats):
             continue
-        if k is not None and asc(w) != k:
+        if k is not None and _asc(w) != k:
             continue
         yield w
 

@@ -1,14 +1,21 @@
 """Executable bijections, near-bijections, and sign-reversing involutions
 on the word families, each paired with an exhaustive small-size verifier.
 
-The maps act pointwise and never enumerate; the verify_* functions
-materialize the small domains and return a plain dict report consumed
-by the CLI and the tests.  The five bijection verifiers (sym, strip,
-ascseq, subset, divider) share one check, _check_bijection: every image
-lies in a target family built by a generator (never by the map under
-test), the inverse undoes the map, and the image is the whole target.
-Each verifier adds only its own counting facts.  The ratio, altbin and
-genalt verifiers check their injection and involutions directly.
+Each map is split in two.  A private core (_sym, _to_subset, _altbin,
+...) works on trusted tuples -- for altbin, (frozenset, tuple) pairs --
+and checks nothing.  The public function validates its input once, at
+the edge, and then calls the core.  The maps act pointwise and never
+enumerate; the verify_* functions materialize the small domains with
+the generators and run the cores on those objects, so nothing is
+validated per object.  Every image is still tested for membership in a
+target that a generator built (never the map under test), so a core
+that emits a bad object fails its verifier.  The five bijection
+verifiers (sym, strip, ascseq, subset, divider) share one check,
+_check_bijection: every image lies in the target, the inverse undoes
+the map, and the image is the whole target.  Each adds only its own
+counting facts.  The ratio, altbin and genalt verifiers check their
+injection and involutions directly, and compare the fixed points of
+each core with a separate description (in_altbin_fix, in_genalt_fix).
 Before building anything, every verifier prices the objects it will
 check from closed forms against the one cell budget (limits.check_sum).
 BIJECTIONS maps each verifier's name to the function and the names of
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 
 from .errors import DomainViolation
 from .generate import (
@@ -32,7 +39,7 @@ from .generate import (
 )
 from .limits import check_sum
 from .numbers import choose, rascal_gen_value, rascal_value
-from .words import Word, as_word, asc, binary_word, complement, reverse_word, word_str
+from .words import Word, _asc, as_word, binary_word, word_str
 
 
 # ---------------------------------------------------------------------------
@@ -40,21 +47,17 @@ from .words import Word, as_word, asc, binary_word, complement, reverse_word, wo
 
 
 def _leading(w: Word, bit: int) -> int:
-    run = 0
-    for x in w:
+    for run, x in enumerate(w):
         if x != bit:
-            break
-        run += 1
-    return run
+            return run
+    return len(w)
 
 
 def _trailing(w: Word, bit: int) -> int:
-    run = 0
-    for x in reversed(w):
+    for run, x in enumerate(reversed(w)):
         if x != bit:
-            break
-        run += 1
-    return run
+            return run
+    return len(w)
 
 
 def run_profile(b) -> tuple[int, list[tuple[int, int]], int]:
@@ -63,7 +66,10 @@ def run_profile(b) -> tuple[int, list[tuple[int, int]], int]:
     Returns (x0, [(y_1, x_1), ..., (y_m, x_m)], y0) where m = asc(b);
     inner runs are positive, outer runs may be empty.
     """
-    b = binary_word(b)
+    return _profile(binary_word(b))
+
+
+def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
     x0 = _leading(b, 1)
     y0 = _trailing(b, 0) if len(b) > x0 else 0
     middle = b[x0 : len(b) - y0]
@@ -83,22 +89,32 @@ def run_profile(b) -> tuple[int, list[tuple[int, int]], int]:
 
 
 def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> Word:
-    bits: list[int] = [1] * x0
+    bits = [1] * x0
     for zeros, ones in pairs:
-        bits.extend([0] * zeros)
-        bits.extend([1] * ones)
-    bits.extend([0] * y0)
-    return tuple(bits)
+        bits += [0] * zeros + [1] * ones
+    return tuple(bits + [0] * y0)
+
+
+def _sign(m: int) -> int:
+    """(-1) ** m."""
+    return -1 if m % 2 else 1
 
 
 def word_weight(b) -> int:
     """(-1) ** (number of ones)."""
-    return -1 if sum(binary_word(b)) % 2 else 1
+    return _sign(sum(binary_word(b)))
 
 
 def _require_family(b: Word, j: int, what: str) -> None:
-    if asc(b) > j:
-        raise DomainViolation(f"{what}: {word_str(b)} has {asc(b)} ascents, more than {j}")
+    ascents = _asc(b)
+    if ascents > j:
+        raise DomainViolation(f"{what}: {word_str(b)} has {ascents} ascents, more than {j}")
+
+
+def _require_sizes(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 0:
+            raise DomainViolation(f"{name} must be >= 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +127,11 @@ def sym_map(b) -> Word:
     involution on the at-most-one-ascent family."""
     b = binary_word(b)
     _require_family(b, 1, "sym_map")
-    return complement(reverse_word(b))
+    return _sym(b)
+
+
+def _sym(b: Word) -> Word:
+    return tuple(1 - x for x in reversed(b))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +147,10 @@ def strip(b, lead_ones: int, trail_zeros: int) -> Word:
         raise DomainViolation(f"{word_str(b)} does not start with {lead_ones} ones")
     if _trailing(b, 0) < trail_zeros:
         raise DomainViolation(f"{word_str(b)} does not end with {trail_zeros} zeros")
+    return _strip(b, lead_ones, trail_zeros)
+
+
+def _strip(b: Word, lead_ones: int, trail_zeros: int) -> Word:
     return b[lead_ones : len(b) - trail_zeros]
 
 
@@ -135,6 +159,10 @@ def unstrip(b, lead_ones: int, trail_zeros: int) -> Word:
     b = binary_word(b)
     if lead_ones < 0 or trail_zeros < 0:
         raise DomainViolation("unstrip lengths must be >= 0")
+    return _unstrip(b, lead_ones, trail_zeros)
+
+
+def _unstrip(b: Word, lead_ones: int, trail_zeros: int) -> Word:
     return (1,) * lead_ones + b + (0,) * trail_zeros
 
 
@@ -152,12 +180,16 @@ def word_to_ascseq(b) -> Word:
     """
     b = binary_word(b)
     _require_family(b, 1, "word_to_ascseq")
+    return _to_ascseq(b)
+
+
+def _to_ascseq(b: Word) -> Word:
     n = len(b)
     k = sum(b)
     staircase = tuple(range(k))
-    if asc(b) == 0:
+    _x0, pairs, _y0 = _profile(b)
+    if not pairs:
         return staircase + (k,) * (n + 1 - k)
-    x0, pairs, y0 = run_profile(b)
     (y, x), = pairs
     return staircase + (k,) * y + (k - x,) * (n + 1 - k - y)
 
@@ -165,7 +197,10 @@ def word_to_ascseq(b) -> Word:
 def ascseq_to_word(w) -> Word:
     """Inverse of word_to_ascseq; rejects sequences outside the
     {001,210}-avoiding family."""
-    w = as_word(w)
+    return _from_ascseq(as_word(w))
+
+
+def _from_ascseq(w: Word) -> Word:
     if not w:
         raise DomainViolation("the empty sequence is outside the family (lengths are n+1 >= 1)")
     k = max(w)
@@ -205,43 +240,31 @@ def word_to_subset(b, j: int) -> RestrictedSubset:
     if j < 0:
         raise DomainViolation("intersection bound j must be >= 0")
     _require_family(b, j, "word_to_subset")
-    n = len(b)
+    return RestrictedSubset(_to_subset(b), len(b), sum(b), j)
+
+
+def _to_subset(b: Word) -> tuple[int, ...]:
+    """The elements, sorted: the low part is at most n-k, the high part above."""
     k = sum(b)
-    x0, pairs, y0 = run_profile(b)
-    low: list[int] = []
-    acc = 0
-    for zeros, _ones in pairs:
-        acc += zeros
-        low.append(acc)
-    ones_partial: set[int] = set()
-    acc = 0
-    for _zeros, ones in pairs:
-        acc += ones
-        ones_partial.add(acc)
-    high = [v + (n - k) for v in range(1, k + 1) if v not in ones_partial]
-    return RestrictedSubset(tuple(sorted(low + high)), n, k, j)
+    n_minus_k = len(b) - k
+    _x0, pairs, _y0 = _profile(b)
+    low = accumulate(zeros for zeros, _ones in pairs)
+    ones_partial = set(accumulate(ones for _zeros, ones in pairs))
+    return (*low, *(v + n_minus_k for v in range(1, k + 1) if v not in ones_partial))
 
 
 def subset_to_word(s: RestrictedSubset) -> Word:
     """Inverse of word_to_subset."""
-    n, k = s.n, s.k
-    low = [e for e in s.elements if e <= n - k]
-    high = [e for e in s.elements if e > n - k]
-    shifted = {e - (n - k) for e in high}
-    ones_partial = [v for v in range(1, k + 1) if v not in shifted]
-    if len(ones_partial) != len(low):
-        raise DomainViolation(
-            f"subset {s.elements} is not consistent for n={n}, k={k}"
-        )
-    pairs: list[tuple[int, int]] = []
-    prev_zero = 0
-    prev_one = 0
-    for zero_sum, one_sum in zip(low, ones_partial):
-        pairs.append((zero_sum - prev_zero, one_sum - prev_one))
-        prev_zero, prev_one = zero_sum, one_sum
-    x0 = k - prev_one
-    y0 = (n - k) - prev_zero
-    return assemble_profile(x0, pairs, y0)
+    return _from_subset(s.elements, s.n, s.k)
+
+
+def _from_subset(elements: tuple[int, ...], n: int, k: int) -> Word:
+    """The partial sums of the inner zero and one runs, from 0, give the runs back."""
+    zeros = [0, *(e for e in elements if e <= n - k)]
+    shifted = {e - (n - k) for e in elements if e > n - k}
+    ones = [0, *(v for v in range(1, k + 1) if v not in shifted)]
+    pairs = [(z - z0, o - o0) for z0, z, o0, o in zip(zeros, zeros[1:], ones, ones[1:])]
+    return assemble_profile(k - ones[-1], pairs, n - k - zeros[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +275,31 @@ def divider_encode(subset, n: int) -> Word:
     """Write a divider before position i for each i in the subset, label
     the sections 0..|S| left to right, fill even sections with 1's and
     odd sections with 0's."""
+    _require_sizes(n=n)
     s = sorted(set(subset))
     if any(e < 1 or e > n for e in s):
         raise DomainViolation(f"subset {s} not within {{1..{n}}}")
-    cuts = [1] + s + [n + 1]
+    return _divider_encode(s, n)
+
+
+def _divider_encode(s, n: int) -> Word:
+    """On the sorted elements s of a subset of {1..n}."""
+    cuts = [1, *s, n + 1]
     bits: list[int] = []
     for section in range(len(cuts) - 1):
-        width = cuts[section + 1] - cuts[section]
-        bits.extend([1 - section % 2] * width)
+        bits += [1 - section % 2] * (cuts[section + 1] - cuts[section])
     return tuple(bits)
 
 
 def divider_decode(b) -> tuple[int, ...]:
     """Inverse of divider_encode: position 1 when the word starts with 0,
     plus every position where the letter changes."""
-    b = binary_word(b)
-    s = []
-    if b and b[0] == 0:
-        s.append(1)
-    for i in range(2, len(b) + 1):
-        if b[i - 2] != b[i - 1]:
-            s.append(i)
-    return tuple(s)
+    return _divider_decode(binary_word(b))
+
+
+def _divider_decode(b: Word) -> tuple[int, ...]:
+    changes = tuple(i for i in range(2, len(b) + 1) if b[i - 2] != b[i - 1])
+    return (1, *changes) if b[:1] == (0,) else changes
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +317,7 @@ class MarkedWord:
         w = binary_word(self.word)
         object.__setattr__(self, "word", w)
         if not 1 <= self.mark <= len(w) or w[self.mark - 1] != 1:
-            raise DomainViolation(
-                f"mark {self.mark} is not the position of a 1 in {word_str(w)}"
-            )
+            raise DomainViolation(f"mark {self.mark} is not the position of a 1 in {word_str(w)}")
 
     def __str__(self) -> str:
         return f"{word_str(self.word)} mark {self.mark}"
@@ -312,16 +336,19 @@ def ratio_map(mw: MarkedWord) -> MarkedWord:
     first_one = w.index(1) + 1  # a mark exists, so there is a 1
     if mw.mark == first_one:
         raise DomainViolation(f"{mw}: the circled 1 must not be the first 1")
+    word, mark = _ratio(w, mw.mark)
+    return mw if word is w else MarkedWord(word, mark)  # a fixed word is returned as is
+
+
+def _ratio(w: Word, mark: int) -> tuple[Word, int]:
     if w[0] == 1:
-        return mw
+        return w, mark
     # starts with 0 and has at most one ascent: the 1's form one run
-    run_start = w.index(1)
-    run_end = run_start
+    run_end = w.index(1)
     while run_end < len(w) and w[run_end] == 1:
         run_end += 1
-    p = mw.mark - 1
-    rotated = w[p:run_end] + w[:p] + w[run_end:]
-    return MarkedWord(rotated, 1)
+    p = mark - 1
+    return w[p:run_end] + w[:p] + w[run_end:], 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +378,18 @@ def signed_pair(subset, word, r: int) -> SignedPair:
     if any(e < 1 or e > r for e in s):
         raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
     if _trailing(w, 0) < r - len(s):
-        raise DomainViolation(
-            f"{word_str(w)} ends in fewer than {r - len(s)} zeros"
-        )
-    return SignedPair(s, w, (-1) ** ((r - len(s)) % 2))
-
-
-def _toggle(s: frozenset[int], x: int) -> frozenset[int]:
-    return s - {x} if x in s else s | {x}
+        raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
+    return SignedPair(s, w, _sign(r - len(s)))
 
 
 def in_altbin_fix(pair: SignedPair, r: int) -> bool:
     """Fixed points of the first involution: the word ends in exactly
     r - |S| zeros and r is in S."""
-    return r in pair.subset and _trailing(pair.word, 0) == r - len(pair.subset)
+    return _altbin_fixed(pair.subset, pair.word, r)
+
+
+def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
+    return r in s and _trailing(w, 0) == r - len(s)
 
 
 def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> SignedPair:
@@ -388,28 +413,31 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     _require_family(w, 1, "altbin_involution")
     if any(e < 1 or e > r for e in s):
         raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
-    trailing = _trailing(w, 0)
-    if trailing < r - len(s):
+    if _trailing(w, 0) < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
-
-    if stage == 1:
-        if in_altbin_fix(pair, r):
-            return pair
-        return signed_pair(_toggle(s, r), w, r)
-
-    if not in_altbin_fix(pair, r):
-        raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
-    x0, pairs, y0 = run_profile(w)
-    if len(pairs) != 1:
+    if pair.weight != _sign(r - len(s)):
         raise DomainViolation(
-            f"{word_str(w)} is not of the one-ascent shape required in stage 2"
+            f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"
+            f" not (-1)^(r-|S|) = {_sign(r - len(s))}"
         )
-    (mid, x), = pairs
-    if 1 in s:
-        moved = assemble_profile(x0, [(mid - 1, x)], y0 + 1)
-    else:
-        moved = assemble_profile(x0, [(mid + 1, x)], y0 - 1)
-    return signed_pair(_toggle(s, 1), moved, r)
+    if stage == 2 and not in_altbin_fix(pair, r):
+        raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
+    t, moved = _altbin(stage, s, w, r)
+    return SignedPair(t, moved, _sign(r - len(t)))
+
+
+def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[int], Word]:
+    """Stage 1 toggles r whenever the toggled pair keeps its r - |S|
+    trailing zeros.  Stage 2 takes a stage-1 fixed point, which has the
+    one-ascent shape 1^x0 0^mid 1^x 0^y0 with mid >= 2 when 1 is in S
+    and y0 >= 1 when it is not."""
+    if stage == 1:
+        t = s - {r} if r in s else s | {r}
+        return (t, w) if _trailing(w, 0) >= r - len(t) else (s, w)
+    x0 = _leading(w, 1)
+    if 1 in s:  # a zero of the inner run moves to the trailing run
+        return s - {1}, w[:x0] + w[x0 + 1 :] + (0,)
+    return s | {1}, w[:x0] + (0,) + w[x0:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +447,11 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
 def in_genalt_fix(w, d: int, j: int) -> bool:
     """Is w a fixed point of the involutions 0..d of the chain?"""
     w = binary_word(w)
-    if asc(w) > j:
-        return False
-    x0, pairs, y0 = run_profile(w)
+    return _asc(w) <= j and _genalt_fixed(w, d)
+
+
+def _genalt_fixed(w: Word, d: int) -> bool:
+    x0, pairs, y0 = _profile(w)
     if x0 % 2 or y0 != 0:
         return False
     for t in range(1, min(d, len(pairs)) + 1):
@@ -444,30 +474,29 @@ def genalt_involution(d: int, w, j: int) -> Word:
     w = binary_word(w)
     if d < 0:
         raise DomainViolation("stage must be >= 0")
+    _require_sizes(j=j)
     _require_family(w, j, "genalt_involution")
-    x0, pairs, y0 = run_profile(w)
-    if d == 0:
-        if x0 % 2:
-            return assemble_profile(x0 - 1, pairs, y0 + 1)
-        if y0 > 0:
-            return assemble_profile(x0 + 1, pairs, y0 - 1)
-        return w
-    if not in_genalt_fix(w, d - 1, j):
-        raise DomainViolation(
-            f"{word_str(w)} is not a fixed point of stages 0..{d - 1}"
-        )
+    if d > 0 and not _genalt_fixed(w, d - 1):
+        raise DomainViolation(f"{word_str(w)} is not a fixed point of stages 0..{d - 1}")
+    return _genalt(d, w)
+
+
+def _genalt(d: int, w: Word) -> Word:
+    if d == 0:  # one letter between the leading 1-run and the trailing 0-run
+        if _leading(w, 1) % 2:
+            return w[1:] + (0,)
+        return (1,) + w[:-1] if w[-1:] == (0,) else w
+    x0, pairs, y0 = _profile(w)
     if len(pairs) < d:
         return w
     y_d, x_d = pairs[d - 1]
     if x_d % 2 == 0:
-        new = pairs.copy()
-        new[d - 1] = (y_d + 1, x_d - 1)
-        return assemble_profile(x0, new, y0)
-    if y_d > 1:
-        new = pairs.copy()
-        new[d - 1] = (y_d - 1, x_d + 1)
-        return assemble_profile(x0, new, y0)
-    return w
+        pairs[d - 1] = (y_d + 1, x_d - 1)
+    elif y_d > 1:
+        pairs[d - 1] = (y_d - 1, x_d + 1)
+    else:
+        return w
+    return assemble_profile(x0, pairs, y0)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +504,7 @@ def genalt_involution(d: int, w, j: int) -> Word:
 
 
 def _report(ok: bool, checked: int, details: list[str], **extra) -> dict:
-    out = {"ok": ok, "checked": checked, "details": details}
-    out.update(extra)
-    return out
-
-
-def _require_sizes(**sizes: int) -> None:
-    for name, value in sizes.items():
-        if value < 0:
-            raise DomainViolation(f"{name} must be >= 0, got {value}")
+    return {"ok": ok, "checked": checked, "details": details, **extra}
 
 
 def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int:
@@ -512,11 +533,11 @@ def verify_sym(n_max: int) -> dict:
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
+        families = [list(words_with_ascents(n, k, 1)) for k in range(n + 1)]
         for k in range(n + 1):
-            target = set(words_with_ascents(n, n - k, 1))
             checked += _check_bijection(
-                "sym", f"n={n}, k={k}", words_with_ascents(n, k, 1), target,
-                sym_map, sym_map, word_str, details,
+                "sym", f"n={n}, k={k}", families[k], set(families[n - k]),
+                _sym, _sym, word_str, details,
             )
     return _report(not details, checked, details)
 
@@ -537,17 +558,17 @@ def verify_strip(n_max: int) -> dict:
     checked = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
-            family = list(words_with_ascents(n, k, 1))
+            family = [(b, _leading(b, 1), _trailing(b, 0)) for b in words_with_ascents(n, k, 1)]
             for lead, trail in product(range(k + 1), range(n - k + 1)):
                 where = f"n={n}, k={k}, lead={lead}, trail={trail}"
-                domain = [b for b in family if _leading(b, 1) >= lead and _trailing(b, 0) >= trail]
+                domain = [b for b, ones, zeros in family if ones >= lead and zeros >= trail]
                 expected = rascal_value(n - lead - trail, k - lead)
                 if len(domain) != expected:
                     details.append(f"strip: count {len(domain)} != R = {expected} at ({where})")
                 target = set(words_with_ascents(n - lead - trail, k - lead, 1))
                 checked += _check_bijection(
-                    "strip", where, domain, target, lambda b: strip(b, lead, trail),
-                    lambda b: unstrip(b, lead, trail), word_str, details,
+                    "strip", where, domain, target, lambda b: _strip(b, lead, trail),
+                    lambda b: _unstrip(b, lead, trail), word_str, details,
                 )
     return _report(not details, checked, details)
 
@@ -563,14 +584,14 @@ def verify_ascseq(n_max: int) -> dict:
     for n in range(n_max + 1):
         targets: dict[int, set[Word]] = {}
         for w in avoiders(n + 1, ((0, 0, 1), (2, 1, 0))):
-            targets.setdefault(asc(w), set()).add(w)
+            targets.setdefault(_asc(w), set()).add(w)
         for k in range(n + 1):
             target = targets.get(k, set())
             if target != set(canonical_avoiders(n + 1, k)):
                 details.append(f"ascseq: canonical family differs at n={n + 1}, k={k}")
             checked += _check_bijection(
                 "ascseq", f"n={n}, k={k}", words_with_ascents(n, k, 1), target,
-                word_to_ascseq, ascseq_to_word, word_str, details,
+                _to_ascseq, _from_ascseq, word_str, details,
             )
     return _report(not details, checked, details)
 
@@ -591,16 +612,15 @@ def verify_subset(n_max: int, j_max: int) -> dict:
         for k, j in product(range(n + 1), range(j_max + 1)):
             where = f"n={n}, k={k}, j={j}"
             family = list(words_with_ascents(n, k, j))
-            subsets = list(restricted_subsets(n, k, j))
+            subsets = [s.elements for s in restricted_subsets(n, k, j)]
             if len(family) != len(subsets):
                 details.append(f"subset: family sizes differ at ({where})")
-            to_subset = partial(word_to_subset, j=j)
+            to_word = partial(_from_subset, n=n, k=k)
             checked += _check_bijection(
-                "subset", where, family, set(subsets), to_subset, subset_to_word, word_str, details
+                "subset", where, family, set(subsets), _to_subset, to_word, word_str, details
             )
             checked += _check_bijection(
-                "subset", where, subsets, set(family), subset_to_word, to_subset,
-                lambda s: str(s.elements), details,
+                "subset", where, subsets, set(family), to_word, _to_subset, str, details
             )
     return _report(not details, checked, details)
 
@@ -622,9 +642,9 @@ def verify_divider(n_max: int, j_max: int) -> dict:
         where = f"n={n}, j={j}"
         domain = [s for t in range(min(n, 2 * j + 1) + 1) for s in combinations(range(1, n + 1), t)]
         target = {w for k in range(n + 1) for w in words_with_ascents(n, k, j)}
-        encode = partial(divider_encode, n=n)
+        encode = partial(_divider_encode, n=n)
         checked += _check_bijection(
-            "divider", where, domain, target, encode, divider_decode, str, details
+            "divider", where, domain, target, encode, _divider_decode, str, details
         )
         expected = sum(choose(n, t) for t in range(2 * j + 2))
         if len(domain) != expected:
@@ -640,53 +660,35 @@ def verify_ratio(n: int, k: int) -> dict:
     check_sum(((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1)), "ratio check")
     details: list[str] = []
     family = list(words_with_ascents(n, k, 1))
-    source = [
-        MarkedWord(w, i + 1)
-        for w in family
-        for i in range(len(w))
-        if w[i] == 1 and i != w.index(1)
-    ]
-    target = [
-        MarkedWord(w, i + 1)
-        for w in family
-        if w and w[0] == 1
-        for i in range(len(w))
-        if w[i] == 1
-    ]
+    # (word, mark) pairs; MarkedWord, which validates, only for the report
+    source = [(w, i + 1) for w in family for i in range(len(w)) if w[i] == 1 and i != w.index(1)]
+    target = [(w, i + 1) for w in family if w and w[0] == 1 for i in range(len(w)) if w[i] == 1]
     target_set = set(target)
     image = set()
     for mw in source:
-        out = ratio_map(mw)
+        out = _ratio(*mw)
         if out not in target_set:
-            details.append(f"ratio: image of ({mw}) is outside the target set")
+            details.append(f"ratio: image of ({MarkedWord(*mw)}) is outside the target set")
         image.add(out)
     if len(image) != len(source):
         details.append("ratio: map is not injective")
     missed = [mw for mw in target if mw not in image]
     if len(missed) != 1:
         details.append(f"ratio: expected exactly one missed element, got {len(missed)}")
-    elif missed[0] != MarkedWord((1,) * k + (0,) * (n - k), 1):
-        details.append(f"ratio: missed element is {missed[0]}, not the expected one")
+    elif missed[0] != ((1,) * k + (0,) * (n - k), 1):
+        details.append(f"ratio: missed element is {MarkedWord(*missed[0])}, not the expected one")
     if (len(source), len(target)) != ((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1)):
         details.append("ratio: source/target sizes disagree with the counting identity")
-    return _report(
-        not details,
-        len(source) + len(target),
-        details,
-        image_size=len(image),
-        target_size=len(target),
-        missed=[str(m) for m in missed],
-    )
+    shown = [str(MarkedWord(*mw)) for mw in missed]
+    sizes = {"image_size": len(image), "target_size": len(target), "missed": shown}
+    return _report(not details, len(source) + len(target), details, **sizes)
 
 
-def _altbin_space(r: int, n: int, k: int) -> list[SignedPair]:
-    pairs = []
-    for size in range(r + 1):
-        for subset in combinations(range(1, r + 1), size):
-            for w in words_with_ascents(n + r, k, 1):
-                if _trailing(w, 0) >= r - size:
-                    pairs.append(signed_pair(subset, w, r))
-    return pairs
+def _altbin_space(r: int, n: int, k: int) -> list[tuple[frozenset[int], Word]]:
+    """The (S, w) pairs of the signed set, from one listing of the words."""
+    words = [(w, _trailing(w, 0)) for w in words_with_ascents(n + r, k, 1)]
+    subsets = [frozenset(c) for size in range(r + 1) for c in combinations(range(1, r + 1), size)]
+    return [(s, w) for s in subsets for w, zeros in words if zeros >= r - len(s)]
 
 
 def verify_altbin(r: int, n: int, k: int) -> dict:
@@ -700,35 +702,30 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     check_sum((choose(r, t) * rascal_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
     space = _altbin_space(r, n, k)
-    signed_sum = sum(p.weight for p in space)
-    formula = sum(
-        (-1) ** (r - t) * choose(r, t) * rascal_value(n + t, k) for t in range(r + 1)
-    )
+    members = set(space)
+    signed_sum = sum(_sign(r - len(s)) for s, _w in space)
+    formula = sum((-1) ** (r - t) * choose(r, t) * rascal_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
-    fixed = []
-    for p in space:
-        q = altbin_involution(1, p, r, n, k)
-        if q == p:
-            fixed.append(p)
-            if not in_altbin_fix(p, r):
-                details.append("altbin: unexpected stage-1 fixed point")
-            continue
-        if q.weight != -p.weight:
-            details.append("altbin: stage 1 does not reverse sign")
-        if altbin_involution(1, q, r, n, k) != p:
-            details.append("altbin: stage 1 is not an involution")
-    if len(fixed) != len([p for p in space if in_altbin_fix(p, r)]):
-        details.append("altbin: fixed set differs from its description")
-    for p in fixed:
-        q = altbin_involution(2, p, r, n, k)
-        if q == p:
-            details.append("altbin: stage 2 has a fixed point")
-            continue
-        if q.weight != -p.weight:
-            details.append("altbin: stage 2 does not reverse sign")
-        if altbin_involution(2, q, r, n, k) != p:
-            details.append("altbin: stage 2 is not an involution")
+    fixed: list[tuple[frozenset[int], Word]] = []  # filled by stage 1, then walked by stage 2
+    for stage, domain in ((1, space), (2, fixed)):
+        for p in domain:
+            q = _altbin(stage, *p, r)
+            if q == p and stage == 1:
+                fixed.append(p)
+                if not _altbin_fixed(*p, r):
+                    details.append("altbin: unexpected stage-1 fixed point")
+            elif q == p:
+                details.append("altbin: stage 2 has a fixed point")
+            elif q not in members:
+                details.append(f"altbin: stage {stage} image is outside the signed space")
+            else:
+                if len(q[0]) % 2 == len(p[0]) % 2:  # the weight is (-1)^(r-|S|)
+                    details.append(f"altbin: stage {stage} does not reverse sign")
+                if _altbin(stage, *q, r) != p:
+                    details.append(f"altbin: stage {stage} is not an involution")
+        if stage == 1 and len(fixed) != sum(1 for p in space if _altbin_fixed(*p, r)):
+            details.append("altbin: fixed set differs from its description")
     if signed_sum != 0:
         details.append(f"altbin: signed sum is {signed_sum}, expected 0")
     return _report(not details, len(space), details, signed_sum=signed_sum)
@@ -742,29 +739,31 @@ def verify_genalt(n: int, j: int) -> dict:
     # each of the j + 1 stages visits at most the whole domain
     check_sum(((j + 1) * rascal_gen_value(n, k, j) for k in range(n + 1)), "genalt check")
     details: list[str] = []
-    domain: list[Word] = []
-    for k in range(n + 1):
-        domain.extend(words_with_ascents(n, k, j))
+    domain = [w for k in range(n + 1) for w in words_with_ascents(n, k, j)]
+    members = set(domain)
     checked = 0
     current = domain
     for d in range(j + 1):
         next_fixed = []
         for w in current:
-            out = genalt_involution(d, w, j)
+            out = _genalt(d, w)
             checked += 1
             if out == w:
                 next_fixed.append(w)
                 continue
-            if word_weight(out) != -word_weight(w):
+            if out not in members:
+                details.append(f"genalt: stage {d} image of {word_str(w)} is outside the domain")
+                continue
+            if (sum(out) - sum(w)) % 2 == 0:  # the weight is (-1)^(ones)
                 details.append(f"genalt: stage {d} does not reverse sign on {word_str(w)}")
             if abs(sum(out) - sum(w)) != 1:
                 details.append(f"genalt: stage {d} moves more than one 1 on {word_str(w)}")
-            if genalt_involution(d, out, j) != w:
+            if _genalt(d, out) != w:
                 details.append(f"genalt: stage {d} is not an involution on {word_str(w)}")
-        if {w for w in current if in_genalt_fix(w, d, j)} != set(next_fixed):
+        if {w for w in current if _genalt_fixed(w, d)} != set(next_fixed):
             details.append(f"genalt: stage-{d} fixed set differs from its description")
         current = next_fixed
-    fixed_sum = sum(word_weight(w) for w in current)
+    fixed_sum = sum(_sign(sum(w)) for w in current)
     total = sum((-1) ** k * rascal_gen_value(n, k, j) for k in range(n + 1))
     if fixed_sum != total:
         details.append(f"genalt: fixed-point sum {fixed_sum} != alternating row sum {total}")

@@ -67,7 +67,11 @@ def descent_positions(w) -> set[int]:
 
 def asc(w) -> int:
     """Number of ascents of w."""
-    w = as_word(w)
+    return _asc(as_word(w))
+
+
+def _asc(w: Word) -> int:
+    """asc on a word tuple already checked by as_word."""
     return sum(1 for i in range(1, len(w)) if w[i - 1] < w[i])
 
 
@@ -132,7 +136,10 @@ def avoids(w, p) -> bool:
 
 def contains_001(w) -> bool:
     """Linear-time test for an occurrence i<j<l with w_i = w_j < w_l."""
-    w = as_word(w)
+    return _contains_001(as_word(w))
+
+
+def _contains_001(w: Word) -> bool:
     seen: set[int] = set()
     repeated_min: int | None = None
     for x in w:
@@ -148,7 +155,10 @@ def contains_001(w) -> bool:
 
 def contains_210(w) -> bool:
     """Linear-time test for a strictly decreasing subsequence of length 3."""
-    w = as_word(w)
+    return _contains_210(as_word(w))
+
+
+def _contains_210(w: Word) -> bool:
     prefix_max: int | None = None
     mid_best: int | None = None  # largest letter preceded by a strictly larger one
     for x in w:

@@ -315,6 +315,8 @@ ABSURD_RUNS = [
     ("enumerate", "words", "--n", "10000000"),
     ("enumerate", "words", "--n", "3000000", "--j", "0"),
     ("enumerate", "words", "--n", "10000000", "--j", "10000000"),
+    ("enumerate", "words", "--n", "10000", "--k", "5000", "--j", "5000", "--count-only"),
+    ("enumerate", "subsets", "--n", "10000", "--k", "5000", "--j", "5000", "--count-only"),
 ]
 
 
@@ -340,6 +342,17 @@ class TestBudget:
         code, _, err = run(capsys, "bijection", "subset", "--n-max", "40", "--j-max", "3")
         assert (code, time.perf_counter() - start < 1.0) == (3, True)
         assert "more than 10 cells" in err
+
+    def test_enumerate_k_boundary(self, capsys, monkeypatch):
+        # R(10, 5; 2) = 1 + 25 + 100 = 126 words: admitted at a cap of 126 only
+        argv = ("enumerate", "words", "--n", "10", "--k", "5", "--j", "2", "--count-only")
+        for family in ("words", "subsets"):
+            argv = ("enumerate", family, *argv[2:])
+            monkeypatch.setenv("RASCAL_MAX_CELLS", "125")
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "") and "more than 125 cells" in err
+            monkeypatch.setenv("RASCAL_MAX_CELLS", "126")
+            assert run(capsys, *argv)[:2] == (0, "126\n")
 
     def test_verify_all_oracle_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)

@@ -2,17 +2,23 @@
 verifiers at small sizes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rascal import maps, words
 from rascal.errors import DomainViolation
-from rascal.generate import words_with_ascents
+from rascal.generate import RestrictedSubset, words_with_ascents
 from rascal.maps import (
+    BIJECTIONS,
     MarkedWord,
+    SignedPair,
     altbin_involution,
     ascseq_to_word,
     divider_decode,
     divider_encode,
     genalt_involution,
     in_altbin_fix,
+    in_genalt_fix,
     ratio_map,
     run_profile,
     signed_pair,
@@ -32,7 +38,7 @@ from rascal.maps import (
     word_to_subset,
     word_weight,
 )
-from rascal.words import as_word, asc, word_str
+from rascal.words import as_word, asc, contains_001, contains_210, is_ascent_sequence, word_str
 
 
 class TestRunProfile:
@@ -303,3 +309,347 @@ class TestCheckBijection:
         details = []
         _check_bijection("t", "n=1", [5], {5}, lambda x: 6, lambda y: 5, str, details)
         assert details == ["t: image of 5 is outside the target family", "t: not onto at (n=1)"]
+
+
+# ---------------------------------------------------------------------------
+# properties on random objects of length up to 200, built here from run
+# lengths without the maps under test
+
+N_MAX = 200
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def _composition(draw, total, parts):
+    """(a_0, a_1..a_parts): a_0 >= 0, the rest >= 1, summing to total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total - parts), min_size=parts, max_size=parts)))
+    bounds = [0, *cuts, total - parts]
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+    return [sizes[0]] + [size + 1 for size in sizes[1:]]
+
+
+def _word(x0, pairs, y0):
+    """1^x0 (0^y 1^x for each (y, x) in pairs) 0^y0."""
+    bits = [1] * x0
+    for zeros, ones in pairs:
+        bits += [0] * zeros + [1] * ones
+    return tuple(bits + [0] * y0)
+
+
+def _ascents_word(draw, n, k, m):
+    """A word of length n with k ones and exactly m ascents."""
+    xs, ys = _composition(draw, k, m), _composition(draw, n - k, m)
+    return _word(xs[0], list(zip(ys[1:], xs[1:])), ys[0])
+
+
+def _lead(b):
+    return next((i for i, x in enumerate(b) if x != 1), len(b))
+
+
+def _trail(b):
+    return _lead(tuple(1 - x for x in reversed(b)))
+
+
+@st.composite
+def family_words(draw, j_max=4):
+    """(b, j): a word of length <= N_MAX with at most j ascents."""
+    j = draw(st.integers(0, j_max))
+    n = draw(st.integers(0, N_MAX))
+    k = draw(st.integers(0, n))
+    return _ascents_word(draw, n, k, draw(st.integers(0, min(j, k, n - k)))), j
+
+
+one_ascent_words = family_words(j_max=1).map(lambda bj: bj[0])
+
+
+@st.composite
+def many_ascent_words(draw):
+    """A word of length <= N_MAX with at least two ascents."""
+    n = draw(st.integers(4, N_MAX))
+    k = draw(st.integers(2, n - 2))
+    return _ascents_word(draw, n, k, draw(st.integers(2, min(k, n - k))))
+
+
+@st.composite
+def restricted_subset_objects(draw):
+    n = draw(st.integers(0, N_MAX))
+    k = draw(st.integers(0, n))
+    j = draw(st.integers(0, 4))
+    m = draw(st.integers(0, min(j, k, n - k)))
+    low = draw(st.sets(st.integers(1, n - k), min_size=m, max_size=m)) if m else set()
+    # the high part keeps all of {n-k+1..n} but m elements
+    dropped = draw(st.sets(st.integers(n - k + 1, n), min_size=m, max_size=m)) if m else set()
+    high = set(range(n - k + 1, n + 1)) - dropped
+    return RestrictedSubset(tuple(sorted(low | high)), n, k, j)
+
+
+@st.composite
+def altbin_pairs(draw):
+    """(pair, r, n, k): a signed pair of the alternating-sum set."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(0, N_MAX - r))
+    k = draw(st.integers(0, n))
+    subset = frozenset(draw(st.sets(st.integers(1, r))))
+    t = r - len(subset)
+    length = n + r - t
+    word = _ascents_word(draw, length, k, draw(st.integers(0, min(1, k, length - k)))) + (0,) * t
+    return SignedPair(subset, word, (-1) ** t), r, n, k
+
+
+@st.composite
+def altbin_fixed_points(draw):
+    """(pair, r, n, k): r in S and exactly r - |S| trailing zeros after
+    a one-ascent word."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(1, N_MAX - r))
+    k = draw(st.integers(1, n))
+    subset = frozenset({r}) | draw(st.sets(st.integers(1, r - 1)))
+    t = r - len(subset)
+    x = draw(st.integers(1, k))
+    word = _word(k - x, [(n + r - k - t, x)], t)
+    return SignedPair(subset, word, (-1) ** t), r, n, k
+
+
+@st.composite
+def genalt_fixed_points(draw):
+    """(d, w, j): a fixed point of stages 0..d-1 -- even leading run, no
+    trailing zeros, inner pairs 1..d-1 of one zero and an odd 1-run."""
+    j = draw(st.integers(1, 4))
+    d = draw(st.integers(1, j))
+    pairs = [(1, 2 * draw(st.integers(0, 10)) + 1) for _ in range(d - 1)]
+    more = draw(st.integers(0, j - d + 1))
+    pairs += [(draw(st.integers(1, 20)), draw(st.integers(1, 20))) for _ in range(more)]
+    return d, _word(2 * draw(st.integers(0, 10)), pairs, 0), j
+
+
+@st.composite
+def marked_word_pairs(draw):
+    """Two marked words of one (n, k): at most one ascent, the circled 1
+    not the first 1."""
+    n = draw(st.integers(2, N_MAX))
+    k = draw(st.integers(2, n))
+
+    def marked():
+        b = _ascents_word(draw, n, k, draw(st.integers(0, min(1, n - k))))
+        ones = [i + 1 for i, x in enumerate(b) if x == 1]
+        return MarkedWord(b, draw(st.sampled_from(ones[1:])))
+
+    return marked(), marked()
+
+
+class TestMapProperties:
+    @PROPERTY
+    @given(one_ascent_words)
+    def test_sym_map_reverse_complement_involution(self, b):
+        out = sym_map(b)
+        assert out == tuple(1 - x for x in reversed(b))
+        assert sym_map(out) == b
+
+    @PROPERTY
+    @given(one_ascent_words, st.data())
+    def test_strip_unstrip_round_trip(self, b, data):
+        lead = data.draw(st.integers(0, _lead(b)))
+        trail = data.draw(st.integers(0, _trail(b)))
+        out = strip(b, lead, trail)
+        assert out == b[lead : len(b) - trail]
+        assert unstrip(out, lead, trail) == b
+
+    @PROPERTY
+    @given(one_ascent_words)
+    def test_word_ascseq_round_trip(self, b):
+        seq = word_to_ascseq(b)
+        assert len(seq) == len(b) + 1 and is_ascent_sequence(seq) and asc(seq) == sum(b)
+        assert not contains_001(seq) and not contains_210(seq)
+        assert ascseq_to_word(seq) == b
+
+    @PROPERTY
+    @given(family_words())
+    def test_word_subset_round_trip(self, bj):
+        b, j = bj
+        n, k = len(b), sum(b)
+        s = word_to_subset(b, j)
+        assert (s.n, s.k, s.j) == (n, k, j)
+        assert sum(1 for e in s.elements if e <= n - k) == asc(b)
+        assert subset_to_word(s) == b
+
+    @PROPERTY
+    @given(restricted_subset_objects())
+    def test_subset_word_round_trip(self, s):
+        b = subset_to_word(s)
+        assert (len(b), sum(b)) == (s.n, s.k) and asc(b) <= s.j
+        assert word_to_subset(b, s.j) == s
+
+    @PROPERTY
+    @given(st.integers(0, N_MAX).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, max(n, 1))))))
+    def test_divider_round_trip(self, n_subset):
+        n, subset = n_subset
+        subset = {e for e in subset if e <= n}
+        b = divider_encode(subset, n)
+        assert len(b) == n and asc(b) == len(subset) // 2
+        assert divider_decode(b) == tuple(sorted(subset))
+        assert divider_encode(divider_decode(b), n) == b
+
+    @PROPERTY
+    @given(altbin_pairs())
+    def test_altbin_stage1_sign_reversing_involution(self, case):
+        pair, r, n, k = case
+        out = altbin_involution(1, pair, r, n, k)
+        if out == pair:
+            assert r in pair.subset and _trail(pair.word) == r - len(pair.subset)
+            assert in_altbin_fix(pair, r)
+            return
+        assert out.word == pair.word and out.subset == pair.subset ^ {r}
+        assert out.weight == -pair.weight
+        assert altbin_involution(1, out, r, n, k) == pair
+
+    @PROPERTY
+    @given(altbin_fixed_points())
+    def test_altbin_stage2_sign_reversing_involution(self, case):
+        pair, r, n, k = case
+        assert in_altbin_fix(pair, r)
+        out = altbin_involution(2, pair, r, n, k)
+        assert out != pair and out.weight == -pair.weight
+        assert out.subset == pair.subset ^ {1} and in_altbin_fix(out, r)
+        assert altbin_involution(2, out, r, n, k) == pair
+
+    @PROPERTY
+    @given(family_words())
+    def test_genalt_stage0_sign_reversing_involution(self, bj):
+        b, j = bj
+        out = genalt_involution(0, b, j)
+        if out == b:
+            assert _lead(b) % 2 == 0 and _trail(b) == 0
+            return
+        assert abs(sum(out) - sum(b)) == 1 and word_weight(out) == -word_weight(b)
+        assert genalt_involution(0, out, j) == b
+
+    @PROPERTY
+    @given(genalt_fixed_points())
+    def test_genalt_stage_d_sign_reversing_involution(self, case):
+        d, w, j = case
+        assert in_genalt_fix(w, d - 1, j)
+        out = genalt_involution(d, w, j)
+        if out == w:
+            assert in_genalt_fix(w, d, j)
+            return
+        assert abs(sum(out) - sum(w)) == 1 and word_weight(out) == -word_weight(w)
+        assert in_genalt_fix(out, d - 1, j) and not in_genalt_fix(out, d, j)
+        assert genalt_involution(d, out, j) == w
+
+    @PROPERTY
+    @given(marked_word_pairs())
+    def test_ratio_map_injective(self, pair):
+        a, b = pair
+        out_a, out_b = ratio_map(a), ratio_map(b)
+        assert out_a.word[0] == 1 and out_b.word[0] == 1
+        assert (out_a == out_b) == (a == b)
+
+    @PROPERTY
+    @given(many_ascent_words())
+    def test_two_ascents_rejected(self, b):
+        m = asc(b)
+        second_one = [i + 1 for i, x in enumerate(b) if x == 1][1]
+        for call in (
+            lambda: sym_map(b),
+            lambda: word_to_ascseq(b),
+            lambda: word_to_subset(b, m - 1),
+            lambda: genalt_involution(0, b, m - 1),
+            lambda: ratio_map(MarkedWord(b, second_one)),
+            lambda: strip(b, _lead(b) + 1, 0),
+            lambda: strip(b, 0, _trail(b) + 1),
+        ):
+            with pytest.raises(DomainViolation):
+                call()
+
+    @PROPERTY
+    @given(one_ascent_words, st.data())
+    def test_non_binary_and_out_of_range_rejected(self, b, data):
+        bad = b + (2,)
+        for call in (
+            lambda: sym_map(bad),
+            lambda: strip(bad, 0, 0),
+            lambda: unstrip(bad, 0, 0),
+            lambda: word_to_ascseq(bad),
+            lambda: word_to_subset(bad, 4),
+            lambda: divider_decode(bad),
+            lambda: genalt_involution(0, bad, 4),
+            lambda: divider_encode({len(b) + data.draw(st.integers(1, 5))}, len(b)),
+            lambda: divider_encode({-data.draw(st.integers(0, 5))}, len(b)),
+        ):
+            with pytest.raises(DomainViolation):
+                call()
+
+
+class TestPublicEdge:
+    def test_mis_signed_pair_rejected(self):
+        # the true sign of ({2}, 1000) at r = 2 is (-1)^(2-1) = -1
+        pair = SignedPair(frozenset({2}), (1, 0, 0, 0), 1)
+        with pytest.raises(DomainViolation, match=r"1000 with subset \[2\] has weight 1"):
+            altbin_involution(1, pair, 2, 2, 1)
+        with pytest.raises(DomainViolation, match="weight"):
+            altbin_involution(2, SignedPair(frozenset({1, 2}), (0, 0, 0, 1), -1), 2, 2, 1)
+
+    def test_negative_divider_length_named(self):
+        with pytest.raises(DomainViolation, match="n must be >= 0, got -3"):
+            divider_encode([], -3)
+
+    def test_negative_genalt_bound_named(self):
+        with pytest.raises(DomainViolation, match="j must be >= 0, got -1"):
+            genalt_involution(0, (1, 0), -1)
+
+
+class TestVerifierStructure:
+    """The verifiers validate per family and run the map cores on objects
+    the generators built; images are still tested against those targets."""
+
+    SMALL = {
+        "sym": (6,),
+        "strip": (6,),
+        "ascseq": (5,),
+        "subset": (6, 2),
+        "divider": (6, 2),
+        "ratio": (6, 3),
+        "altbin": (3, 5, 2),
+        "genalt": (6, 2),
+    }
+    GENERATORS = ("words_with_ascents", "restricted_subsets", "avoiders", "canonical_avoiders")
+
+    @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+    def test_words_checked_per_family_not_per_object(self, monkeypatch, name):
+        calls = {"as_word": 0, "listings": 0}
+
+        def counting(key, f):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(words, "as_word", counting("as_word", words.as_word))
+        for generator in self.GENERATORS:
+            monkeypatch.setattr(maps, generator, counting("listings", getattr(maps, generator)))
+        verifier, _ = BIJECTIONS[name]
+        report = verifier(*self.SMALL[name])
+        assert report["ok"], report["details"][:3]
+        # at most two word checks per generator listing, where a check per
+        # mapped object makes more than that at each of these sizes
+        assert calls["as_word"] <= 2 * calls["listings"]
+
+    def test_altbin_image_outside_space_fails(self, monkeypatch):
+        core = maps._altbin
+
+        def leaky(stage, s, w, r):
+            t, out = core(stage, s, w, r)
+            return (t, out + (0,)) if stage == 2 else (t, out)
+
+        monkeypatch.setattr(maps, "_altbin", leaky)
+        report = verify_altbin(2, 3, 1)
+        assert not report["ok"]
+        assert "altbin: stage 2 image is outside the signed space" in report["details"]
+
+    def test_genalt_image_outside_domain_fails(self, monkeypatch):
+        core = maps._genalt
+        # stage 0 lengthens every word that starts with a 1
+        monkeypatch.setattr(maps, "_genalt", lambda d, w: w + (0,) if d == 0 and w[:1] == (1,) else core(d, w))
+        report = verify_genalt(4, 1)
+        assert not report["ok"]
+        assert any("outside the domain" in line for line in report["details"])
