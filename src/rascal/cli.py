@@ -4,27 +4,38 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 resource limit.  All output is deterministic: the
 same invocation always produces byte-identical bytes (JSON verify
 reports carry wall-clock timings and are the one exception).
+
+Start-up is lean: only errors, limits and numbers load with this
+module, and each command imports the layers it runs (generate, words,
+identities, maps, json) when it runs, so `rascal value` never compiles
+the maps.  Output is built as text and written whole, or one write per
+triangle row for csv, never one write per line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import identities, maps
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
-from .generate import (
-    ascent_sequences,
-    avoiders,
-    restricted_subsets,
-    words_with_ascents,
-)
-from .limits import check_cells, check_sum, max_cells
+from .limits import check_cells, check_sum, max_cells, require_sizes
 from .numbers import METHODS, choose, e_defect, rascal_gen_value, rascal_value, triangle_rows
-from .words import as_word, is_pattern, word_str
 
 FORMATS = ("table", "json", "csv", "bfile")
+
+# the names of maps.BIJECTIONS, kept here so the parser needs no maps
+# import; a test keeps the two equal
+BIJECTION_NAMES = ("sym", "strip", "ascseq", "subset", "divider", "ratio", "altbin", "genalt")
+
+
+def _write(lines) -> None:
+    """Write the lines to stdout in one piece."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
+def _spaced(rows):
+    """Each row as one line of space-separated values."""
+    return (" ".join(map(str, row)) for row in rows)
 
 
 def _flatten_bfile(values, offset: int) -> str:
@@ -47,7 +58,7 @@ def _cmd_value(args) -> int:
             terms = max(0, min(args.j, args.k, args.n - args.k) + 1)
             check_cells(terms * (args.n + 1), "closed-form value")
         value = rascal_gen_value(args.n, args.k, args.j, args.method)
-    print(value)
+    _write([value])
     return 0
 
 
@@ -56,17 +67,18 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    require_sizes(n_max=args.n_max)
     rows = triangle_rows(args.n_max, args.j, method=args.method)
     if args.format == "table":
-        for row in rows:
-            print(" ".join(str(v) for v in row))
+        _write(_spaced(rows))
     elif args.format == "json":
-        print(json.dumps({"j": args.j, "n_max": args.n_max, "rows": rows}))
+        import json
+
+        _write([json.dumps({"j": args.j, "n_max": args.n_max, "rows": rows})])
     elif args.format == "csv":
-        print("n,k,value")
+        _write(["n,k,value"])
         for n, row in enumerate(rows):
-            for k, v in enumerate(row):
-                print(f"{n},{k},{v}")
+            _write(f"{n},{k},{v}" for k, v in enumerate(row))
     else:
         sys.stdout.write(
             _flatten_bfile((v for row in rows for v in row), args.offset)
@@ -79,6 +91,8 @@ def _cmd_triangle(args) -> int:
 
 
 def _parse_patterns(raw: str):
+    from .words import as_word, is_pattern
+
     patterns = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -92,6 +106,9 @@ def _parse_patterns(raw: str):
 
 
 def _enumerate_lines(args) -> list[str]:
+    from .generate import _restricted_elements, ascent_sequences, avoiders, words_with_ascents
+    from .words import word_str
+
     subsets = args.family == "subsets"
     if args.n is None or (subsets and args.k is None):
         raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
@@ -116,8 +133,7 @@ def _enumerate_lines(args) -> list[str]:
             else:
                 check_sum(terms, what)
         if subsets:
-            items = restricted_subsets(args.n, args.k, args.j)
-            return [" ".join(map(str, s.elements)) for s in items]
+            return list(_spaced(_restricted_elements(args.n, args.k, args.j)))
         items = sorted(w for k in ks for w in words_with_ascents(args.n, k, args.j))
     elif args.family == "ascseq":
         items = ascent_sequences(args.n)
@@ -129,11 +145,7 @@ def _enumerate_lines(args) -> list[str]:
 
 def _cmd_enumerate(args) -> int:
     lines = _enumerate_lines(args)
-    if args.count_only:
-        print(len(lines))
-    else:
-        for line in lines:
-            print(line)
+    _write([len(lines)] if args.count_only else lines)
     return 0
 
 
@@ -157,21 +169,24 @@ def _apply_overrides(grid: dict[str, tuple[int, int]], args) -> dict[str, tuple[
     return out
 
 
-def _print_report_table(report: identities.IdentityReport) -> None:
+def _report_lines(report):
+    """The table-format lines of one IdentityReport."""
     status = "PASS" if report.passed else "FAIL"
     line = f"{report.identity}: {status} cells={report.cells} grid[{report.grid}]"
     if report.corrected_passed is not None:
         line += f" corrected={'PASS' if report.corrected_passed else 'FAIL'}"
-    print(line)
+    yield line
     for params, lhs, rhs in report.failures:
         where = ", ".join(f"{p}={v}" for p, v in params)
-        print(f"  stated fails at {where}: lhs={lhs} rhs={rhs}")
+        yield f"  stated fails at {where}: lhs={lhs} rhs={rhs}"
     for params, lhs, rhs in report.corrected_failures or ():
         where = ", ".join(f"{p}={v}" for p, v in params)
-        print(f"  corrected fails at {where}: lhs={lhs} rhs={rhs}")
+        yield f"  corrected fails at {where}: lhs={lhs} rhs={rhs}"
 
 
 def _cmd_verify(args) -> int:
+    from . import identities
+
     grids = identities.default_grids()
     if args.name == "all":
         names = identities.identity_names()
@@ -183,13 +198,14 @@ def _cmd_verify(args) -> int:
         grid = _apply_overrides(grids[name], args)
         reports.append(identities.verify_range(name, grid, oracle=args.oracle))
     if args.format == "json":
+        import json
+
         payload = [r.to_dict(timing=args.timing) for r in reports]
-        print(json.dumps(payload[0] if args.name != "all" else payload))
+        _write([json.dumps(payload[0] if args.name != "all" else payload)])
     else:
-        for report in reports:
-            _print_report_table(report)
         failed = [r for r in reports if not r.passed or r.corrected_passed is False]
-        print(f"{len(reports) - len(failed)}/{len(reports)} identities pass")
+        summary = f"{len(reports) - len(failed)}/{len(reports)} identities pass"
+        _write([*(line for r in reports for line in _report_lines(r)), summary])
     ok = all(r.passed and r.corrected_passed is not False for r in reports)
     return 0 if ok else 1
 
@@ -199,18 +215,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    verifier, params = maps.BIJECTIONS[args.name]
+    from .maps import BIJECTIONS
+
+    verifier, params = BIJECTIONS[args.name]
     report = verifier(*(getattr(args, p) for p in params))
+    lines = []
     if "missed" in report:
-        print(
+        lines.append(
             f"image {report['image_size']} of {report['target_size']}, "
             f"missed: {', '.join(report['missed'])}"
         )
     if "signed_sum" in report:
-        print(f"signed sum {report['signed_sum']}")
-    for line in report["details"]:
-        print(line)
-    print(f"{args.name}: {'PASS' if report['ok'] else 'FAIL'} ({report['checked']} checks)")
+        lines.append(f"signed sum {report['signed_sum']}")
+    lines += report["details"]
+    lines.append(f"{args.name}: {'PASS' if report['ok'] else 'FAIL'} ({report['checked']} checks)")
+    _write(lines)
     return 0 if report["ok"] else 1
 
 
@@ -219,6 +238,7 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_etable(args) -> int:
+    require_sizes(n_max=args.n_max, j_max=args.j_max)
     check_cells(
         (args.j_max + 1) * (args.n_max + 1) * (args.n_max + 2) // 2, "E table"
     )
@@ -234,32 +254,25 @@ def _cmd_etable(args) -> int:
         if v < 0
     ]
     if args.format == "table":
+        lines = []
         for j, rows in tables.items():
-            print(f"# j={j}")
-            for row in rows:
-                print(" ".join(str(v) for v in row))
-        for n, k, j in negatives:
-            print(f"NEGATIVE: E({n},{k},{j}) = {tables[j][n][k]}")
+            lines += [f"# j={j}", *_spaced(rows)]
+        _write(lines + [f"NEGATIVE: E({n},{k},{j}) = {tables[j][n][k]}" for n, k, j in negatives])
     elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n_max": args.n_max,
-                    "j_max": args.j_max,
-                    "tables": {str(j): rows for j, rows in tables.items()},
-                    "negatives": [
-                        {"n": n, "k": k, "j": j, "value": tables[j][n][k]}
-                        for n, k, j in negatives
-                    ],
-                }
-            )
-        )
+        import json
+
+        payload = {
+            "n_max": args.n_max,
+            "j_max": args.j_max,
+            "tables": {str(j): rows for j, rows in tables.items()},
+            "negatives": [{"n": n, "k": k, "j": j, "value": tables[j][n][k]} for n, k, j in negatives],
+        }
+        _write([json.dumps(payload)])
     elif args.format == "csv":
-        print("n,k,j,value")
+        _write(["n,k,j,value"])
         for j, rows in tables.items():
             for n, row in enumerate(rows):
-                for k, v in enumerate(row):
-                    print(f"{n},{k},{j},{v}")
+                _write(f"{n},{k},{j},{v}" for k, v in enumerate(row))
     else:
         values = [v for rows in tables.values() for row in rows for v in row]
         sys.stdout.write(_flatten_bfile(values, args.offset))
@@ -316,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bijection", help="exhaustively check one constructive map")
-    p.add_argument("name", choices=tuple(maps.BIJECTIONS))
+    p.add_argument("name", choices=BIJECTION_NAMES)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--j", type=int, default=1)

@@ -230,9 +230,9 @@ class RestrictedSubset:
             )
 
 
-def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
-    """All k-subsets of {1..n} whose intersection with {1..n-k} has at
-    most j elements, in lexicographic order of the sorted element lists.
+def _restricted_elements(n: int, k: int, j: int) -> list[tuple[int, ...]]:
+    """The sorted element tuples of restricted_subsets(n, k, j), correct
+    by construction and so not checked one by one.
 
     Built as a low part (t <= j elements of {1..n-k}) times a high part
     (k-t elements of {n-k+1..n}), so the cost follows the output.
@@ -240,13 +240,18 @@ def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
     if j < 0:
         raise ValueError("intersection bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
-        return
+        return []
     low, high = range(1, n - k + 1), range(n - k + 1, n + 1)
-    combos = [
+    return sorted(
         lo + hi
         for t in range(min(j, k) + 1)
         for lo in combinations(low, t)
         for hi in combinations(high, k - t)
-    ]
-    for combo in sorted(combos):
-        yield RestrictedSubset(combo, n, k, j)
+    )
+
+
+def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
+    """All k-subsets of {1..n} whose intersection with {1..n-k} has at
+    most j elements, in lexicographic order of the sorted element lists."""
+    for elements in _restricted_elements(n, k, j):
+        yield RestrictedSubset(elements, n, k, j)

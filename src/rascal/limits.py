@@ -25,6 +25,13 @@ def max_cells(override: int | None = None) -> int:
     return int(raw)
 
 
+def require_sizes(**sizes: int) -> None:
+    """Raise DomainViolation naming the first negative size."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise DomainViolation(f"{name} must be >= 0, got {value}")
+
+
 def check_cells(count: int, what: str, override: int | None = None) -> None:
     """Raise ResourceLimit if `count` exceeds the active cell cap."""
     cap = max_cells(override)

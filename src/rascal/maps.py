@@ -31,13 +31,14 @@ from itertools import accumulate, combinations, islice, product
 from .errors import DomainViolation
 from .generate import (
     RestrictedSubset,
+    _restricted_elements,
     avoiders,
     canonical_avoiders,
     fishburn_numbers,
-    restricted_subsets,
+    restricted_subsets,  # not called here; kept so maps.restricted_subsets stays importable
     words_with_ascents,
 )
-from .limits import check_sum
+from .limits import check_sum, require_sizes
 from .numbers import choose, rascal_gen_value, rascal_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
@@ -109,12 +110,6 @@ def _require_family(b: Word, j: int, what: str) -> None:
     ascents = _asc(b)
     if ascents > j:
         raise DomainViolation(f"{what}: {word_str(b)} has {ascents} ascents, more than {j}")
-
-
-def _require_sizes(**sizes: int) -> None:
-    for name, value in sizes.items():
-        if value < 0:
-            raise DomainViolation(f"{name} must be >= 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +270,7 @@ def divider_encode(subset, n: int) -> Word:
     """Write a divider before position i for each i in the subset, label
     the sections 0..|S| left to right, fill even sections with 1's and
     odd sections with 0's."""
-    _require_sizes(n=n)
+    require_sizes(n=n)
     s = sorted(set(subset))
     if any(e < 1 or e > n for e in s):
         raise DomainViolation(f"subset {s} not within {{1..{n}}}")
@@ -474,7 +469,7 @@ def genalt_involution(d: int, w, j: int) -> Word:
     w = binary_word(w)
     if d < 0:
         raise DomainViolation("stage must be >= 0")
-    _require_sizes(j=j)
+    require_sizes(j=j)
     _require_family(w, j, "genalt_involution")
     if d > 0 and not _genalt_fixed(w, d - 1):
         raise DomainViolation(f"{word_str(w)} is not a fixed point of stages 0..{d - 1}")
@@ -528,7 +523,7 @@ def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int
 def verify_sym(n_max: int) -> dict:
     """sym_map is a bijection from the k-ones family onto the (n-k)-ones
     family and squares to the identity."""
-    _require_sizes(n_max=n_max)
+    require_sizes(n_max=n_max)
     check_sum((rascal_value(n, k) for n in range(n_max + 1) for k in range(n + 1)), "sym check")
     details: list[str] = []
     checked = 0
@@ -545,7 +540,7 @@ def verify_sym(n_max: int) -> dict:
 def verify_strip(n_max: int) -> dict:
     """strip is a bijection from the constrained family onto the smaller
     one, with unstrip as two-sided inverse, in the counted quantity."""
-    _require_sizes(n_max=n_max)
+    require_sizes(n_max=n_max)
     domains = (
         rascal_value(n - lead - trail, k - lead)
         for n in range(n_max + 1)
@@ -577,7 +572,7 @@ def verify_ascseq(n_max: int) -> dict:
     """word_to_ascseq is a bijection onto the {001,210}-avoiding ascent
     sequences of length n+1 with k ascents, inverse ascseq_to_word.
     Priced by the Fishburn(n+1) ascent sequences it filters for each n."""
-    _require_sizes(n_max=n_max)
+    require_sizes(n_max=n_max)
     check_sum(islice(fishburn_numbers(), 1, n_max + 2), "ascseq check")
     details: list[str] = []
     checked = 0
@@ -598,7 +593,7 @@ def verify_ascseq(n_max: int) -> dict:
 
 def verify_subset(n_max: int, j_max: int) -> dict:
     """word_to_subset / subset_to_word are mutually inverse bijections."""
-    _require_sizes(n_max=n_max, j_max=j_max)
+    require_sizes(n_max=n_max, j_max=j_max)
     families = (  # both directions, with R(n, k; j) = R(n, k; n) for j > n
         2 * rascal_gen_value(n, k, min(j, n))
         for n in range(n_max + 1)
@@ -612,7 +607,7 @@ def verify_subset(n_max: int, j_max: int) -> dict:
         for k, j in product(range(n + 1), range(j_max + 1)):
             where = f"n={n}, k={k}, j={j}"
             family = list(words_with_ascents(n, k, j))
-            subsets = [s.elements for s in restricted_subsets(n, k, j)]
+            subsets = _restricted_elements(n, k, j)
             if len(family) != len(subsets):
                 details.append(f"subset: family sizes differ at ({where})")
             to_word = partial(_from_subset, n=n, k=k)
@@ -628,7 +623,7 @@ def verify_subset(n_max: int, j_max: int) -> dict:
 def verify_divider(n_max: int, j_max: int) -> dict:
     """divider_encode is a bijection from subsets of size <= 2j+1 onto
     the at-most-j-ascent words, with divider_decode as inverse."""
-    _require_sizes(n_max=n_max, j_max=j_max)
+    require_sizes(n_max=n_max, j_max=j_max)
     subsets = (
         choose(n, t)
         for n in range(n_max + 1)
@@ -735,7 +730,7 @@ def verify_genalt(n: int, j: int) -> dict:
     """Each stage of the chain is a sign-reversing involution on the
     fixed points of the previous ones; the final fixed-point signed sum
     equals the alternating row sum."""
-    _require_sizes(n=n, j=j)
+    require_sizes(n=n, j=j)
     # each of the j + 1 stages visits at most the whole domain
     check_sum(((j + 1) * rascal_gen_value(n, k, j) for k in range(n + 1)), "genalt check")
     details: list[str] = []

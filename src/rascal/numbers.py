@@ -28,7 +28,6 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import InexactDivision
-from .generate import all_binary_words
 from .limits import check_cells
 
 METHODS = ("closed", "multiplicative", "linear", "enumeration")
@@ -145,6 +144,8 @@ def _table_cells(n: int) -> int:
 def _enum_row_counts(n: int, j: int) -> list[int]:
     """Counts per ones-count k of length-n binary words with <= j ascents,
     by filtering all 2^n words."""
+    from .generate import all_binary_words  # only this route loads generate
+
     words = all_binary_words(n)  # priced at 2^n before the counts exist
     counts = [0] * (n + 1)
     for bits in words:

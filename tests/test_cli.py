@@ -1,13 +1,24 @@
 """Command-line behaviour: golden outputs, formats, exit codes."""
 
+import hashlib
+import importlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rascal
+from rascal import cli
 from rascal.cli import main
 from rascal.maps import BIJECTIONS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # full stdout of `rascal bijection <name>` at the default arguments
 BIJECTION_DEFAULTS = {
@@ -423,3 +434,170 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["value", "six", "3"])
         assert info.value.code == 2
+
+
+class TestNegativeSizes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("etable", "5", "-1"), "j_max must be >= 0, got -1"),
+            (("etable", "-3", "2"), "n_max must be >= 0, got -3"),
+            (("etable", "-3", "2", "--format", "csv"), "n_max must be >= 0, got -3"),
+            (("triangle", "-2"), "n_max must be >= 0, got -2"),
+            (("triangle", "-2", "--format", "csv"), "n_max must be >= 0, got -2"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_refused_with_value_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+# modules each command must leave unloaded.  One table, so a top-level
+# import added to cli or to a module it loads fails here with its name.
+LEAN = ("rascal.generate", "rascal.words", "rascal.identities", "rascal.maps", "dataclasses")
+STARTUP_CASES = [
+    (("value", "6", "3"), LEAN),
+    (("triangle", "30", "--format", "csv"), LEAN),
+    (("etable", "6", "2"), LEAN),
+    (("enumerate", "words", "--n", "6"), ("rascal.identities", "rascal.maps")),
+    (("enumerate", "subsets", "--n", "6", "--k", "3"), ("rascal.identities", "rascal.maps")),
+    (("verify", "row_sum", "--n-max", "10"), ("rascal.maps",)),
+    (("bijection", "subset"), ("rascal.identities",)),
+]
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The rascal.* and dataclasses modules a fresh interpreter has
+    loaded after running `code`, started as the `rascal` script is."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": "1"}
+    env.pop("RASCAL_MAX_CELLS", None)
+    report = (
+        "\nprint(*sorted(m for m in sys.modules"
+        " if m.startswith('rascal.') or m == 'dataclasses'), file=sys.__stdout__)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", "import os, sys\n" + code + report],
+        capture_output=True, env=env, timeout=60, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv, unloaded", STARTUP_CASES, ids=lambda v: " ".join(v))
+    def test_command_loads_only_its_layers(self, argv, unloaded):
+        code = (
+            "sys.stdout = open(os.devnull, 'w')\n"
+            f"from rascal.cli import main\nmain({list(argv)!r})"
+        )
+        leaked = sorted(loaded_modules(code) & set(unloaded))
+        assert not leaked, f"`rascal {' '.join(argv)}` loaded {', '.join(leaked)}"
+
+    def test_import_rascal_loads_no_submodule(self):
+        assert loaded_modules("import rascal") == set()
+
+    def test_bijection_names_match_maps(self):
+        assert cli.BIJECTION_NAMES == tuple(BIJECTIONS)
+
+
+# every name `rascal` exported when its __init__ imported them eagerly
+OLD_EXPORTS = {
+    "errors": "DomainViolation InexactDivision RascalError ResourceLimit UnknownIdentity",
+    "generate": "RestrictedSubset all_binary_words ascent_sequences avoiders canonical_avoiders"
+    " count_words_with_ascents fishburn_numbers restricted_subsets words_with_ascents",
+    "identities": "IdentityReport default_grids evaluate identity_names list_identities verify_range",
+    "maps": "MarkedWord SignedPair altbin_involution ascseq_to_word divider_decode divider_encode"
+    " genalt_involution ratio_map signed_pair strip subset_to_word sym_map unstrip"
+    " word_to_ascseq word_to_subset",
+    "numbers": "TriangleCache choose closed_row e_defect falling_factorial prefix_suffix_count"
+    " rascal_gen_value rascal_value triangle_rows",
+    "words": "Word as_word asc ascent_positions avoids complement contains_001 contains_210"
+    " contains_pattern des descent_positions is_ascent_sequence is_binary is_pattern is_rgf"
+    " reduce_word reverse_word word_str",
+}
+OLD_NAMES = {name: module for module, names in OLD_EXPORTS.items() for name in names.split()}
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("name", sorted(OLD_NAMES))
+    def test_export_is_the_submodule_object(self, name):
+        module = importlib.import_module(f"rascal.{OLD_NAMES[name]}")
+        assert getattr(rascal, name) is getattr(module, name)
+
+    def test_star_import_and_dir_list_every_export(self):
+        namespace: dict = {}
+        exec("from rascal import *", namespace)
+        assert set(OLD_NAMES) <= set(namespace)
+        assert set(OLD_NAMES) <= set(dir(rascal))
+        assert set(rascal.__all__) == set(OLD_NAMES)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(rascal, "no_such_name")
+        assert not hasattr(rascal, "_restricted_elements")
+
+    def test_version_and_submodules(self):
+        assert rascal.__version__ == "0.1.0"
+        assert rascal.maps.BIJECTIONS is BIJECTIONS
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+# sha256 of stdout recorded before output was written whole
+OUTPUT_SHA256 = {
+    ("triangle", "40", "--format", "csv"):
+        "5d141b7dd215993035bc2fc3ea79554a42bb6a63cbd30f0f2b9f6a333ae60303",
+    ("etable", "12", "3", "--format", "csv"):
+        "ad1f4dba513c98f6e942dc20627609b31353f12e2af99495661d28e15dbd99b0",
+    ("enumerate", "words", "--n", "12", "--j", "2"):
+        "68c03be3b8103cd8f1b7bb1d716e9dad4084f5c6b172cc4c47986d681fb392d4",
+}
+
+
+class TestWholeOutput:
+    def counted(self, monkeypatch, *argv):
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+        monkeypatch.undo()
+        return code, stdout.getvalue(), stdout.writes
+
+    def test_triangle_csv_one_write_per_row(self, monkeypatch):
+        code, out, writes = self.counted(monkeypatch, "triangle", "300", "--format", "csv")
+        assert (code, writes <= 303) == (0, True), writes
+        assert out.count("\n") == 1 + 301 * 302 // 2
+        assert out.endswith("300,299,300\n300,300,1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "words", "--n", "12", "--j", "2"),
+            ("enumerate", "subsets", "--n", "10", "--k", "5", "--j", "2"),
+            ("enumerate", "avoiders", "--n", "6", "--patterns", "001,210"),
+            ("enumerate", "ascseq", "--n", "5", "--count-only"),
+            ("triangle", "60"),
+            ("etable", "12", "3"),
+            ("verify", "all", "--n-max", "8", "--k-max", "6", "--r-max", "3", "--m-max", "4", "--j-max", "2"),
+            ("bijection", "ratio"),
+            ("value", "6", "3"),
+        ],
+        ids=" ".join,
+    )
+    def test_one_write(self, monkeypatch, argv):
+        code, out, writes = self.counted(monkeypatch, *argv)
+        assert out and writes == 1
+
+    @pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=" ".join)
+    def test_bytes_unchanged(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, OUTPUT_SHA256[argv])
