@@ -113,6 +113,7 @@ def _enumerate_lines(args) -> list[str]:
     if args.n is None or (subsets and args.k is None):
         raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
     if args.family in ("words", "subsets"):
+        require_sizes(n=args.n, k=args.k or 0)
         if args.j < 0:
             raise ValueError("ascent bound j must be >= 0")
         ks = [args.k] if args.k is not None else range(args.n + 1)
@@ -154,19 +155,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _apply_overrides(grid: dict[str, tuple[int, int]], args) -> dict[str, tuple[int, int]]:
-    overrides = {
-        "n": args.n_max,
-        "k": args.k_max,
-        "r": args.r_max,
-        "m": args.m_max,
-        "j": args.j_max,
-    }
-    out = dict(grid)
-    for param, cap in overrides.items():
-        if cap is not None and param in out:
-            lo, _hi = out[param]
-            out[param] = (lo, cap)
-    return out
+    caps = {p: getattr(args, f"{p}_max") for p in ("n", "k", "r", "m", "j")}
+    require_sizes(**{f"{p}_max": cap for p, cap in caps.items() if cap is not None})
+    return {p: (lo, hi if caps[p] is None else caps[p]) for p, (lo, hi) in grid.items()}
 
 
 def _report_lines(report):

@@ -1,7 +1,11 @@
 """A registry of summation and product identities with a grid verifier.
 
 Each entry carries the statement as written, executable evaluators for
-both sides, and a parameter domain.  Verification never repairs a
+both sides, and its parameter domain as `bounds`: `{param: (lo, hi)}`
+in parameter order, where `lo` is an int or None and `hi` is None or
+the name of an earlier parameter, so "1 <= m <= n" is
+`{"n": (None, None), "m": (1, "n")}`.  The parameter names and the
+domain text both come from `bounds`.  Verification never repairs a
 failing formula: where enumeration contradicts a stated right-hand
 side, a corrected variant is registered alongside it and reports show
 both, so the discrepancy stays visible as a permanent regression check.
@@ -16,8 +20,10 @@ enumeration source cell by cell from its own counts.
 
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, **params)`, the left side at `params` from `prev`, the
-left side one less on that parameter.  `verify_range` folds a grid's
-last axis with it, so each cell costs only its new terms.
+left side one less on that parameter.  `verify_range` clips each grid
+axis to its bounds given the earlier values, prices the grid from the
+clipped lengths before evaluating a cell, and folds each run of the
+last axis with `step`, so each cell costs only its new terms.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import accumulate, islice, repeat
-from math import comb, factorial
+from itertools import accumulate, repeat
+from math import comb, factorial, prod
 from operator import mul
 from typing import Callable
 
@@ -102,14 +108,27 @@ class EnumerationCounts(ClosedValues):
 class Identity:
     name: str
     statement: str
-    params: tuple[str, ...]
-    domain_desc: str
-    domain: Callable[..., bool]
+    bounds: dict[str, tuple[int | None, str | None]]
     lhs: Callable[..., int]
     rhs: Callable[..., int]
     corrected_rhs: Callable[..., int] | None = None
     corrected_note: str = ""
     step: Callable[..., int] | None = None
+    note: str = ""
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(self.bounds)
+
+    @property
+    def domain_desc(self) -> str:
+        """The bounds as text, e.g. "r >= 2, 0 <= k <= n"."""
+        text = ", ".join(
+            f"{p} >= {lo}" if hi is None else " <= ".join(str(x) for x in (lo, p, hi) if x is not None)
+            for p, (lo, hi) in self.bounds.items()
+            if (lo, hi) != (None, None)
+        )
+        return f"{text} ({self.note})" if self.note else text
 
 
 @dataclass(frozen=True)
@@ -157,23 +176,10 @@ class IdentityReport:
 _REGISTRY: dict[str, Identity] = {}
 
 
-def _register(
-    name: str,
-    statement: str,
-    params: tuple[str, ...],
-    domain_desc: str,
-    domain,
-    lhs,
-    rhs,
-    corrected_rhs=None,
-    corrected_note: str = "",
-    step=None,
-) -> None:
+def _register(name: str, statement: str, bounds, lhs, rhs, **options) -> None:
     if name in _REGISTRY:
         raise ValueError(f"duplicate identity name {name!r}")
-    _REGISTRY[name] = Identity(
-        name, statement, params, domain_desc, domain, lhs, rhs, corrected_rhs, corrected_note, step
-    )
+    _REGISTRY[name] = Identity(name, statement, bounds, lhs, rhs, **options)
 
 
 def get_identity(name: str) -> Identity:
@@ -219,9 +225,7 @@ def _product_step(v, prev, n, m):
 _register(
     "row_sum",
     "sum_{k=0..n} R(n,k) = C(n+1,3) + n + 1",
-    ("n",),
-    "n >= 0",
-    lambda n: n >= 0,
+    {"n": (0, None)},
     lambda v, n: sum(v.row(n)),
     lambda n: choose(n + 1, 3) + n + 1,
 )
@@ -229,9 +233,7 @@ _register(
 _register(
     "col_sum",
     "sum_{i=0..r} R(k+i,k) = k*C(r+1,2) + r + 1",
-    ("k", "r"),
-    "k >= 0, r >= 0",
-    lambda k, r: k >= 0 and r >= 0,
+    {"k": (0, None), "r": (0, None)},
     lambda v, k, r: sum(v(k + i, k) for i in range(r + 1)),
     lambda k, r: k * choose(r + 1, 2) + r + 1,
     step=lambda v, prev, k, r: prev + v(k + r, k),
@@ -240,9 +242,7 @@ _register(
 _register(
     "weighted_row_sum",
     "sum_{k=0..n} C(n,k)*R(n,k) = 2^(n-2)*C(n,2) + 2^n",
-    ("n",),
-    "n >= 0",
-    lambda n: n >= 0,
+    {"n": (0, None)},
     lambda v, n: sum(map(mul, _binomial_row(n), v.row(n))),
     lambda n: (choose(n, 2) * 2 ** (n - 2) if n >= 2 else 0) + 2**n,
     corrected_rhs=lambda n: (choose(n, 2) * 2 ** (n - 1) if n >= 2 else 0) + 2**n,
@@ -255,9 +255,7 @@ _register(
 _register(
     "triangle_sum",
     "sum_{i=1..n} sum_{k=1..i-1} R(i,k) = C(n+2,4) + C(n,2)",
-    ("n",),
-    "n >= 2",
-    lambda n: n >= 2,
+    {"n": (2, None)},
     lambda v, n: sum(_triangle_row_sum(v, i) for i in range(1, n + 1)),
     lambda n: choose(n + 2, 4) + choose(n, 2),
     step=lambda v, prev, n: prev + _triangle_row_sum(v, n),
@@ -266,9 +264,7 @@ _register(
 _register(
     "alt_binomial",
     "sum_{t=0..r} (-1)^(r-t)*C(r,t)*R(n+t,k) = 0",
-    ("r", "n", "k"),
-    "r >= 2, 0 <= k <= n",
-    lambda r, n, k: r >= 2 and 0 <= k <= n,
+    {"r": (2, None), "n": (None, None), "k": (0, "n")},
     lambda v, r, n, k: sum(
         (-1) ** (r - t) * choose(r, t) * v(n + t, k) for t in range(r + 1)
     ),
@@ -278,9 +274,7 @@ _register(
 _register(
     "alt_row_sum",
     "sum_{k=0..n} (-1)^k*R(n,k) = 0 if n odd, else 1 - n/2",
-    ("n",),
-    "n >= 0",
-    lambda n: n >= 0,
+    {"n": (0, None)},
     lambda v, n: _alt_sum(v.row(n)),
     lambda n: 0 if n % 2 else 1 - n // 2,
 )
@@ -288,10 +282,8 @@ _register(
 _register(
     "product_formula",
     "prod_{k=1..m} (R(n,k) - 1) = m! * ff(n-1, m)",
-    ("n", "m"),
-    "1 <= m <= n",
-    lambda n, m: 1 <= m <= n,
-    lambda v, n, m: _product_int(v(n, k) - 1 for k in range(1, m + 1)),
+    {"n": (None, None), "m": (1, "n")},
+    lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) * falling_factorial(n - 1, m),
     step=_product_step,
 )
@@ -299,20 +291,17 @@ _register(
 _register(
     "subset_ie",
     "sum_{S subset of {1..m}} (-1)^(m-|S|) * prod_{i in S} R(n,i) = m! * ff(n-1, m)",
-    ("n", "m"),
-    "1 <= m <= n (cost grows as 2^m)",
-    lambda n, m: 1 <= m <= n,
+    {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: _subset_ie_lhs(v, n, m),
     lambda n, m: factorial(m) * falling_factorial(n - 1, m),
+    note="cost grows as 2^m",
 )
 
 _register(
     "binom_corollary",
     "prod_{k=1..m} (R(n,k) - 1) = (m!)^2 * C(n-1,m)   [cross-multiplied form]",
-    ("n", "m"),
-    "1 <= m <= n",
-    lambda n, m: 1 <= m <= n,
-    lambda v, n, m: _product_int(v(n, k) - 1 for k in range(1, m + 1)),
+    {"n": (None, None), "m": (1, "n")},
+    lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) ** 2 * choose(n - 1, m),
     step=_product_step,
 )
@@ -320,9 +309,7 @@ _register(
 _register(
     "gen_row_sum",
     "sum_{k=0..n} R(n,k;j) = sum_{k=0..2j+1} C(n,k)",
-    ("n", "j"),
-    "n >= 0, j >= 0",
-    lambda n, j: n >= 0 and j >= 0,
+    {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(v.row(n, j)),
     lambda n, j: sum(choose(n, k) for k in range(2 * j + 2)),
 )
@@ -330,9 +317,7 @@ _register(
 _register(
     "half_pow2",
     "sum_{k=0..4j+3} R(4j+3,k;j) = 2^(4j+2)",
-    ("j",),
-    "j >= 0",
-    lambda j: j >= 0,
+    {"j": (0, None)},
     lambda v, j: sum(v.row(4 * j + 3, j)),
     lambda j: 2 ** (4 * j + 2),
 )
@@ -340,9 +325,7 @@ _register(
 _register(
     "forward_diff",
     "(2j+1)-th forward difference in n of sum_k R(n,k;j) = 1",
-    ("n", "j"),
-    "n >= 0, j >= 0",
-    lambda n, j: n >= 0 and j >= 0,
+    {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(
         (-1) ** (2 * j + 1 - t) * choose(2 * j + 1, t) * sum(v.row(n + t, j))
         for t in range(2 * j + 2)
@@ -353,19 +336,10 @@ _register(
 _register(
     "gen_alt_row_sum",
     "sum_{k=0..n} (-1)^k*R(n,k;j) = 0 if n odd, else (-1)^j*C(n/2-1,j) with C(-1,j) = (-1)^j",
-    ("n", "j"),
-    "n >= 0, j >= 0",
-    lambda n, j: n >= 0 and j >= 0,
+    {"n": (0, None), "j": (0, None)},
     lambda v, n, j: _alt_sum(v.row(n, j)),
     lambda n, j: _gen_alt_rhs(n, j),
 )
-
-
-def _product_int(values) -> int:
-    out = 1
-    for x in values:
-        out *= x
-    return out
 
 
 def _subset_ie_lhs(v, n: int, m: int) -> int:
@@ -400,7 +374,7 @@ def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tupl
     extra = [p for p in params if p not in ident.params]
     if extra:
         raise DomainViolation(f"{name} does not take parameters {extra}")
-    if not ident.domain(**params):
+    if _grid_size(ident, {p: (x, x) for p, x in params.items()}, 1) != 1:
         raise DomainViolation(f"{params} is outside the domain ({ident.domain_desc})")
     if variant == "stated":
         rhs_fn = ident.rhs
@@ -418,16 +392,37 @@ def _grid_desc(ident: Identity, grid: dict[str, tuple[int, int]]) -> str:
     return ", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params)
 
 
-def _grid_cells(ranges):
-    """The cells of itertools.product(*ranges), in its order, without
-    first copying every axis into a tuple as product does."""
-    if not ranges:
-        yield ()
-        return
-    *outer, last = ranges
-    for head in _grid_cells(outer):
-        for x in last:
-            yield (*head, x)
+def _runs(ident: Identity, grid):
+    """(head, axis) for each run of the grid, in grid order: `head`
+    holds values of every parameter but the last, each inside its
+    bounds, and `axis` is the last parameter's grid range clipped to
+    its bounds given them.  Nothing is listed ahead of the walk."""
+    axes = []
+    for p, (bound_lo, bound_hi) in ident.bounds.items():
+        lo, hi = grid[p]
+        axes.append((p, lo if bound_lo is None else max(lo, bound_lo), hi, bound_hi))
+    return _walk(axes, {})
+
+
+def _walk(axes, head):
+    p, lo, hi, bound_hi = axes[len(head)]
+    axis = range(lo, (hi if bound_hi is None else min(hi, head[bound_hi])) + 1)
+    if len(head) == len(axes) - 1:
+        yield head, axis
+    else:
+        for x in axis:
+            yield from _walk(axes, {**head, p: x})
+
+
+def _grid_size(ident: Identity, grid, cap: int) -> int:
+    """The number of grid cells inside the domain, summed run by run
+    from the clipped axis lengths; past `cap` it raises ResourceLimit."""
+    size = 0
+    for _, axis in _runs(ident, grid):
+        size += max(0, axis.stop - axis.start)  # len() overflows past 2^63
+        if size > cap:
+            raise ResourceLimit(f"grid for identity {ident.name} needs more than {cap} cells")
+    return size
 
 
 def verify_range(
@@ -439,49 +434,45 @@ def verify_range(
 ) -> IdentityReport:
     """Evaluate one identity over a full parameter grid.
 
-    `grid` maps each parameter to an inclusive (lo, hi) range; points
-    outside the identity's domain are skipped.  Every remaining cell is
-    evaluated (no short-circuit) so the report lists every failure.
-    With `oracle=True` the left side uses enumeration counts instead of
-    the closed form.  A cell whose last parameter is one more than the
-    previous cell's, the others equal, folds the previous left side
-    with the entry's `step`; any other cell is summed from scratch.
+    `grid` maps each parameter to an inclusive (lo, hi) range, clipped
+    to the identity's bounds; the grid is priced before any cell is
+    evaluated.  Every remaining cell is evaluated (no short-circuit) so
+    the report lists every failure.  With `oracle=True` the left side
+    uses enumeration counts instead of the closed form.  The first cell
+    of each run of the last axis is summed from scratch; every later
+    cell folds the one before with the entry's `step`, if it has one.
     """
     ident = get_identity(name)
     missing = [p for p in ident.params if p not in grid]
     if missing:
         raise DomainViolation(f"grid for {name} is missing ranges for {missing}")
-    ranges = [range(grid[p][0], grid[p][1] + 1) for p in ident.params]
-    cells = (c for c in _grid_cells(ranges) if ident.domain(**dict(zip(ident.params, c))))
     cap = limits.max_cells(max_cells)
-    cells = list(islice(cells, cap + 1))  # never more than one cell past the cap
-    if len(cells) > cap:
-        raise ResourceLimit(f"grid for identity {name} needs more than {cap} cells")
+    cells = _grid_size(ident, grid, cap)
     v = EnumerationCounts(cap) if oracle else ClosedValues()
+    last = ident.params[-1]
     failures = []
     corrected_failures = [] if ident.corrected_rhs is not None else None
     start = time.perf_counter()
-    prev_cell = prev_lhs = None
-    for cell in cells:
-        params = dict(zip(ident.params, cell))
-        frozen = tuple(params.items())
-        if ident.step and prev_cell == (*cell[:-1], cell[-1] - 1):
-            lhs = ident.step(v, prev_lhs, **params)
-        else:
-            lhs = ident.lhs(v, **params)
-        prev_cell, prev_lhs = cell, lhs
-        rhs = ident.rhs(**params)
-        if lhs != rhs:
-            failures.append((frozen, lhs, rhs))
-        if ident.corrected_rhs is not None:
-            corrected = ident.corrected_rhs(**params)
-            if lhs != corrected:
-                corrected_failures.append((frozen, lhs, corrected))
+    for head, axis in _runs(ident, grid):
+        for x in axis:
+            params = {**head, last: x}
+            frozen = tuple(params.items())
+            if ident.step and x > axis.start:
+                lhs = ident.step(v, lhs, **params)
+            else:
+                lhs = ident.lhs(v, **params)
+            rhs = ident.rhs(**params)
+            if lhs != rhs:
+                failures.append((frozen, lhs, rhs))
+            if ident.corrected_rhs is not None:
+                corrected = ident.corrected_rhs(**params)
+                if lhs != corrected:
+                    corrected_failures.append((frozen, lhs, corrected))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return IdentityReport(
         identity=name,
         grid=_grid_desc(ident, grid),
-        cells=len(cells),
+        cells=cells,
         failures=tuple(sorted(failures)),
         corrected_failures=(
             None if corrected_failures is None else tuple(sorted(corrected_failures))

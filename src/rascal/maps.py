@@ -35,7 +35,6 @@ from .generate import (
     avoiders,
     canonical_avoiders,
     fishburn_numbers,
-    restricted_subsets,  # not called here; kept so maps.restricted_subsets stays importable
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes

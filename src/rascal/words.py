@@ -8,12 +8,9 @@ w_1 w_2 ... w_n; internally everything is ordinary 0-based tuples.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .errors import DomainViolation
 
 Word = tuple[int, ...]
-WordLike = "str | Iterable[int]"
 
 # Letters above this bound are rejected up front: real inputs here are
 # bounded by word length, so a huge letter is a caller bug.

@@ -328,6 +328,10 @@ ABSURD_RUNS = [
     ("enumerate", "words", "--n", "10000000", "--j", "10000000"),
     ("enumerate", "words", "--n", "10000", "--k", "5000", "--j", "5000", "--count-only"),
     ("enumerate", "subsets", "--n", "10000", "--k", "5000", "--j", "5000", "--count-only"),
+    ("verify", "product_formula", "--n-max", "3000", "--m-max", "3000"),
+    ("verify", "alt_binomial", "--r-max", "40", "--n-max", "400", "--k-max", "400"),
+    ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "100000000"),
+    ("verify", "row_sum", "--n-max", "1" + "0" * 23),
 ]
 
 
@@ -445,6 +449,16 @@ class TestNegativeSizes:
             (("etable", "-3", "2", "--format", "csv"), "n_max must be >= 0, got -3"),
             (("triangle", "-2"), "n_max must be >= 0, got -2"),
             (("triangle", "-2", "--format", "csv"), "n_max must be >= 0, got -2"),
+            (("verify", "row_sum", "--n-max", "-3"), "n_max must be >= 0, got -3"),
+            (("verify", "alt_binomial", "--k-max", "-1"), "k_max must be >= 0, got -1"),
+            (("verify", "alt_binomial", "--r-max", "-2"), "r_max must be >= 0, got -2"),
+            (("verify", "product_formula", "--m-max", "-1"), "m_max must be >= 0, got -1"),
+            (("verify", "all", "--j-max", "-4"), "j_max must be >= 0, got -4"),
+            (("enumerate", "words", "--n", "-3"), "n must be >= 0, got -3"),
+            (("enumerate", "words", "--n", "-3", "--count-only"), "n must be >= 0, got -3"),
+            (("enumerate", "words", "--n", "3", "--k", "-1"), "k must be >= 0, got -1"),
+            (("enumerate", "subsets", "--n", "-3", "--k", "1"), "n must be >= 0, got -3"),
+            (("enumerate", "subsets", "--n", "3", "--k", "-1"), "k must be >= 0, got -1"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )

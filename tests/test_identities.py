@@ -4,6 +4,7 @@ disagreement between the stated weighted row sum and enumeration."""
 import json
 from dataclasses import replace
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,13 @@ from rascal.identities import (
     verify_range,
 )
 from rascal.numbers import _enum_row_counts, rascal_value
+
+
+def in_domain(ident, point):
+    """Whether `point` lies in the identity's domain: its one-cell grid
+    keeps that cell after clipping to the bounds."""
+    return identities._grid_size(ident, {p: (x, x) for p, x in point.items()}, 1) == 1
+
 
 SMALLEST_POINT = {
     "row_sum": {"n": 0},
@@ -280,7 +288,7 @@ class TestFolds:
         values = data.draw(st.lists(st.integers(0, hi), min_size=len(ident.params), max_size=len(ident.params)))
         cell = dict(zip(ident.params, values))
         prev = {**cell, ident.params[-1]: values[-1] - 1}
-        assume(ident.domain(**cell) and ident.domain(**prev))
+        assume(in_domain(ident, cell) and in_domain(ident, prev))
         v = source()
         assert ident.step(v, ident.lhs(v, **prev), **cell) == ident.lhs(source(), **cell)
 
@@ -299,11 +307,68 @@ class TestFolds:
         monkeypatch.setitem(identities._REGISTRY, name, replace(get_identity(name), step=None))
         assert [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)] == folded
 
-    def test_domain_gap_restarts_fold(self, monkeypatch):
-        gapped = replace(get_identity("col_sum"), domain=lambda k, r: k >= 0 and r != 3)
-        monkeypatch.setitem(identities._REGISTRY, "col_sum", gapped)
-        report = verify_range("col_sum", {"k": (0, 6), "r": (0, 8)})
-        assert (report.cells, report.failures) == (56, ())
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize(
+        "name, grid, cells",
+        [
+            ("product_formula", {"n": (1, 14), "m": (1, 20)}, 105),
+            ("binom_corollary", {"n": (0, 14), "m": (3, 20)}, 78),
+            ("alt_binomial", {"r": (2, 3), "n": (0, 9), "k": (2, 7)}, 66),
+        ],
+    )
+    def test_clipped_last_axis_restarts_fold(self, monkeypatch, oracle, name, grid, cells):
+        # the last axis runs only up to n, so each run is a different length
+        folded = verify_range(name, grid, oracle=oracle).to_dict(timing=False)
+        assert (folded["cells"], folded["failures"]) == (cells, [])
+        monkeypatch.setitem(identities._REGISTRY, name, replace(get_identity(name), step=None))
+        assert verify_range(name, grid, oracle=oracle).to_dict(timing=False) == folded
+
+
+# the domains as predicates, one per entry, for checking the bounds walk
+DOMAINS = {
+    "row_sum": lambda n: n >= 0,
+    "col_sum": lambda k, r: k >= 0 and r >= 0,
+    "weighted_row_sum": lambda n: n >= 0,
+    "triangle_sum": lambda n: n >= 2,
+    "alt_binomial": lambda r, n, k: r >= 2 and 0 <= k <= n,
+    "alt_row_sum": lambda n: n >= 0,
+    "product_formula": lambda n, m: 1 <= m <= n,
+    "subset_ie": lambda n, m: 1 <= m <= n,
+    "binom_corollary": lambda n, m: 1 <= m <= n,
+    "gen_row_sum": lambda n, j: n >= 0 and j >= 0,
+    "half_pow2": lambda j: j >= 0,
+    "forward_diff": lambda n, j: n >= 0 and j >= 0,
+    "gen_alt_row_sum": lambda n, j: n >= 0 and j >= 0,
+}
+
+
+class TestBounds:
+    def test_reference_covers_registry(self):
+        assert list(DOMAINS) == identity_names()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_walk_visits_the_filtered_product(self, data):
+        name = data.draw(st.sampled_from(identity_names()))
+        ident = get_identity(name)
+        # lows may be negative and highs below lows, so axes may be empty
+        ends = st.integers(-3, 7)
+        grid = {p: (data.draw(ends), data.draw(ends)) for p in ident.params}
+        expected = [
+            tuple(zip(ident.params, cell))
+            for cell in product(*(range(lo, hi + 1) for lo, hi in grid.values()))
+            if DOMAINS[name](*cell)
+        ]
+        visited = []
+
+        def recording(**params):
+            visited.append(tuple(params.items()))
+            return ident.rhs(**params)
+
+        with patch.dict(identities._REGISTRY, {name: replace(ident, rhs=recording)}):
+            report = verify_range(name, grid)
+        assert visited == expected
+        assert report.cells == len(expected)
 
 
 class TestRows:

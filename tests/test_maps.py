@@ -611,7 +611,7 @@ class TestVerifierStructure:
         "altbin": (3, 5, 2),
         "genalt": (6, 2),
     }
-    GENERATORS = ("words_with_ascents", "restricted_subsets", "avoiders", "canonical_avoiders")
+    GENERATORS = ("words_with_ascents", "avoiders", "canonical_avoiders")
 
     @pytest.mark.parametrize("name", sorted(BIJECTIONS))
     def test_words_checked_per_family_not_per_object(self, monkeypatch, name):
