@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .limits import check_cells, check_sum, max_cells, require_sizes
@@ -105,18 +106,20 @@ def _parse_patterns(raw: str):
     return tuple(patterns)
 
 
-def _enumerate_lines(args) -> list[str]:
-    from .generate import _restricted_elements, ascent_sequences, avoiders, words_with_ascents
+def _enumerate_items(args):
+    """The listed objects, lazily and in order, and the function that
+    turns them into lines."""
+    from .generate import _restricted_elements, avoiders, words_with_ascents
     from .words import word_str
 
+    word_lines = partial(map, word_str)
     subsets = args.family == "subsets"
     if args.n is None or (subsets and args.k is None):
         raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
+    require_sizes(n=args.n, k=args.k or 0)
     if args.family in ("words", "subsets"):
-        require_sizes(n=args.n, k=args.k or 0)
         if args.j < 0:
             raise ValueError("ascent bound j must be >= 0")
-        ks = [args.k] if args.k is not None else range(args.n + 1)
         what = f"{args.family} listing"
         if args.k is not None:
             # R(n, k; j) term by term, stopping once past the cap
@@ -134,19 +137,20 @@ def _enumerate_lines(args) -> list[str]:
             else:
                 check_sum(terms, what)
         if subsets:
-            return list(_spaced(_restricted_elements(args.n, args.k, args.j)))
-        items = sorted(w for k in ks for w in words_with_ascents(args.n, k, args.j))
-    elif args.family == "ascseq":
-        items = ascent_sequences(args.n)
-    else:
-        patterns = _parse_patterns(args.patterns) if args.patterns else ()
-        items = avoiders(args.n, patterns, args.k)
-    return [word_str(w) for w in items]
+            return _restricted_elements(args.n, args.k, args.j), _spaced
+        if args.k is not None:
+            return words_with_ascents(args.n, args.k, args.j), word_lines
+        from heapq import merge
+
+        streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
+        return merge(*streams), word_lines
+    patterns = _parse_patterns(args.patterns) if args.patterns and args.family == "avoiders" else ()
+    return avoiders(args.n, patterns, args.k), word_lines
 
 
 def _cmd_enumerate(args) -> int:
-    lines = _enumerate_lines(args)
-    _write([len(lines)] if args.count_only else lines)
+    items, lines = _enumerate_items(args)
+    _write([sum(1 for _ in items)] if args.count_only else lines(items))
     return 0
 
 

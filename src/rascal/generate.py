@@ -1,9 +1,15 @@
 """Generators for the word families counted by Rascal numbers.
 
 Every stream yields in strictly increasing lexicographic order, so
-listings are deterministic and diffable.  The slow 2^n oracle and the
-fast structured generators are kept separate on purpose: the structured
-routes are cross-checked against brute force by the test suite.
+listings are deterministic and diffable.  The slow oracles and the fast
+structured generators are kept separate on purpose, and the test suite
+checks each generator against its oracle: words_with_ascents walks runs
+lazily, while count_words_with_ascents walks run-length profiles and
+all_binary_words lists all 2^n words; avoiders walks a pruned tree of
+ascent-sequence prefixes, while ascent_sequences walks the whole tree
+unpruned.  Each generator is priced against the cell budget before its
+first object: words by closed forms at the call sites, ascent sequences
+by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
 """
 
 from __future__ import annotations
@@ -11,15 +17,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice, product
+from math import comb
 from collections.abc import Iterator
 
 from .errors import DomainViolation, ResourceLimit
-from .limits import max_cells
+from .limits import check_cells, max_cells
 from .words import (
     Word,
-    _asc,
-    _contains_001,
-    _contains_210,
     as_word,
     contains_pattern,
     is_pattern,
@@ -58,30 +62,35 @@ def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def words_with_ascents(n: int, k: int, j: int = 1) -> Iterator[Word]:
-    """The words of length n with k ones and at most j ascents.
+    """The words of length n with k ones and at most j ascents, lazily
+    and in lexicographic order.
 
-    Built structurally: a word with exactly r ascents is
-    1^x0 0^y1 1^x1 ... 0^yr 1^xr 0^y0 with the x's summing to k and the
-    y's to n-k (outer runs may be empty, inner runs may not), so we walk
-    run-length profiles instead of filtering 2^n words.
+    Walked run by run: a word is 0^y 1^x 0^y' 1^x' ... and each 0-run
+    followed by ones costs one ascent.  Longer 0-runs come first and
+    shorter 1-runs come first, so the words come out sorted with nothing
+    to sort; the walk keeps one generator per ascent (at most j + 1).
     """
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return
-    out: list[Word] = []
-    for r in range(min(j, k, n - k) + 1):
-        for xs in _head_compositions(k, r):
-            ones_runs = xs  # (x_0, x_1..x_r)
-            for ys in _head_compositions(n - k, r):
-                bits: list[int] = [1] * ones_runs[0]
-                for i in range(1, r + 1):
-                    bits.extend([0] * ys[i])
-                    bits.extend([1] * ones_runs[i])
-                bits.extend([0] * ys[0])
-                out.append(tuple(bits))
-    out.sort()
-    yield from out
+    if k == 0:
+        yield (0,) * n
+        return
+    for lead in range(n - k if j else 0, -1, -1):
+        yield from _one_runs((0,) * lead, n - k - lead, k, j - (lead > 0))
+
+
+def _one_runs(prefix: Word, zeros: int, ones: int, left: int) -> Iterator[Word]:
+    """prefix (empty or ending in 0) then a 1-run, followed by the
+    `zeros` zeros and the rest of the `ones` ones with at most `left`
+    more ascents, in lexicographic order."""
+    if left and zeros:
+        for x in range(1, ones):
+            head = prefix + (1,) * x
+            for y in range(zeros, 0, -1):
+                yield from _one_runs(head + (0,) * y, zeros - y, ones - x, left - 1)
+    yield prefix + (1,) * ones + (0,) * zeros
 
 
 def _profile_count(total: int, parts: int) -> int:
@@ -92,8 +101,9 @@ def _profile_count(total: int, parts: int) -> int:
 
 def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
     """|B_k^(j)(n)| by the product rule: a word with exactly r ascents is
-    a free pair of an r-part profile of its k ones and one of its n-k
-    zeros (see words_with_ascents), so it sums
+    1^x0 0^y1 1^x1 ... 0^yr 1^xr 0^y0, the x's summing to k and the y's
+    to n-k (outer runs may be empty, inner runs may not), a free pair of
+    an r-part profile of its ones and one of its zeros, so it sums
     profile_count(k, r) * profile_count(n-k, r) over r."""
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
@@ -126,56 +136,102 @@ def fishburn_numbers() -> Iterator[int]:
         states = grown
 
 
-def ascent_sequences(n: int) -> Iterator[Word]:
-    """All ascent sequences of length n (lexicographic; Fishburn counts)."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
+def _check_fishburn(n: int) -> None:
+    """Refuse a walk of every ascent sequence of length up to n once
+    some length has more than the cap."""
     cap = max_cells()
     if any(count > cap for count in islice(fishburn_numbers(), n + 1)):
         raise ResourceLimit(f"ascent sequences of length {n} number more than the cap {cap}")
-    if n == 0:
-        yield ()
+
+
+def ascent_sequences(n: int) -> Iterator[Word]:
+    """All ascent sequences of length n (lexicographic; Fishburn counts).
+
+    Unpruned depth-first walk with an explicit stack, the children of a
+    prefix pushed last letter first; the prefixes of length n - 1 are
+    expanded in place.  The small-n oracle for the pruned avoiders tree.
+    """
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    _check_fishburn(n)
+    if n <= 1:
+        yield (0,) * n
         return
-
-    def extend(prefix: tuple[int, ...], ascents: int) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield prefix
-            return
+    stack = [((0,), 0)]
+    while stack:
+        prefix, ascents = stack.pop()
         last = prefix[-1]
-        for x in range(ascents + 2):
-            yield from extend(prefix + (x,), ascents + (1 if x > last else 0))
+        if len(prefix) == n - 1:
+            for x in range(ascents + 2):
+                yield prefix + (x,)
+            continue
+        for x in range(ascents + 1, -1, -1):
+            stack.append((prefix + (x,), ascents + (x > last)))
 
-    yield from extend((0,), 0)
 
-
-def _avoids_all(w: Word, patterns: tuple[Word, ...]) -> bool:
-    """Pattern checks on an ascent sequence built here, so the linear
-    special cases skip the public re-check of the word."""
-    for p in patterns:
-        if p == (0, 0, 1):
-            if _contains_001(w):
-                return False
-        elif p == (2, 1, 0):
-            if _contains_210(w):
-                return False
-        elif contains_pattern(w, p):
-            return False
-    return True
+def avoider_nodes(n: int) -> int:
+    """The nodes of the {001, 210}-avoider tree down to length n: there
+    are C(l, 3) + l avoiders of each length l >= 1, so
+    sum_{l <= n} (C(l, 3) + l) = C(n + 1, 4) + C(n + 1, 2)."""
+    return comb(n + 1, 4) + comb(n + 1, 2)
 
 
 def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     """Ascent sequences of length n avoiding every given pattern,
-    optionally restricted to exactly k ascents."""
+    optionally restricted to exactly k ascents, in lexicographic order.
+
+    A depth-first walk over ascent-sequence prefixes that cuts every
+    prefix containing a pattern.  Each node carries its ascents, its
+    largest letter, the least letter seen twice (a later larger letter
+    completes 001) and the largest letter with a larger one before it
+    (a later smaller letter completes 210); any other pattern is tested
+    on the new prefix, whose occurrences can only end at its new last
+    letter.  With k, prefixes that cannot end with k ascents are cut.
+    Priced before the first yield: by the tree's avoider_nodes(n) when
+    001 and 210 are both avoided, else by the Fishburn numbers.
+    """
     pats = tuple(as_word(p) for p in patterns)
     for p in pats:
         if not is_pattern(p):
             raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
-    for w in ascent_sequences(n):
-        if not _avoids_all(w, pats):
-            continue
-        if k is not None and _asc(w) != k:
-            continue
-        yield w
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    no001, no210 = (0, 0, 1) in pats, (2, 1, 0) in pats
+    if no001 and no210:
+        check_cells(avoider_nodes(n), f"the {{001,210}}-avoider tree to length {n}")
+    else:
+        _check_fishburn(n)
+    others = [p for p in pats if p not in ((0, 0, 1), (2, 1, 0))]
+    root = (0,) * min(n, 1)  # the one ascent sequence of length <= 1
+    if (k is not None and not 0 <= k < max(n, 1)) or any(contains_pattern(root, p) for p in others):
+        return
+    if n <= 1:
+        yield root
+        return
+    # (prefix, ascents, largest letter, least repeated letter, largest
+    # letter below an earlier one); n and 0 stand for "none".  A prefix
+    # avoiding 001 is a restricted growth word, so x <= top means x is a
+    # repeat; the repeated letter is read only when 001 is avoided.
+    stack: list[tuple[Word, int, int, int, int]] = [(root, 0, 0, n, 0)]
+    while stack:
+        prefix, ascents, top, low, high = stack.pop()
+        last = prefix[-1]
+        left = n - len(prefix) - 1  # letters still to come after the child
+        children = []
+        for x in range(high if no210 else 0, (min(ascents, low - 1) if no001 else ascents) + 2):
+            up = ascents + (x > last)
+            if k is not None and not up <= k <= up + left:
+                continue
+            child = prefix + (x,)
+            if others and any(contains_pattern(child, p) for p in others):
+                continue
+            if left:
+                children.append(
+                    (child, up, max(top, x), x if x <= top else low, x if x < top else high)
+                )
+            else:
+                yield child
+        stack.extend(reversed(children))
 
 
 def canonical_avoiders(n: int, k: int) -> Iterator[Word]:

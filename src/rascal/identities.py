@@ -392,16 +392,22 @@ def _grid_desc(ident: Identity, grid: dict[str, tuple[int, int]]) -> str:
     return ", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params)
 
 
+def _axes(ident: Identity, grid) -> list[tuple[str, int, int, str | None]]:
+    """(param, lo, hi, bound_hi) for each axis: its grid range with lo
+    raised to the bound, and the earlier parameter that caps it."""
+    axes = []
+    for p, (bound_lo, bound_hi) in ident.bounds.items():
+        lo, hi = grid[p]
+        axes.append((p, lo if bound_lo is None else max(lo, bound_lo), hi, bound_hi))
+    return axes
+
+
 def _runs(ident: Identity, grid):
     """(head, axis) for each run of the grid, in grid order: `head`
     holds values of every parameter but the last, each inside its
     bounds, and `axis` is the last parameter's grid range clipped to
     its bounds given them.  Nothing is listed ahead of the walk."""
-    axes = []
-    for p, (bound_lo, bound_hi) in ident.bounds.items():
-        lo, hi = grid[p]
-        axes.append((p, lo if bound_lo is None else max(lo, bound_lo), hi, bound_hi))
-    return _walk(axes, {})
+    return _walk(_axes(ident, grid), {})
 
 
 def _walk(axes, head):
@@ -414,13 +420,38 @@ def _walk(axes, head):
             yield from _walk(axes, {**head, p: x})
 
 
+def _tied_cells(t: int, lo: int, hi: int) -> int:
+    """The cells of the runs lo..min(hi, x) for every x < t."""
+    width = max(0, hi - lo + 1)
+    u = min(max(t - lo, 0), width)
+    return u * (u + 1) // 2 + max(0, t - 1 - hi) * width
+
+
 def _grid_size(ident: Identity, grid, cap: int) -> int:
-    """The number of grid cells inside the domain, summed run by run
-    from the clipped axis lengths; past `cap` it raises ResourceLimit."""
-    size = 0
-    for _, axis in _runs(ident, grid):
-        size += max(0, axis.stop - axis.start)  # len() overflows past 2^63
-        if size > cap:
+    """The number of grid cells inside the domain.  The runs of the last
+    axis are priced a family at a time in closed form, one family for
+    each value of the axes before the last two, and every run and every
+    family is charged at least one unit against `cap`, so a grid of
+    empty or one-cell runs is refused without walking its runs; past
+    `cap` it raises ResourceLimit."""
+    axes = _axes(ident, grid)
+    _, lo, hi, tie = axes[-1]
+    if len(axes) == 1:
+        families, tied = [({}, range(1))], False
+    else:
+        families, tied = _walk(axes[:-1], {}), tie == axes[-2][0]
+    size = units = 0
+    for head, xs in families:
+        runs = max(0, xs.stop - xs.start)  # len() overflows past 2^63
+        if tied:  # the run at x is lo..min(hi, x)
+            cells = _tied_cells(xs.stop, lo, hi) - _tied_cells(xs.start, lo, hi) if runs else 0
+            empty = runs if hi < lo else min(max(lo - xs.start, 0), runs)
+        else:  # every run is lo..hi, cut at a value of the head
+            width = max(0, (hi if tie is None else min(hi, head[tie])) - lo + 1)
+            cells, empty = runs * width, 0 if width else runs
+        size += cells
+        units += max(1, cells + empty)
+        if units > cap:
             raise ResourceLimit(f"grid for identity {ident.name} needs more than {cap} cells")
     return size
 

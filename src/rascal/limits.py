@@ -1,7 +1,8 @@
 """One resource budget: every path that builds values or objects is
 priced in cells from exact counts of its inputs, before anything is
 built, against RASCAL_MAX_CELLS (else 2^20).  Binary-word enumeration
-costs 2^n, full ascent-sequence generation the Fishburn number.
+costs 2^n, a walk of every ascent sequence the Fishburn number, the
+pruned {001, 210}-avoider tree its nodes.
 """
 
 import os

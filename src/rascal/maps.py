@@ -26,15 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, product
 
 from .errors import DomainViolation
 from .generate import (
     RestrictedSubset,
     _restricted_elements,
+    avoider_nodes,
     avoiders,
     canonical_avoiders,
-    fishburn_numbers,
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes
@@ -570,9 +570,9 @@ def verify_strip(n_max: int) -> dict:
 def verify_ascseq(n_max: int) -> dict:
     """word_to_ascseq is a bijection onto the {001,210}-avoiding ascent
     sequences of length n+1 with k ascents, inverse ascseq_to_word.
-    Priced by the Fishburn(n+1) ascent sequences it filters for each n."""
+    Priced by the nodes of the avoider tree it walks for each n."""
     require_sizes(n_max=n_max)
-    check_sum(islice(fishburn_numbers(), 1, n_max + 2), "ascseq check")
+    check_sum((avoider_nodes(n + 1) for n in range(n_max + 1)), "ascseq check")
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):

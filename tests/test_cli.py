@@ -178,6 +178,22 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "ascseq", "--n", "4", "--count-only")
         assert out == "15\n"
 
+    def test_ascseq_with_ascents(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "ascseq", "--n", "4", "--k", "1")
+        assert (code, out) == (0, "0001\n0010\n0011\n0100\n0110\n0111\n")
+
+    def test_words_all_k_merged(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "words", "--n", "4", "--j", "0")
+        assert (code, out) == (0, "0000\n1000\n1100\n1110\n1111\n")
+        code, out, _ = run(capsys, "enumerate", "words", "--n", "12", "--j", "2", "--count-only")
+        assert (code, out) == (0, f"{sum(math.comb(12, t) for t in range(6))}\n")
+
+    def test_long_avoiders_at_default_budget(self, capsys, monkeypatch):
+        # the pruned tree to length 50 has 251,175 nodes, under 2^20
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        code, out, _ = run(capsys, "enumerate", "avoiders", "--n", "50", "--patterns", "001,210", "--count-only")
+        assert (code, out) == (0, f"{math.comb(50, 3) + 50}\n")
+
     def test_ascseq_cap_exit(self, capsys, monkeypatch):
         # Fishburn(11) = 1,422,074 is over the default 2^20 budget
         code, _, err = run(capsys, "enumerate", "ascseq", "--n", "11")
@@ -332,6 +348,10 @@ ABSURD_RUNS = [
     ("verify", "alt_binomial", "--r-max", "40", "--n-max", "400", "--k-max", "400"),
     ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "100000000"),
     ("verify", "row_sum", "--n-max", "1" + "0" * 23),
+    ("verify", "product_formula", "--n-max", "100000000", "--m-max", "0"),
+    ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "100000000", "--k-max", "0"),
+    ("enumerate", "avoiders", "--n", "1000000", "--patterns", "001,210"),
+    ("enumerate", "ascseq", "--n", "1000000", "--k", "3"),
 ]
 
 
@@ -368,6 +388,14 @@ class TestBudget:
             assert (code, out) == (3, "") and "more than 125 cells" in err
             monkeypatch.setenv("RASCAL_MAX_CELLS", "126")
             assert run(capsys, *argv)[:2] == (0, "126\n")
+
+    def test_bijection_ascseq_tree_boundary(self, capsys, monkeypatch):
+        # lengths 1..9 of the {001,210} tree: C(11, 5) + C(11, 3) = 627 nodes
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "626")
+        code, out, err = run(capsys, "bijection", "ascseq", "--n-max", "8")
+        assert (code, out) == (3, "") and "more than 626 cells" in err
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "627")
+        assert run(capsys, "bijection", "ascseq", "--n-max", "8")[:2] == (0, "ascseq: PASS (255 checks)\n")
 
     def test_verify_all_oracle_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
@@ -459,6 +487,11 @@ class TestNegativeSizes:
             (("enumerate", "words", "--n", "3", "--k", "-1"), "k must be >= 0, got -1"),
             (("enumerate", "subsets", "--n", "-3", "--k", "1"), "n must be >= 0, got -3"),
             (("enumerate", "subsets", "--n", "3", "--k", "-1"), "k must be >= 0, got -1"),
+            (("enumerate", "ascseq", "--n", "4", "--k", "-1"), "k must be >= 0, got -1"),
+            (("enumerate", "ascseq", "--n", "4", "--k", "-1", "--count-only"), "k must be >= 0, got -1"),
+            (("enumerate", "avoiders", "--n", "4", "--k", "-1"), "k must be >= 0, got -1"),
+            (("enumerate", "avoiders", "--n", "4", "--patterns", "001,210", "--k", "-2", "--count-only"),
+             "k must be >= 0, got -2"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )

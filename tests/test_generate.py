@@ -1,6 +1,8 @@
 """Streams for the word families: golden listings, counts, ordering."""
 
 import time
+import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, product
 
 import pytest
@@ -12,6 +14,7 @@ from rascal.generate import (
     RestrictedSubset,
     all_binary_words,
     ascent_sequences,
+    avoider_nodes,
     avoiders,
     canonical_avoiders,
     count_words_with_ascents,
@@ -20,9 +23,10 @@ from rascal.generate import (
     words_with_ascents,
 )
 from rascal.numbers import choose, rascal_gen_value, rascal_value
-from rascal.words import asc, is_ascent_sequence, is_rgf, word_str
+from rascal.words import _asc, asc, contains_pattern, is_ascent_sequence, is_rgf, word_str
 
 PATTERNS = ("001", "210")
+TREE_PATTERNS = ("001", "210", "012", "10")
 
 # the nine words with six letters, four ones, and at most one ascent
 B46 = [
@@ -123,6 +127,28 @@ class TestWordsWithAscents:
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(words_with_ascents(9, 4, 3)))
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 14), data=st.data())
+    def test_equals_filter_of_all_words(self, n, data):
+        k = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, 6))
+        brute = [w for w in all_binary_words(n) if sum(w) == k and _asc(w) <= j]
+        assert list(words_with_ascents(n, k, j)) == brute
+
+    def test_lazy(self):
+        start = time.perf_counter()
+        stream = words_with_ascents(400, 200, 3)
+        assert next(stream) == (0,) * 200 + (1,) * 200
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            for _ in islice(stream, 1000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_outside_triangle_empty(self):
         assert list(words_with_ascents(3, 5, 1)) == []
         assert list(words_with_ascents(-1, 0, 1)) == []
@@ -170,7 +196,14 @@ class TestAscentSequences:
         with pytest.raises(ResourceLimit):
             list(ascent_sequences(11))  # Fishburn(11) = 1,422,074 > 2^20
         with pytest.raises(ResourceLimit):
-            list(avoiders(11, PATTERNS))
+            list(avoiders(11))  # no pattern prunes: every ascent sequence
+        # the {001,210} tree to length 30 has C(31, 4) + C(31, 2) nodes
+        nodes = choose(31, 4) + choose(31, 2)
+        monkeypatch.setenv("RASCAL_MAX_CELLS", str(nodes - 1))
+        with pytest.raises(ResourceLimit, match=f"needs {nodes} cells"):
+            next(avoiders(30, PATTERNS))
+        monkeypatch.setenv("RASCAL_MAX_CELLS", str(nodes))
+        assert sum(1 for _ in avoiders(30, PATTERNS)) == choose(30, 3) + 30
         monkeypatch.setenv("RASCAL_MAX_CELLS", "216")
         with pytest.raises(ResourceLimit):
             list(ascent_sequences(6))
@@ -185,8 +218,9 @@ class TestAscentSequences:
         assert list(islice(fishburn_numbers(), 14)) == [
             1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608, 1422074, 10886503, 89903100,
         ]
-        for n, count in enumerate(islice(fishburn_numbers(), 9)):
-            assert sum(1 for _ in ascent_sequences(n)) == count
+        for n, count in enumerate(islice(fishburn_numbers(), 10)):
+            seqs = list(ascent_sequences(n))
+            assert len(seqs) == count and lex_increasing(seqs), n
 
     def test_absurd_length_refused_fast(self):
         start = time.perf_counter()
@@ -226,6 +260,51 @@ class TestAvoiders:
     def test_invalid_pattern_rejected(self):
         with pytest.raises(ValueError):
             list(avoiders(4, ("12",)))
+
+    @pytest.fixture(scope="class")
+    def containment(self):
+        """(sequence, the tested patterns it contains) for every ascent
+        sequence of length n <= 9, by the generic containment test."""
+        return {
+            n: [(w, {p for p in TREE_PATTERNS if contains_pattern(w, p)}) for w in ascent_sequences(n)]
+            for n in range(10)
+        }
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [ps for size in range(1, 5) for ps in combinations(TREE_PATTERNS, size)],
+        ids=",".join,
+    )
+    def test_tree_equals_filter(self, containment, patterns):
+        for n, table in containment.items():
+            kept = [w for w, contained in table if contained.isdisjoint(patterns)]
+            for k in (None, *range(n + 1)):
+                expected = [w for w in kept if k is None or _asc(w) == k]
+                assert list(avoiders(n, patterns, k)) == expected, (n, k)
+
+    def test_node_count_closed_form(self):
+        # prefixes counted by a walk over (ascents, last letter, largest
+        # letter, least repeated letter, largest dominated letter), with
+        # a child kept when it completes neither pattern
+        states = Counter({(0, 0, 0, None, None): 1})
+        nodes = 1  # the one prefix of length 1
+        for n in range(1, 61):
+            assert avoider_nodes(n) == nodes, n
+            grown = Counter()
+            for (ascents, last, top, low, high), count in states.items():
+                for x in range(ascents + 2):
+                    if (low is not None and x > low) or (high is not None and x < high):
+                        continue
+                    new_low = x if x <= top and (low is None or x < low) else low
+                    new_high = x if x < top and (high is None or x > high) else high
+                    grown[ascents + (x > last), x, max(top, x), new_low, new_high] += count
+            states = grown
+            nodes += sum(states.values())
+
+    def test_admits_long_sequences(self):
+        start = time.perf_counter()
+        assert sum(1 for _ in avoiders(40, PATTERNS, 2)) == rascal_value(39, 2)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestCanonicalAvoiders:
