@@ -114,6 +114,8 @@ def _enumerate_items(args):
 
     word_lines = partial(map, word_str)
     subsets = args.family == "subsets"
+    if args.patterns is not None and args.family != "avoiders":
+        raise DomainViolation(f"--patterns applies to avoiders only, not to {args.family}")
     if args.n is None or (subsets and args.k is None):
         raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
     require_sizes(n=args.n, k=args.k or 0)
@@ -144,7 +146,7 @@ def _enumerate_items(args):
 
         streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
         return merge(*streams), word_lines
-    patterns = _parse_patterns(args.patterns) if args.patterns and args.family == "avoiders" else ()
+    patterns = _parse_patterns(args.patterns) if args.patterns else ()
     return avoiders(args.n, patterns, args.k), word_lines
 
 

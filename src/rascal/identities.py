@@ -15,8 +15,10 @@ which is either the closed form or an enumeration count (the product
 rule over walked run-length profiles, never a binomial); that is what
 lets the same registry run against brute-force ground truth.
 Row sums read a whole row at once through `v.row(n, j)`, which each
-source builds once: the closed form by `numbers.closed_row`, the
-enumeration source cell by cell from its own counts.
+source builds once: the closed form grows row (n, j) from its row
+(n, j-1) by one term column (else `numbers.closed_row`) and reads single
+cells from the unchecked `numbers.closed_value`; the enumeration source
+builds rows cell by cell from its own counts.
 
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, **params)`, the left side at `params` from `prev`, the
@@ -40,7 +42,7 @@ from typing import Callable
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import _count_by_profiles, _profile_count
 from . import limits
-from .numbers import choose, closed_row, falling_factorial, rascal_gen_value
+from .numbers import _add_term, _mirror, choose, closed_row, closed_value, falling_factorial
 
 
 class ClosedValues:
@@ -48,7 +50,7 @@ class ClosedValues:
     change only `count`, the function that fills the memo, and `_row`,
     the function that fills a whole row of it."""
 
-    count = staticmethod(rascal_gen_value)
+    count = staticmethod(closed_value)
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, int, int], int] = {}
@@ -62,15 +64,24 @@ class ClosedValues:
         return got
 
     def row(self, n: int, j: int = 1) -> list[int]:
-        """[v(n, k, j) for k in 0..n], built once per (n, j); its cells
-        enter the memo in k order, as that comprehension would put them."""
+        """[v(n, k, j) for k in 0..n], built once per (n, j) and read
+        only; its cells enter the memo in k order, as that comprehension
+        would put them."""
         got = self._rows.get((n, j))
         if got is None:
             got = self._rows[n, j] = self._row(n, j)
         return got
 
     def _row(self, n: int, j: int) -> list[int]:
-        row = closed_row(n, j)
+        """The row (n, j) from the cached row (n, j-1) by its one new
+        term column, if that row was built; else from scratch."""
+        prev = self._rows.get((n, j - 1))
+        if prev is None:
+            row = closed_row(n, j)
+        elif j > n // 2:  # the new column C(k, j) * C(n-k, j) is all 0
+            row = prev
+        else:
+            row = _mirror(_add_term(prev[: n // 2 + 1], n, j), n)
         self._memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), row))
         return row
 
@@ -433,9 +444,15 @@ def _grid_size(ident: Identity, grid, cap: int) -> int:
     each value of the axes before the last two, and every run and every
     family is charged at least one unit against `cap`, so a grid of
     empty or one-cell runs is refused without walking its runs; past
-    `cap` it raises ResourceLimit."""
+    `cap` it raises ResourceLimit.  When no later bound reads the first
+    of three axes, every family is alike: one is priced and multiplied
+    by the number of first-axis values."""
     axes = _axes(ident, grid)
     _, lo, hi, tie = axes[-1]
+    copies = 1
+    if len(axes) == 3 and axes[0][0] not in (axes[1][3], tie):
+        _, first_lo, first_hi, _ = axes.pop(0)
+        copies = max(0, first_hi - first_lo + 1)
     if len(axes) == 1:
         families, tied = [({}, range(1))], False
     else:
@@ -449,8 +466,8 @@ def _grid_size(ident: Identity, grid, cap: int) -> int:
         else:  # every run is lo..hi, cut at a value of the head
             width = max(0, (hi if tie is None else min(hi, head[tie])) - lo + 1)
             cells, empty = runs * width, 0 if width else runs
-        size += cells
-        units += max(1, cells + empty)
+        size += cells * copies
+        units += max(1, cells + empty) * copies
         if units > cap:
             raise ResourceLimit(f"grid for identity {ident.name} needs more than {cap} cells")
     return size
@@ -487,18 +504,17 @@ def verify_range(
     for head, axis in _runs(ident, grid):
         for x in axis:
             params = {**head, last: x}
-            frozen = tuple(params.items())
             if ident.step and x > axis.start:
                 lhs = ident.step(v, lhs, **params)
             else:
                 lhs = ident.lhs(v, **params)
             rhs = ident.rhs(**params)
             if lhs != rhs:
-                failures.append((frozen, lhs, rhs))
+                failures.append((tuple(params.items()), lhs, rhs))
             if ident.corrected_rhs is not None:
                 corrected = ident.corrected_rhs(**params)
                 if lhs != corrected:
-                    corrected_failures.append((frozen, lhs, corrected))
+                    corrected_failures.append((tuple(params.items()), lhs, corrected))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return IdentityReport(
         identity=name,

@@ -7,7 +7,9 @@ sum_{i=0..j} C(k, i) * C(n-k, i).
 
 Four routes are implemented and cross-checked by the test suite:
 
-* closed         -- the binomial closed form above
+* closed         -- the binomial closed form above: `closed_value` sums
+                    one cell's terms, `closed_row` adds one term column
+                    per i to a half row
 * linear         -- additive recurrence
                     R(n,k) = R(n-1,k) + R(n-1,k-1) - R(n-2,k-1) + 1
                     (generalized: the final +1 becomes a j-1 layer term)
@@ -203,8 +205,7 @@ def rascal_gen_value(
     if not in_triangle(n, k):
         return 0
     if method == "closed":
-        # C(k, i) * C(n-k, i) vanishes for i > min(k, n-k)
-        return sum(math.comb(k, i) * math.comb(n - k, i) for i in range(min(j, k, n - k) + 1))
+        return closed_value(n, k, j)
     if method == "linear":
         check_cells(_table_cells(n), "linear recurrence table")
         return (cache or TriangleCache()).linear_value(n, k, j)
@@ -212,16 +213,41 @@ def rascal_gen_value(
 
 
 def closed_row(n: int, j: int = 1) -> list[int]:
-    """R(n, k; j) for k = 0..n by the closed form, one binomial column
-    C(0..n, i) per i <= min(j, n // 2); C(n-k, i) is that column reversed.
-    Only k <= n // 2 is summed: the row is symmetric in k <-> n-k."""
+    """R(n, k; j) for k = 0..n by the closed form: the all-ones row of
+    j = 0 with one term column added per i <= min(j, n // 2).  Only
+    k <= n // 2 is summed: the row is symmetric in k <-> n-k."""
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
     half = [1] * (n // 2 + 1)
     for i in range(1, min(j, n // 2) + 1):
-        col = list(map(math.comb, range(n + 1), repeat(i)))
-        half = list(map(add, half, map(mul, col, reversed(col))))
+        half = _add_term(half, n, i)
+    return _mirror(half, n)
+
+
+def _add_term(half: list[int], n: int, i: int) -> list[int]:
+    """half[k] + C(k, i) * C(n-k, i) for k = 0..n // 2: the half row of
+    R(n, k; i) from that of R(n, k; i-1).  The column C(0..n, i) gives
+    C(k, i); reversed, it gives C(n-k, i)."""
+    col = list(map(math.comb, range(n + 1), repeat(i)))
+    return list(map(add, half, map(mul, col, reversed(col))))
+
+
+def _mirror(half: list[int], n: int) -> list[int]:
+    """The full row k = 0..n from its half k = 0..n // 2."""
     return half + half[: (n + 1) // 2][::-1]
+
+
+def closed_value(n: int, k: int, j: int = 1) -> int:
+    """R(n, k; j) for j >= 0 by the closed form, unchecked: 0 outside
+    the triangle, else the terms C(k, i) * C(n-k, i) for i <= min(j, k,
+    n-k) (the rest vanish).  `rascal_gen_value` is its validating edge."""
+    if not 0 <= k <= n:
+        return 0
+    m = n - k
+    total = 1  # the term i = 0
+    for i in range(1, min(j, k, m) + 1):
+        total += math.comb(k, i) * math.comb(m, i)
+    return total
 
 
 def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int:

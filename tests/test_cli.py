@@ -219,6 +219,17 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "words")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [("ascseq", ("--n", "4")), ("words", ("--n", "4")), ("subsets", ("--n", "4", "--k", "2"))],
+    )
+    def test_patterns_only_for_avoiders(self, capsys, family, sizes):
+        # listing every object while ignoring --patterns would be a wrong answer
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", family, *sizes, "--patterns", "001,210", "--count-only")
+        assert (code, out, time.perf_counter() - start < 1.0) == (2, "", True)
+        assert "--patterns" in err
+
 
 class TestVerify:
     def test_single_pass(self, capsys):
@@ -350,6 +361,7 @@ ABSURD_RUNS = [
     ("verify", "row_sum", "--n-max", "1" + "0" * 23),
     ("verify", "product_formula", "--n-max", "100000000", "--m-max", "0"),
     ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "100000000", "--k-max", "0"),
+    ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "0", "--k-max", "0"),
     ("enumerate", "avoiders", "--n", "1000000", "--patterns", "001,210"),
     ("enumerate", "ascseq", "--n", "1000000", "--k", "3"),
 ]

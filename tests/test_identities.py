@@ -22,7 +22,7 @@ from rascal.identities import (
     list_identities,
     verify_range,
 )
-from rascal.numbers import _enum_row_counts, rascal_value
+from rascal.numbers import _enum_row_counts, closed_row, rascal_gen_value, rascal_value
 
 
 def in_domain(ident, point):
@@ -379,3 +379,47 @@ class TestRows:
         assert v.row(5, 2) == [v(5, k, 2) for k in range(6)]
         assert list(v._memo) == [(5, 3, 2)] + [(5, k, 2) for k in (0, 1, 2, 4, 5)]
         assert v.row(5, 2) is v.row(5, 2)
+        # grown from the row (n, j-1): one new term column for j = 2 at n = 7,
+        # none for j = 3 > 5 // 2
+        v.row(7, 1)
+        v(7, 4, 2)
+        assert v.row(7, 2) == [v(7, k, 2) for k in range(8)] == [rascal_gen_value(7, k, 2) for k in range(8)]
+        v(5, 1, 3)
+        assert v.row(5, 3) == [v(5, k, 3) for k in range(6)] == [1, 5, 10, 10, 5, 1]
+        assert list(v._memo)[6:] == (
+            [(7, k, 1) for k in range(8)]
+            + [(7, 4, 2)] + [(7, k, 2) for k in (0, 1, 2, 3, 5, 6, 7)]
+            + [(5, 1, 3)] + [(5, k, 3) for k in (0, 2, 3, 4, 5)]
+        )
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(0, 300), st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True))
+    def test_rows_in_any_j_order(self, n, order):
+        # some rows grow from the layer below, the rest are built from scratch
+        v = ClosedValues()
+        for j in order:
+            assert v.row(n, j) == closed_row(n, j) == [rascal_gen_value(n, k, j) for k in range(n + 1)], j
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [("gen_alt_row_sum", {"n": (0, 14), "j": (0, 5)}), ("forward_diff", {"n": (0, 10), "j": (0, 4)})],
+    )
+    def test_verify_fills_memo_as_comprehension_would(self, monkeypatch, name, grid):
+        sources = []
+
+        class Grown(ClosedValues):
+            def __init__(self):
+                super().__init__()
+                sources.append(self)
+
+        class Plain(Grown):
+            def _row(self, n, j):
+                return [self(n, k, j) for k in range(n + 1)]
+
+        reports = []
+        for source in (Grown, Plain):
+            monkeypatch.setattr(identities, "ClosedValues", source)
+            reports.append(verify_range(name, grid).to_dict(timing=False))
+        grown, plain = sources
+        assert list(grown._memo.items()) == list(plain._memo.items())
+        assert reports[0] == reports[1]

@@ -12,6 +12,7 @@ from rascal.errors import ResourceLimit
 from rascal.numbers import (
     TriangleCache,
     closed_row,
+    closed_value,
     e_defect,
     falling_factorial,
     prefix_suffix_count,
@@ -133,6 +134,15 @@ class TestRascalGenValue:
         # every word of length 60 with 30 ones has at most 30 ascents
         assert rascal_gen_value(60, 30, 10**12) == comb(60, 30)
         assert time.perf_counter() - start < 1.0
+
+
+class TestClosedValue:
+    @settings(max_examples=300, derandomize=True)
+    @given(st.integers(-3, 300), st.integers(-3, 303), st.integers(0, 8))
+    def test_matches_edge_and_row(self, n, k, j):
+        # closed_row shares no code with closed_value
+        expected = closed_row(n, j)[k] if 0 <= k <= n else 0
+        assert closed_value(n, k, j) == rascal_gen_value(n, k, j) == expected
 
 
 class TestClosedRow:
