@@ -91,21 +91,6 @@ def _cmd_triangle(args) -> int:
 # enumerate
 
 
-def _parse_patterns(raw: str):
-    from .words import as_word, is_pattern
-
-    patterns = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        p = as_word(chunk)
-        if not is_pattern(p):
-            raise DomainViolation(f"{chunk} is not a pattern (not self-reduced)")
-        patterns.append(p)
-    return tuple(patterns)
-
-
 def _enumerate_items(args):
     """The listed objects, lazily and in order, and the function that
     turns them into lines."""
@@ -146,7 +131,8 @@ def _enumerate_items(args):
 
         streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
         return merge(*streams), word_lines
-    patterns = _parse_patterns(args.patterns) if args.patterns else ()
+    # avoiders reads and checks each pattern before it prices or lists anything
+    patterns = [p.strip() for p in (args.patterns or "").split(",") if p.strip()]
     return avoiders(args.n, patterns, args.k), word_lines
 
 
@@ -160,12 +146,6 @@ def _cmd_enumerate(args) -> int:
 # verify
 
 
-def _apply_overrides(grid: dict[str, tuple[int, int]], args) -> dict[str, tuple[int, int]]:
-    caps = {p: getattr(args, f"{p}_max") for p in ("n", "k", "r", "m", "j")}
-    require_sizes(**{f"{p}_max": cap for p, cap in caps.items() if cap is not None})
-    return {p: (lo, hi if caps[p] is None else caps[p]) for p, (lo, hi) in grid.items()}
-
-
 def _report_lines(report):
     """The table-format lines of one IdentityReport."""
     status = "PASS" if report.passed else "FAIL"
@@ -173,26 +153,30 @@ def _report_lines(report):
     if report.corrected_passed is not None:
         line += f" corrected={'PASS' if report.corrected_passed else 'FAIL'}"
     yield line
-    for params, lhs, rhs in report.failures:
-        where = ", ".join(f"{p}={v}" for p, v in params)
-        yield f"  stated fails at {where}: lhs={lhs} rhs={rhs}"
-    for params, lhs, rhs in report.corrected_failures or ():
-        where = ", ".join(f"{p}={v}" for p, v in params)
-        yield f"  corrected fails at {where}: lhs={lhs} rhs={rhs}"
+    corrected = report.corrected_failures or ()
+    for variant, failures in (("stated", report.failures), ("corrected", corrected)):
+        for params, lhs, rhs in failures:
+            where = ", ".join(f"{p}={v}" for p, v in params)
+            yield f"  {variant} fails at {where}: lhs={lhs} rhs={rhs}"
 
 
 def _cmd_verify(args) -> int:
     from . import identities
 
-    grids = identities.default_grids()
-    if args.name == "all":
+    caps = {p: cap for p in "nkrmj" if (cap := getattr(args, f"{p}_max")) is not None}
+    require_sizes(**{f"{p}_max": cap for p, cap in caps.items()})
+    if args.name == "all":  # each cap applies where the identity takes it
         names = identities.identity_names()
     else:
-        identities.get_identity(args.name)  # raises UnknownIdentity
+        params = identities.get_identity(args.name).params  # raises UnknownIdentity
+        unused = " ".join(f"--{p}-max" for p in caps if p not in params)
+        if unused:
+            raise DomainViolation(f"{args.name} takes {', '.join(params)}, not {unused}")
         names = [args.name]
+    grids = identities.default_grids()
     reports = []
     for name in names:
-        grid = _apply_overrides(grids[name], args)
+        grid = {p: (lo, caps.get(p, hi)) for p, (lo, hi) in grids[name].items()}
         reports.append(identities.verify_range(name, grid, oracle=args.oracle))
     if args.format == "json":
         import json

@@ -168,20 +168,16 @@ class IdentityReport:
             "identity": self.identity,
             "grid": self.grid,
             "cells": self.cells,
-            "failures": [
-                {"params": dict(params), "lhs": lhs, "rhs": rhs}
-                for params, lhs, rhs in self.failures
-            ],
+            "failures": _failure_dicts(self.failures),
             "elapsed_ms": round(self.elapsed_ms, 3) if timing else 0.0,
         }
         if self.corrected_failures is not None:
-            out["corrected"] = {
-                "failures": [
-                    {"params": dict(params), "lhs": lhs, "rhs": rhs}
-                    for params, lhs, rhs in self.corrected_failures
-                ]
-            }
+            out["corrected"] = {"failures": _failure_dicts(self.corrected_failures)}
         return out
+
+
+def _failure_dicts(failures) -> list[dict]:
+    return [{"params": dict(params), "lhs": lhs, "rhs": rhs} for params, lhs, rhs in failures]
 
 
 _REGISTRY: dict[str, Identity] = {}
@@ -379,12 +375,7 @@ def _gen_alt_rhs(n: int, j: int) -> int:
 def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tuple[int, int]:
     """Both sides of the named identity at one parameter point."""
     ident = get_identity(name)
-    missing = [p for p in ident.params if p not in params]
-    if missing:
-        raise DomainViolation(f"{name} needs parameters {missing}")
-    extra = [p for p in params if p not in ident.params]
-    if extra:
-        raise DomainViolation(f"{name} does not take parameters {extra}")
+    _require_params(ident, params, "values")
     if _grid_size(ident, {p: (x, x) for p, x in params.items()}, 1) != 1:
         raise DomainViolation(f"{params} is outside the domain ({ident.domain_desc})")
     if variant == "stated":
@@ -399,8 +390,14 @@ def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tupl
     return ident.lhs(v, **params), rhs_fn(**params)
 
 
-def _grid_desc(ident: Identity, grid: dict[str, tuple[int, int]]) -> str:
-    return ", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params)
+def _require_params(ident: Identity, given, what: str) -> None:
+    """Refuse `given` unless its keys are exactly the identity's parameters."""
+    missing = [p for p in ident.params if p not in given]
+    if missing:
+        raise DomainViolation(f"{ident.name} needs {what} for {missing}")
+    extra = [p for p in given if p not in ident.params]
+    if extra:
+        raise DomainViolation(f"{ident.name} takes {list(ident.params)}, not {extra}")
 
 
 def _axes(ident: Identity, grid) -> list[tuple[str, int, int, str | None]]:
@@ -413,15 +410,12 @@ def _axes(ident: Identity, grid) -> list[tuple[str, int, int, str | None]]:
     return axes
 
 
-def _runs(ident: Identity, grid):
-    """(head, axis) for each run of the grid, in grid order: `head`
-    holds values of every parameter but the last, each inside its
-    bounds, and `axis` is the last parameter's grid range clipped to
-    its bounds given them.  Nothing is listed ahead of the walk."""
-    return _walk(_axes(ident, grid), {})
-
-
 def _walk(axes, head):
+    """(head, axis) for each run of the `_axes`, in grid order, from an
+    empty `head`: `head` holds values of every parameter but the last,
+    each inside its bounds, and `axis` is the last parameter's grid
+    range clipped to its bounds given them.  Nothing is listed ahead of
+    the walk."""
     p, lo, hi, bound_hi = axes[len(head)]
     axis = range(lo, (hi if bound_hi is None else min(hi, head[bound_hi])) + 1)
     if len(head) == len(axes) - 1:
@@ -491,9 +485,7 @@ def verify_range(
     cell folds the one before with the entry's `step`, if it has one.
     """
     ident = get_identity(name)
-    missing = [p for p in ident.params if p not in grid]
-    if missing:
-        raise DomainViolation(f"grid for {name} is missing ranges for {missing}")
+    _require_params(ident, grid, "grid ranges")
     cap = limits.max_cells(max_cells)
     cells = _grid_size(ident, grid, cap)
     v = EnumerationCounts(cap) if oracle else ClosedValues()
@@ -501,7 +493,7 @@ def verify_range(
     failures = []
     corrected_failures = [] if ident.corrected_rhs is not None else None
     start = time.perf_counter()
-    for head, axis in _runs(ident, grid):
+    for head, axis in _walk(_axes(ident, grid), {}):
         for x in axis:
             params = {**head, last: x}
             if ident.step and x > axis.start:
@@ -518,7 +510,7 @@ def verify_range(
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return IdentityReport(
         identity=name,
-        grid=_grid_desc(ident, grid),
+        grid=", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params),
         cells=cells,
         failures=tuple(sorted(failures)),
         corrected_failures=(

@@ -13,9 +13,12 @@ that emits a bad object fails its verifier.  The five bijection
 verifiers (sym, strip, ascseq, subset, divider) share one check,
 _check_bijection: every image lies in the target, the inverse undoes
 the map, and the image is the whole target.  Each adds only its own
-counting facts.  The ratio, altbin and genalt verifiers check their
-injection and involutions directly, and compare the fixed points of
-each core with a separate description (in_altbin_fix, in_genalt_fix).
+counting facts.  The altbin and genalt verifiers run each stage of
+their involution chains through one check, _check_involution: every
+moved object lands in the signed set, changes its grade by one (so its
+sign flips) and comes back, and the fixed points are exactly those of
+a separate description (in_altbin_fix, in_genalt_fix), which the next
+stage then acts on.  The ratio verifier checks its injection directly.
 Before building anything, every verifier prices the objects it will
 check from closed forms against the one cell budget (limits.check_sum).
 BIJECTIONS maps each verifier's name to the function and the names of
@@ -60,16 +63,12 @@ def _trailing(w: Word, bit: int) -> int:
     return len(w)
 
 
-def run_profile(b) -> tuple[int, list[tuple[int, int]], int]:
+def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
     """Decompose a binary word as 1^x0 (0^y_i 1^x_i)_{i=1..m} 0^y0.
 
     Returns (x0, [(y_1, x_1), ..., (y_m, x_m)], y0) where m = asc(b);
     inner runs are positive, outer runs may be empty.
     """
-    return _profile(binary_word(b))
-
-
-def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
     x0 = _leading(b, 1)
     y0 = _trailing(b, 0) if len(b) > x0 else 0
     middle = b[x0 : len(b) - y0]
@@ -98,11 +97,6 @@ def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> Word:
 def _sign(m: int) -> int:
     """(-1) ** m."""
     return -1 if m % 2 else 1
-
-
-def word_weight(b) -> int:
-    """(-1) ** (number of ones)."""
-    return _sign(sum(binary_word(b)))
 
 
 def _require_family(b: Word, j: int, what: str) -> None:
@@ -135,8 +129,7 @@ def _sym(b: Word) -> Word:
 def strip(b, lead_ones: int, trail_zeros: int) -> Word:
     """Remove `lead_ones` leading 1's and `trail_zeros` trailing 0's."""
     b = binary_word(b)
-    if lead_ones < 0 or trail_zeros < 0:
-        raise DomainViolation("strip lengths must be >= 0")
+    require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
     if _leading(b, 1) < lead_ones:
         raise DomainViolation(f"{word_str(b)} does not start with {lead_ones} ones")
     if _trailing(b, 0) < trail_zeros:
@@ -151,8 +144,7 @@ def _strip(b: Word, lead_ones: int, trail_zeros: int) -> Word:
 def unstrip(b, lead_ones: int, trail_zeros: int) -> Word:
     """Prepend 1's and append 0's; inverse of strip on its image."""
     b = binary_word(b)
-    if lead_ones < 0 or trail_zeros < 0:
-        raise DomainViolation("unstrip lengths must be >= 0")
+    require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
     return _unstrip(b, lead_ones, trail_zeros)
 
 
@@ -231,8 +223,7 @@ def word_to_subset(b, j: int) -> RestrictedSubset:
     high part shifted down by n-k.
     """
     b = binary_word(b)
-    if j < 0:
-        raise DomainViolation("intersection bound j must be >= 0")
+    require_sizes(j=j)
     _require_family(b, j, "word_to_subset")
     return RestrictedSubset(_to_subset(b), len(b), sum(b), j)
 
@@ -369,11 +360,16 @@ def signed_pair(subset, word, r: int) -> SignedPair:
     the word must end in at least r - |S| zeros."""
     s = frozenset(subset)
     w = binary_word(word)
+    _require_signed(s, w, r)
+    return SignedPair(s, w, _sign(r - len(s)))
+
+
+def _require_signed(s: frozenset[int], w: Word, r: int) -> None:
+    """S must lie in {1..r} and w must end in at least r - |S| zeros."""
     if any(e < 1 or e > r for e in s):
         raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
     if _trailing(w, 0) < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
-    return SignedPair(s, w, _sign(r - len(s)))
 
 
 def in_altbin_fix(pair: SignedPair, r: int) -> bool:
@@ -386,6 +382,11 @@ def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
     return r in s and _trailing(w, 0) == r - len(s)
 
 
+def _require_altbin_sizes(r: int, n: int, k: int) -> None:
+    if r < 2 or not 0 <= k <= n:
+        raise DomainViolation(f"altbin needs r >= 2 and 0 <= k <= n, got r={r}, n={n}, k={k}")
+
+
 def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> SignedPair:
     """The two sign-reversing involutions behind the identity
     sum_j (-1)^(r-j) C(r,j) R(n+j, k) = 0 for r >= 2.
@@ -395,20 +396,14 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     Stage 2 acts on those fixed points, toggling 1 while moving one zero
     between the trailing run and the inner run; it has no fixed points.
     """
-    if r < 2:
-        raise DomainViolation("the alternating-sum construction needs r >= 2")
-    if not 0 <= k <= n:
-        raise DomainViolation("need 0 <= k <= n")
+    _require_altbin_sizes(r, n, k)
     if stage not in (1, 2):
         raise DomainViolation("stage must be 1 or 2")
     s, w = pair.subset, pair.word
     if len(w) != n + r or sum(w) != k:
         raise DomainViolation(f"{word_str(w)} is not a length-{n + r} word with {k} ones")
     _require_family(w, 1, "altbin_involution")
-    if any(e < 1 or e > r for e in s):
-        raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
-    if _trailing(w, 0) < r - len(s):
-        raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
+    _require_signed(s, w, r)
     if pair.weight != _sign(r - len(s)):
         raise DomainViolation(
             f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"
@@ -466,9 +461,7 @@ def genalt_involution(d: int, w, j: int) -> Word:
     fixed points.
     """
     w = binary_word(w)
-    if d < 0:
-        raise DomainViolation("stage must be >= 0")
-    require_sizes(j=j)
+    require_sizes(d=d, j=j)
     _require_family(w, j, "genalt_involution")
     if d > 0 and not _genalt_fixed(w, d - 1):
         raise DomainViolation(f"{word_str(w)} is not a fixed point of stages 0..{d - 1}")
@@ -497,8 +490,8 @@ def _genalt(d: int, w: Word) -> Word:
 # exhaustive verifiers (small sizes; used by the CLI and the test suite)
 
 
-def _report(ok: bool, checked: int, details: list[str], **extra) -> dict:
-    return {"ok": ok, "checked": checked, "details": details, **extra}
+def _report(checked: int, details: list[str], **extra) -> dict:
+    return {"ok": not details, "checked": checked, "details": details, **extra}
 
 
 def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int:
@@ -519,6 +512,32 @@ def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int
     return checked
 
 
+def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, show=None) -> list:
+    """Check one stage f of an involution chain on `domain`: each object
+    f moves must land in `members`, change its grade by exactly one (so
+    its sign flips) and come back under f, and the objects f fixes must
+    be the ones `is_fixed` picks out, in domain order.  Add a line to
+    `details` for each failure; return the fixed objects."""
+    fixed = []
+    for x in domain:
+        y = f(x)
+        if y == x:
+            fixed.append(x)
+            continue
+        if y not in members:
+            fault = f"image is outside the {space}"
+        elif abs(grade(y) - grade(x)) != 1:
+            fault = "does not change its grade by exactly one"
+        elif f(y) != x:
+            fault = "is not an involution"
+        else:
+            continue
+        details.append(f"{tag} {fault}" + (f" on {show(x)}" if show else ""))
+    if fixed != [x for x in domain if is_fixed(x)]:
+        details.append(f"{tag} fixed set differs from its description")
+    return fixed
+
+
 def verify_sym(n_max: int) -> dict:
     """sym_map is a bijection from the k-ones family onto the (n-k)-ones
     family and squares to the identity."""
@@ -533,7 +552,7 @@ def verify_sym(n_max: int) -> dict:
                 "sym", f"n={n}, k={k}", families[k], set(families[n - k]),
                 _sym, _sym, word_str, details,
             )
-    return _report(not details, checked, details)
+    return _report(checked, details)
 
 
 def verify_strip(n_max: int) -> dict:
@@ -564,7 +583,7 @@ def verify_strip(n_max: int) -> dict:
                     "strip", where, domain, target, lambda b: _strip(b, lead, trail),
                     lambda b: _unstrip(b, lead, trail), word_str, details,
                 )
-    return _report(not details, checked, details)
+    return _report(checked, details)
 
 
 def verify_ascseq(n_max: int) -> dict:
@@ -587,7 +606,7 @@ def verify_ascseq(n_max: int) -> dict:
                 "ascseq", f"n={n}, k={k}", words_with_ascents(n, k, 1), target,
                 _to_ascseq, _from_ascseq, word_str, details,
             )
-    return _report(not details, checked, details)
+    return _report(checked, details)
 
 
 def verify_subset(n_max: int, j_max: int) -> dict:
@@ -616,7 +635,7 @@ def verify_subset(n_max: int, j_max: int) -> dict:
             checked += _check_bijection(
                 "subset", where, subsets, set(family), to_word, _to_subset, str, details
             )
-    return _report(not details, checked, details)
+    return _report(checked, details)
 
 
 def verify_divider(n_max: int, j_max: int) -> dict:
@@ -643,7 +662,7 @@ def verify_divider(n_max: int, j_max: int) -> dict:
         expected = sum(choose(n, t) for t in range(2 * j + 2))
         if len(domain) != expected:
             details.append(f"divider: subset count {len(domain)} != {expected} at ({where})")
-    return _report(not details, checked, details)
+    return _report(checked, details)
 
 
 def verify_ratio(n: int, k: int) -> dict:
@@ -651,7 +670,8 @@ def verify_ratio(n: int, k: int) -> dict:
     starts-with-1 set and misses exactly one element."""
     if not 0 < k < n:
         raise DomainViolation(f"the ratio construction needs 0 < k < n, got n={n}, k={k}")
-    check_sum(((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1)), "ratio check")
+    expected = ((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1))  # source, target
+    check_sum(expected, "ratio check")
     details: list[str] = []
     family = list(words_with_ascents(n, k, 1))
     # (word, mark) pairs; MarkedWord, which validates, only for the report
@@ -671,11 +691,11 @@ def verify_ratio(n: int, k: int) -> dict:
         details.append(f"ratio: expected exactly one missed element, got {len(missed)}")
     elif missed[0] != ((1,) * k + (0,) * (n - k), 1):
         details.append(f"ratio: missed element is {MarkedWord(*missed[0])}, not the expected one")
-    if (len(source), len(target)) != ((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1)):
+    if (len(source), len(target)) != expected:
         details.append("ratio: source/target sizes disagree with the counting identity")
     shown = [str(MarkedWord(*mw)) for mw in missed]
     sizes = {"image_size": len(image), "target_size": len(target), "missed": shown}
-    return _report(not details, len(source) + len(target), details, **sizes)
+    return _report(len(source) + len(target), details, **sizes)
 
 
 def _altbin_space(r: int, n: int, k: int) -> list[tuple[frozenset[int], Word]]:
@@ -688,10 +708,7 @@ def _altbin_space(r: int, n: int, k: int) -> list[tuple[frozenset[int], Word]]:
 def verify_altbin(r: int, n: int, k: int) -> dict:
     """Both stages are sign-reversing involutions; stage 2 has no fixed
     points, so the signed sum collapses to zero."""
-    if r < 2 or not 0 <= k <= n:
-        raise DomainViolation(
-            f"the alternating-sum check needs r >= 2 and 0 <= k <= n, got r={r}, n={n}, k={k}"
-        )
+    _require_altbin_sizes(r, n, k)
     # 2^r * R(n+r, k) pairs scanned, summed by subset size
     check_sum((choose(r, t) * rascal_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
@@ -701,28 +718,15 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     formula = sum((-1) ** (r - t) * choose(r, t) * rascal_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
-    fixed: list[tuple[frozenset[int], Word]] = []  # filled by stage 1, then walked by stage 2
-    for stage, domain in ((1, space), (2, fixed)):
-        for p in domain:
-            q = _altbin(stage, *p, r)
-            if q == p and stage == 1:
-                fixed.append(p)
-                if not _altbin_fixed(*p, r):
-                    details.append("altbin: unexpected stage-1 fixed point")
-            elif q == p:
-                details.append("altbin: stage 2 has a fixed point")
-            elif q not in members:
-                details.append(f"altbin: stage {stage} image is outside the signed space")
-            else:
-                if len(q[0]) % 2 == len(p[0]) % 2:  # the weight is (-1)^(r-|S|)
-                    details.append(f"altbin: stage {stage} does not reverse sign")
-                if _altbin(stage, *q, r) != p:
-                    details.append(f"altbin: stage {stage} is not an involution")
-        if stage == 1 and len(fixed) != sum(1 for p in space if _altbin_fixed(*p, r)):
-            details.append("altbin: fixed set differs from its description")
+    fixed = space  # the grade is |S|; stage 2 acts on stage 1's fixed points and has none
+    for stage, is_fixed in ((1, lambda p: _altbin_fixed(*p, r)), (2, lambda p: False)):
+        fixed = _check_involution(
+            f"altbin: stage {stage}", "signed space", fixed, members,
+            lambda p: _altbin(stage, *p, r), lambda p: len(p[0]), is_fixed, details,
+        )
     if signed_sum != 0:
         details.append(f"altbin: signed sum is {signed_sum}, expected 0")
-    return _report(not details, len(space), details, signed_sum=signed_sum)
+    return _report(len(space), details, signed_sum=signed_sum)
 
 
 def verify_genalt(n: int, j: int) -> dict:
@@ -737,33 +741,19 @@ def verify_genalt(n: int, j: int) -> dict:
     members = set(domain)
     checked = 0
     current = domain
-    for d in range(j + 1):
-        next_fixed = []
-        for w in current:
-            out = _genalt(d, w)
-            checked += 1
-            if out == w:
-                next_fixed.append(w)
-                continue
-            if out not in members:
-                details.append(f"genalt: stage {d} image of {word_str(w)} is outside the domain")
-                continue
-            if (sum(out) - sum(w)) % 2 == 0:  # the weight is (-1)^(ones)
-                details.append(f"genalt: stage {d} does not reverse sign on {word_str(w)}")
-            if abs(sum(out) - sum(w)) != 1:
-                details.append(f"genalt: stage {d} moves more than one 1 on {word_str(w)}")
-            if _genalt(d, out) != w:
-                details.append(f"genalt: stage {d} is not an involution on {word_str(w)}")
-        if {w for w in current if _genalt_fixed(w, d)} != set(next_fixed):
-            details.append(f"genalt: stage-{d} fixed set differs from its description")
-        current = next_fixed
+    for d in range(j + 1):  # the grade is the number of ones
+        checked += len(current)
+        current = _check_involution(
+            f"genalt: stage {d}", "domain", current, members, partial(_genalt, d), sum,
+            partial(_genalt_fixed, d=d), details, word_str,
+        )
     fixed_sum = sum(_sign(sum(w)) for w in current)
     total = sum((-1) ** k * rascal_gen_value(n, k, j) for k in range(n + 1))
     if fixed_sum != total:
         details.append(f"genalt: fixed-point sum {fixed_sum} != alternating row sum {total}")
     if n % 2 == 1 and current:
         details.append("genalt: odd length should leave no fixed points")
-    return _report(not details, checked, details, signed_sum=fixed_sum, fixed_points=len(current))
+    return _report(checked, details, signed_sum=fixed_sum, fixed_points=len(current))
 
 
 # name -> (verifier, the names of its arguments); `rascal bijection`

@@ -30,7 +30,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import InexactDivision
-from .limits import check_cells
+from .limits import check_cells, require_sizes
 
 METHODS = ("closed", "multiplicative", "linear", "enumeration")
 GEN_METHODS = ("closed", "linear", "enumeration")
@@ -48,10 +48,6 @@ def falling_factorial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("falling_factorial needs n, k >= 0")
     return math.perm(n, k)
-
-
-def in_triangle(n: int, k: int) -> bool:
-    return 0 <= k <= n
 
 
 class TriangleCache:
@@ -73,11 +69,6 @@ class TriangleCache:
             raise ValueError("linear_row needs n, j >= 0")
         self._grow_linear(n, j)
         return self._linear[j][n]
-
-    def linear_value(self, n: int, k: int, j: int = 1) -> int:
-        if not in_triangle(n, k):
-            return 0
-        return self.linear_row(n, j)[k]
 
     def _grow_linear(self, n: int, j: int) -> None:
         while len(self._linear) <= j:
@@ -111,11 +102,6 @@ class TriangleCache:
         while len(self._product) <= n:
             self._product.append(self._build_product_row(len(self._product)))
         return self._product[n]
-
-    def product_value(self, n: int, k: int) -> int:
-        if not in_triangle(n, k):
-            return 0
-        return self.product_row(n)[k]
 
     def _build_product_row(self, n: int) -> list[int]:
         if n == 0:
@@ -176,17 +162,14 @@ def rascal_value(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not in_triangle(n, k):
+    if not 0 <= k <= n:
         return 0
     if method == "closed":
         return k * (n - k) + 1
-    if method == "linear":
-        check_cells(_table_cells(n), "linear recurrence table")
-        return (cache or TriangleCache()).linear_value(n, k, 1)
     if method == "multiplicative":
         check_cells(_table_cells(n), "multiplicative recurrence table")
-        return (cache or TriangleCache()).product_value(n, k)
-    return _enum_row_counts(n, 1)[k]
+        return (cache or TriangleCache()).product_row(n)[k]
+    return rascal_gen_value(n, k, 1, method, cache=cache)
 
 
 def rascal_gen_value(
@@ -202,13 +185,13 @@ def rascal_gen_value(
         raise ValueError("ascent bound j must be >= 0")
     if method not in GEN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GEN_METHODS}")
-    if not in_triangle(n, k):
+    if not 0 <= k <= n:
         return 0
     if method == "closed":
         return closed_value(n, k, j)
     if method == "linear":
         check_cells(_table_cells(n), "linear recurrence table")
-        return (cache or TriangleCache()).linear_value(n, k, j)
+        return (cache or TriangleCache()).linear_row(n, j)[k]
     return _enum_row_counts(n, j)[k]
 
 
@@ -257,8 +240,7 @@ def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int
     Equals R(n - lead_ones - trail_zeros, k - lead_ones): stripping the
     forced prefix and suffix is a bijection onto the smaller family.
     """
-    if lead_ones < 0 or trail_zeros < 0:
-        raise ValueError("prefix/suffix lengths must be >= 0")
+    require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
     return rascal_value(n - lead_ones - trail_zeros, k - lead_ones)
 
 
@@ -268,8 +250,6 @@ def e_defect(n: int, k: int, j: int = 1) -> int:
     For j = 1 this is identically 1 at interior cells (the +1 of the
     product recurrence); for larger j it is tabulated, not closed-form.
     """
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
     return rascal_gen_value(n, k, j) * rascal_gen_value(n - 2, k - 1, j) - (
         rascal_gen_value(n - 1, k, j) * rascal_gen_value(n - 1, k - 1, j)
     )

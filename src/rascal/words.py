@@ -21,10 +21,9 @@ def as_word(w, *, max_letter: int = MAX_LETTER) -> Word:
     """Coerce a digit string or iterable of ints into a word tuple."""
     if isinstance(w, tuple) and all(type(x) is int and 0 <= x <= max_letter for x in w):
         return w
-    if isinstance(w, str):
-        letters = tuple(int(c) for c in w)
-    else:
-        letters = tuple(int(x) for x in w)
+    if isinstance(w, str) and w and not w.isdecimal():
+        raise ValueError(f"{w!r} is not a word of decimal digits")
+    letters = tuple(int(x) for x in w)  # a string gives one letter per digit
     for x in letters:
         if x < 0:
             raise ValueError(f"negative letter {x} in word")
@@ -133,13 +132,9 @@ def avoids(w, p) -> bool:
 
 def contains_001(w) -> bool:
     """Linear-time test for an occurrence i<j<l with w_i = w_j < w_l."""
-    return _contains_001(as_word(w))
-
-
-def _contains_001(w: Word) -> bool:
     seen: set[int] = set()
     repeated_min: int | None = None
-    for x in w:
+    for x in as_word(w):
         if repeated_min is not None and x > repeated_min:
             return True
         if x in seen:
@@ -152,13 +147,9 @@ def _contains_001(w: Word) -> bool:
 
 def contains_210(w) -> bool:
     """Linear-time test for a strictly decreasing subsequence of length 3."""
-    return _contains_210(as_word(w))
-
-
-def _contains_210(w: Word) -> bool:
     prefix_max: int | None = None
     mid_best: int | None = None  # largest letter preceded by a strictly larger one
-    for x in w:
+    for x in as_word(w):
         if mid_best is not None and x < mid_best:
             return True
         if prefix_max is not None and prefix_max > x:

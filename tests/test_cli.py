@@ -504,6 +504,10 @@ class TestNegativeSizes:
             (("enumerate", "avoiders", "--n", "4", "--k", "-1"), "k must be >= 0, got -1"),
             (("enumerate", "avoiders", "--n", "4", "--patterns", "001,210", "--k", "-2", "--count-only"),
              "k must be >= 0, got -2"),
+            (("verify", "half_pow2", "--n-max", "3"), "half_pow2 takes j, not --n-max"),
+            (("verify", "alt_binomial", "--m-max", "2", "--j-max", "1"),
+             "alt_binomial takes r, n, k, not --m-max --j-max"),
+            (("enumerate", "avoiders", "--n", "4", "--patterns", "0a1"), "'0a1' is not a word of decimal digits"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )

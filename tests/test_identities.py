@@ -137,6 +137,14 @@ class TestVerifyRange:
         with pytest.raises(DomainViolation):
             verify_range("col_sum", {"k": (0, 3)})
 
+    def test_extra_range(self):
+        # the same refusal as evaluate's: a key the identity does not take
+        message = r"row_sum takes \['n'\], not \['q'\]"
+        with pytest.raises(DomainViolation, match=message):
+            verify_range("row_sum", {"n": (0, 5), "q": (0, 3)})
+        with pytest.raises(DomainViolation, match=message):
+            evaluate("row_sum", {"n": 5, "q": 0})
+
     def test_cell_cap(self):
         with pytest.raises(ResourceLimit):
             verify_range("row_sum", {"n": (0, 50)}, max_cells=10)

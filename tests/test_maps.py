@@ -20,7 +20,6 @@ from rascal.maps import (
     in_altbin_fix,
     in_genalt_fix,
     ratio_map,
-    run_profile,
     signed_pair,
     strip,
     subset_to_word,
@@ -36,19 +35,18 @@ from rascal.maps import (
     verify_sym,
     word_to_ascseq,
     word_to_subset,
-    word_weight,
 )
 from rascal.words import as_word, asc, contains_001, contains_210, is_ascent_sequence, word_str
 
 
 class TestRunProfile:
     def test_round_trip_on_small_words(self):
-        from rascal.maps import assemble_profile
+        from rascal.maps import _profile, assemble_profile
         from rascal.generate import all_binary_words
 
         for n in range(9):
             for w in all_binary_words(n):
-                x0, pairs, y0 = run_profile(w)
+                x0, pairs, y0 = _profile(w)
                 assert assemble_profile(x0, pairs, y0) == w
                 assert len(pairs) == asc(w)
 
@@ -263,10 +261,6 @@ class TestGenaltInvolution:
         with pytest.raises(DomainViolation):
             genalt_involution(1, "10", 1)  # odd leading run, not fixed by stage 0
 
-    def test_weight(self):
-        assert word_weight("1100") == 1
-        assert word_weight("1110") == -1
-
     def test_sweep(self):
         for n in range(11):
             for j in range(4):
@@ -309,6 +303,57 @@ class TestCheckBijection:
         details = []
         _check_bijection("t", "n=1", [5], {5}, lambda x: 6, lambda y: 5, str, details)
         assert details == ["t: image of 5 is outside the target family", "t: not onto at (n=1)"]
+
+
+class TestCheckInvolution:
+    def test_reports_each_failure(self):
+        from rascal.maps import _check_involution
+
+        details = []
+        # 1 <-> 2 is fine; 3 -> 5 moves two grades; 5 -> 4 but 4 is fixed
+        moves = {1: 2, 2: 1, 3: 5, 5: 4}
+        fixed = _check_involution(
+            "t: stage 1", "space", [1, 2, 3, 4, 5], {1, 2, 3, 4, 5}, lambda x: moves.get(x, x),
+            lambda x: x, lambda x: x == 4, details, str,
+        )
+        assert fixed == [4]
+        assert details == [
+            "t: stage 1 does not change its grade by exactly one on 3",
+            "t: stage 1 is not an involution on 5",
+        ]
+        details = []
+        # 1 <-> 4 flips the sign but moves three grades
+        _check_involution("t: stage 1", "space", [1, 4], {1, 4}, lambda x: 5 - x, lambda x: x,
+                          lambda x: False, details)
+        assert details == ["t: stage 1 does not change its grade by exactly one"] * 2
+        details = []
+        fixed = _check_involution(
+            "t: stage 2", "space", [1], {1}, lambda x: x + 1, lambda x: x, lambda x: True, details
+        )
+        assert fixed == []
+        assert details == [
+            "t: stage 2 image is outside the space",
+            "t: stage 2 fixed set differs from its description",
+        ]
+
+    def test_genalt_stage_keeping_parity_fails(self, monkeypatch):
+        core = maps._genalt
+        # reversal keeps the number of ones, so the sign does not flip
+        monkeypatch.setattr(maps, "_genalt", lambda d, w: w[::-1] if d == 0 else core(d, w))
+        report = verify_genalt(4, 2)  # every word of length 4 has at most 2 ascents
+        assert not report["ok"]
+        assert "genalt: stage 0 does not change its grade by exactly one on 0001" in report["details"]
+
+    def test_altbin_stage2_fixed_point_fails(self, monkeypatch):
+        core = maps._altbin
+
+        def fixing(stage, s, w, r):
+            return (s, w) if stage == 2 and 1 in s else core(stage, s, w, r)
+
+        monkeypatch.setattr(maps, "_altbin", fixing)
+        report = verify_altbin(2, 3, 1)
+        assert not report["ok"]
+        assert "altbin: stage 2 fixed set differs from its description" in report["details"]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +564,7 @@ class TestMapProperties:
         if out == b:
             assert _lead(b) % 2 == 0 and _trail(b) == 0
             return
-        assert abs(sum(out) - sum(b)) == 1 and word_weight(out) == -word_weight(b)
+        assert abs(sum(out) - sum(b)) == 1
         assert genalt_involution(0, out, j) == b
 
     @PROPERTY
@@ -531,7 +576,7 @@ class TestMapProperties:
         if out == w:
             assert in_genalt_fix(w, d, j)
             return
-        assert abs(sum(out) - sum(w)) == 1 and word_weight(out) == -word_weight(w)
+        assert abs(sum(out) - sum(w)) == 1
         assert in_genalt_fix(out, d - 1, j) and not in_genalt_fix(out, d, j)
         assert genalt_involution(d, out, j) == w
 

@@ -171,6 +171,11 @@ class TestWordCoercion:
             as_word([1 << 20])
         assert as_word([1 << 20], max_letter=1 << 21) == (1 << 20,)
 
+    @pytest.mark.parametrize("text", ["0a1", "1 0", "-1", "1.0"])
+    def test_non_digit_string_quoted(self, text):
+        with pytest.raises(ValueError, match=f"^{text!r} is not a word of decimal digits$"):
+            as_word(text)
+
     def test_word_str(self):
         assert word_str((1, 0, 1)) == "101"
         assert word_str("") == ""
