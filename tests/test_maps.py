@@ -323,8 +323,9 @@ class TestCheckInvolution:
         ]
         details = []
         # 1 <-> 4 flips the sign but moves three grades
-        _check_involution("t: stage 1", "space", [1, 4], {1, 4}, lambda x: 5 - x, lambda x: x,
-                          lambda x: False, details)
+        _check_involution(
+            "t: stage 1", "space", [1, 4], {1, 4}, lambda x: 5 - x, lambda x: x, lambda x: False, details
+        )
         assert details == ["t: stage 1 does not change its grade by exactly one"] * 2
         details = []
         fixed = _check_involution(
