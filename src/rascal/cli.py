@@ -20,13 +20,22 @@ from functools import partial
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .limits import check_cells, check_sum, max_cells, require_sizes
-from .numbers import METHODS, choose, e_defect, rascal_gen_value, rascal_value, triangle_rows
+from .numbers import METHODS, choose, e_defect, rascal_gen_value, triangle_rows
 
 FORMATS = ("table", "json", "csv", "bfile")
 
-# the names of maps.BIJECTIONS, kept here so the parser needs no maps
-# import; a test keeps the two equal
-BIJECTION_NAMES = ("sym", "strip", "ascseq", "subset", "divider", "ratio", "altbin", "genalt")
+# name -> {option: default} for `rascal bijection NAME`, which passes
+# each option to maps.verify_NAME as the argument of the same name
+BIJECTIONS = {
+    "sym": {"n_max": 8},
+    "strip": {"n_max": 8},
+    "ascseq": {"n_max": 8},
+    "subset": {"n_max": 8, "j_max": 2},
+    "divider": {"n_max": 8, "j_max": 2},
+    "ratio": {"n": 6, "k": 2},
+    "altbin": {"r": 2, "n": 6, "k": 2},
+    "genalt": {"n": 6, "j": 1},
+}
 
 
 def _write(lines) -> None:
@@ -48,18 +57,11 @@ def _flatten_bfile(values, offset: int) -> str:
 
 
 def _cmd_value(args) -> int:
-    if args.method == "multiplicative":
-        if args.j != 1:
-            print("the multiplicative route is defined for j = 1 only", file=sys.stderr)
-            return 2
-        value = rascal_value(args.n, args.k, "multiplicative")
-    else:
-        if args.method == "closed":
-            # min(j, k, n-k)+1 terms, each of up to n+1 bits
-            terms = max(0, min(args.j, args.k, args.n - args.k) + 1)
-            check_cells(terms * (args.n + 1), "closed-form value")
-        value = rascal_gen_value(args.n, args.k, args.j, args.method)
-    _write([value])
+    if args.method == "closed":
+        # min(j, k, n-k)+1 terms, each of up to n+1 bits
+        terms = max(0, min(args.j, args.k, args.n - args.k) + 1)
+        check_cells(terms * (args.n + 1), "closed-form value")
+    _write([rascal_gen_value(args.n, args.k, args.j, args.method)])
     return 0
 
 
@@ -81,9 +83,7 @@ def _cmd_triangle(args) -> int:
         for n, row in enumerate(rows):
             _write(f"{n},{k},{v}" for k, v in enumerate(row))
     else:
-        sys.stdout.write(
-            _flatten_bfile((v for row in rows for v in row), args.offset)
-        )
+        sys.stdout.write(_flatten_bfile((v for row in rows for v in row), args.offset or 0))
     return 0
 
 
@@ -98,15 +98,9 @@ def _enumerate_items(args):
     from .words import word_str
 
     word_lines = partial(map, word_str)
-    subsets = args.family == "subsets"
-    if args.patterns is not None and args.family != "avoiders":
-        raise DomainViolation(f"--patterns applies to avoiders only, not to {args.family}")
-    if args.n is None or (subsets and args.k is None):
-        raise DomainViolation(f"{args.family} needs --n" + (" and --k" if subsets else ""))
     require_sizes(n=args.n, k=args.k or 0)
     if args.family in ("words", "subsets"):
-        if args.j < 0:
-            raise ValueError("ascent bound j must be >= 0")
+        require_sizes(j=args.j)
         what = f"{args.family} listing"
         if args.k is not None:
             # R(n, k; j) term by term, stopping once past the cap
@@ -123,7 +117,7 @@ def _enumerate_items(args):
                 check_cells(sum(terms), what)
             else:
                 check_sum(terms, what)
-        if subsets:
+        if args.family == "subsets":
             return _restricted_elements(args.n, args.k, args.j), _spaced
         if args.k is not None:
             return words_with_ascents(args.n, args.k, args.j), word_lines
@@ -131,8 +125,9 @@ def _enumerate_items(args):
 
         streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
         return merge(*streams), word_lines
-    # avoiders reads and checks each pattern before it prices or lists anything
-    patterns = [p.strip() for p in (args.patterns or "").split(",") if p.strip()]
+    # ascseq lists the avoiders of no pattern; avoiders checks each pattern before pricing
+    text = getattr(args, "patterns", None) or ""
+    patterns = [p.strip() for p in text.split(",") if p.strip()]
     return avoiders(args.n, patterns, args.k), word_lines
 
 
@@ -178,17 +173,16 @@ def _cmd_verify(args) -> int:
     for name in names:
         grid = {p: (lo, caps.get(p, hi)) for p, (lo, hi) in grids[name].items()}
         reports.append(identities.verify_range(name, grid, oracle=args.oracle))
+    failed = [r for r in reports if not r.passed or r.corrected_passed is False]
     if args.format == "json":
         import json
 
         payload = [r.to_dict(timing=args.timing) for r in reports]
         _write([json.dumps(payload[0] if args.name != "all" else payload)])
     else:
-        failed = [r for r in reports if not r.passed or r.corrected_passed is False]
         summary = f"{len(reports) - len(failed)}/{len(reports)} identities pass"
         _write([*(line for r in reports for line in _report_lines(r)), summary])
-    ok = all(r.passed and r.corrected_passed is not False for r in reports)
-    return 0 if ok else 1
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +190,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    from .maps import BIJECTIONS
+    from . import maps
 
-    verifier, params = BIJECTIONS[args.name]
-    report = verifier(*(getattr(args, p) for p in params))
+    options = {option: getattr(args, option) for option in BIJECTIONS[args.name]}
+    report = getattr(maps, f"verify_{args.name}")(**options)
     lines = []
     if "missed" in report:
         lines.append(
@@ -220,9 +214,7 @@ def _cmd_bijection(args) -> int:
 
 def _cmd_etable(args) -> int:
     require_sizes(n_max=args.n_max, j_max=args.j_max)
-    check_cells(
-        (args.j_max + 1) * (args.n_max + 1) * (args.n_max + 2) // 2, "E table"
-    )
+    check_cells((args.j_max + 1) * (args.n_max + 1) * (args.n_max + 2) // 2, "E table")
     tables = {
         j: [[e_defect(n, k, j) for k in range(n + 1)] for n in range(args.n_max + 1)]
         for j in range(args.j_max + 1)
@@ -256,7 +248,7 @@ def _cmd_etable(args) -> int:
                 _write(f"{n},{k},{j},{v}" for k, v in enumerate(row))
     else:
         values = [v for rows in tables.values() for row in rows for v in row]
-        sys.stdout.write(_flatten_bfile(values, args.offset))
+        sys.stdout.write(_flatten_bfile(values, args.offset or 0))
     if negatives and args.format != "table":
         print(f"negative entries: {len(negatives)}", file=sys.stderr)
     return 0
@@ -285,16 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--method", choices=METHODS, default="closed")
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--offset", type=int, default=0, help="first index in bfile output")
+    p.add_argument("--offset", type=int, help="first index in bfile output (default 0)")
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("enumerate", help="list or count a word family")
-    p.add_argument("family", choices=("words", "ascseq", "avoiders", "subsets"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--patterns", help="comma-separated patterns, e.g. 001,210")
-    p.add_argument("--count-only", action="store_true")
+    families = p.add_subparsers(dest="family", required=True)
+    for family in ("words", "ascseq", "avoiders", "subsets"):
+        q = families.add_parser(family)
+        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--k", type=int, required=family == "subsets")
+        if family in ("words", "subsets"):
+            q.add_argument("--j", type=int, default=1)
+        if family == "avoiders":
+            q.add_argument("--patterns", help="comma-separated patterns, e.g. 001,210")
+        q.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="check identities over parameter grids")
@@ -310,20 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bijection", help="exhaustively check one constructive map")
-    p.add_argument("name", choices=BIJECTION_NAMES)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--j-max", type=int, default=2)
+    names = p.add_subparsers(dest="name", required=True)
+    for name, options in BIJECTIONS.items():
+        # no abbreviations: sym must refuse --n, not read it as --n-max
+        q = names.add_parser(name, allow_abbrev=False)
+        for option, default in options.items():
+            q.add_argument("--" + option.replace("_", "-"), type=int, default=default)
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("etable", help="tabulate the product-recurrence defect E(n,k,j)")
     p.add_argument("n_max", type=int)
     p.add_argument("j_max", type=int)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--offset", type=int)
     p.set_defaults(func=_cmd_etable)
 
     return parser
@@ -334,6 +329,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         max_cells()  # reject a malformed RASCAL_MAX_CELLS on every command
+        # an option that one format reads is refused under the others
+        if getattr(args, "offset", None) is not None and args.format != "bfile":
+            raise DomainViolation("--offset applies to --format bfile only")
+        if getattr(args, "timing", False) and args.format != "json":
+            raise DomainViolation("--timing applies to --format json only")
         return args.func(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -21,8 +21,6 @@ a separate description (in_altbin_fix, in_genalt_fix), which the next
 stage then acts on.  The ratio verifier checks its injection directly.
 Before building anything, every verifier prices the objects it will
 check from closed forms against the one cell budget (limits.check_sum).
-BIJECTIONS maps each verifier's name to the function and the names of
-its arguments; `rascal bijection` is a lookup in it.
 """
 
 from __future__ import annotations
@@ -754,18 +752,3 @@ def verify_genalt(n: int, j: int) -> dict:
     if n % 2 == 1 and current:
         details.append("genalt: odd length should leave no fixed points")
     return _report(checked, details, signed_sum=fixed_sum, fixed_points=len(current))
-
-
-# name -> (verifier, the names of its arguments); `rascal bijection`
-# looks names up here and takes each argument from the option of the
-# same name.
-BIJECTIONS = {
-    "sym": (verify_sym, ("n_max",)),
-    "strip": (verify_strip, ("n_max",)),
-    "ascseq": (verify_ascseq, ("n_max",)),
-    "subset": (verify_subset, ("n_max", "j_max")),
-    "divider": (verify_divider, ("n_max", "j_max")),
-    "ratio": (verify_ratio, ("n", "k")),
-    "altbin": (verify_altbin, ("r", "n", "k")),
-    "genalt": (verify_genalt, ("n", "j")),
-}

@@ -19,8 +19,11 @@ Four routes are implemented and cross-checked by the test suite:
 * enumeration    -- literally filter all 2^n binary words (priced at 2^n cells)
 
 Both recurrences apply to interior cells 1 <= k <= n-1 only; boundary
-columns k = 0 and k = n are the base value 1.  Python ints are exact at
-any size, so all arithmetic here is exact by construction.
+columns k = 0 and k = n are the base value 1; the product recurrence is
+defined for j = 1 only.  `_route_row` is the one dispatch over the
+routes; `triangle_rows` and `rascal_gen_value` refuse a bad route
+(`_check_route`) and price the work before they call it.  Python ints
+are exact at any size, so all arithmetic here is exact by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .errors import InexactDivision
 from .limits import check_cells, require_sizes
 
 METHODS = ("closed", "multiplicative", "linear", "enumeration")
-GEN_METHODS = ("closed", "linear", "enumeration")
 
 
 def choose(n: int, k: int) -> int:
@@ -148,6 +150,29 @@ def _enum_row_counts(n: int, j: int) -> list[int]:
     return counts
 
 
+def _check_route(method: str, j: int) -> None:
+    """Refuse a bad route before anything is priced: j >= 0, a known
+    method, and j = 1 on the multiplicative route."""
+    if j < 0:
+        raise ValueError("ascent bound j must be >= 0")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "multiplicative" and j != 1:
+        raise ValueError("the multiplicative route is defined for j = 1 only")
+
+
+def _route_row(method: str, n: int, j: int, cache: TriangleCache) -> list[int]:
+    """Row n of R(., .; j) by one route; the caller has checked the
+    route and priced the work."""
+    if method == "closed":
+        return closed_row(n, j)
+    if method == "linear":
+        return cache.linear_row(n, j)
+    if method == "multiplicative":
+        return cache.product_row(n)
+    return _enum_row_counts(n, j)
+
+
 def rascal_value(
     n: int,
     k: int,
@@ -160,16 +185,9 @@ def rascal_value(
     `cache` lets callers reuse recurrence tables across calls; when
     omitted, a throwaway one is built.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0 <= k <= n:
-        return 0
-    if method == "closed":
-        return k * (n - k) + 1
-    if method == "multiplicative":
-        check_cells(_table_cells(n), "multiplicative recurrence table")
-        return (cache or TriangleCache()).product_row(n)[k]
-    return rascal_gen_value(n, k, 1, method, cache=cache)
+    if method != "closed":
+        return rascal_gen_value(n, k, 1, method, cache=cache)
+    return k * (n - k) + 1 if 0 <= k <= n else 0
 
 
 def rascal_gen_value(
@@ -181,18 +199,14 @@ def rascal_gen_value(
     cache: TriangleCache | None = None,
 ) -> int:
     """R(n, k; j): binary words of length n, k ones, at most j ascents."""
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
-    if method not in GEN_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {GEN_METHODS}")
+    _check_route(method, j)
     if not 0 <= k <= n:
         return 0
     if method == "closed":
         return closed_value(n, k, j)
-    if method == "linear":
-        check_cells(_table_cells(n), "linear recurrence table")
-        return (cache or TriangleCache()).linear_row(n, j)[k]
-    return _enum_row_counts(n, j)[k]
+    if method != "enumeration":  # priced at 2^n by all_binary_words
+        check_cells(_table_cells(n), f"{method} recurrence table")
+    return _route_row(method, n, j, cache or TriangleCache())[k]
 
 
 def closed_row(n: int, j: int = 1) -> list[int]:
@@ -264,21 +278,9 @@ def triangle_rows(
     max_cells: int | None = None,
 ) -> list[list[int]]:
     """Rows 0..n_max of the triangle for ascent bound j."""
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
+    _check_route(method, j)
     if n_max < 0:
         return []
     check_cells(_table_cells(n_max), "triangle", max_cells)
-    if method == "multiplicative":
-        if j != 1:
-            raise ValueError("the multiplicative route is defined for j = 1 only")
-        cache = cache or TriangleCache()
-        return [list(cache.product_row(n)) for n in range(n_max + 1)]
-    if method == "linear":
-        cache = cache or TriangleCache()
-        return [list(cache.linear_row(n, j)) for n in range(n_max + 1)]
-    if method == "enumeration":
-        return [_enum_row_counts(n, j) for n in range(n_max + 1)]
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-    return [closed_row(n, j) for n in range(n_max + 1)]
+    cache = cache or TriangleCache()
+    return [list(_route_row(method, n, j, cache)) for n in range(n_max + 1)]

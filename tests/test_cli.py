@@ -14,9 +14,7 @@ from pathlib import Path
 import pytest
 
 import rascal
-from rascal import cli
-from rascal.cli import main
-from rascal.maps import BIJECTIONS
+from rascal.cli import BIJECTIONS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,6 +37,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(capsys, *argv):
+    """Exit code, stdout, stderr and seconds of a command that the
+    parser refuses."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err, seconds
 
 
 class TestValue:
@@ -216,8 +225,9 @@ class TestEnumerate:
         assert code == 2
 
     def test_missing_flags(self, capsys):
-        code, _, err = run(capsys, "enumerate", "words")
-        assert code == 2
+        code, out, err, _ = refused(capsys, "enumerate", "words")
+        assert (code, out) == (2, "")
+        assert "--n" in err
 
     @pytest.mark.parametrize(
         "family, sizes",
@@ -225,10 +235,28 @@ class TestEnumerate:
     )
     def test_patterns_only_for_avoiders(self, capsys, family, sizes):
         # listing every object while ignoring --patterns would be a wrong answer
-        start = time.perf_counter()
-        code, out, err = run(capsys, "enumerate", family, *sizes, "--patterns", "001,210", "--count-only")
-        assert (code, out, time.perf_counter() - start < 1.0) == (2, "", True)
+        code, out, err, seconds = refused(
+            capsys, "enumerate", family, *sizes, "--patterns", "001,210", "--count-only"
+        )
+        assert (code, out, seconds < 1.0) == (2, "", True)
         assert "--patterns" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("ascseq", "--n", "4", "--j", "0", "--count-only"), "--j 0"),
+            (("ascseq", "--n", "4", "--j", "-7"), "--j -7"),
+            (("avoiders", "--n", "4", "--j", "9"), "--j 9"),
+            *[((family, "--k", "1"), "--n") for family in ("words", "ascseq", "avoiders", "subsets")],
+            (("subsets", "--n", "4", "--j", "1"), "--k"),
+        ],
+        ids=" ".join,
+    )
+    def test_option_outside_family_refused(self, capsys, argv, option):
+        # --patterns outside avoiders is test_patterns_only_for_avoiders
+        code, out, err, seconds = refused(capsys, "enumerate", *argv)
+        assert (code, out, seconds < 1.0) == (2, "", True)
+        assert option in err
 
 
 class TestVerify:
@@ -310,7 +338,7 @@ class TestBijection:
 
     @pytest.mark.parametrize("name", sorted(BIJECTIONS))
     def test_negative_sizes(self, capsys, name):
-        for param in BIJECTIONS[name][1]:
+        for param in BIJECTIONS[name]:
             flag = "--" + param.replace("_", "-")
             code, out, err = run(capsys, "bijection", name, flag, "-1")
             assert (code, out) == (2, ""), (name, param)
@@ -318,8 +346,18 @@ class TestBijection:
 
     def test_each_remaining_name(self, capsys):
         for name in ("sym", "strip", "subset", "divider"):
-            code, out, _ = run(capsys, "bijection", name, "--n-max", "6", "--j-max", "2")
+            j_max = ("--j-max", "2") if "j_max" in BIJECTIONS[name] else ()
+            code, out, _ = run(capsys, "bijection", name, "--n-max", "6", *j_max)
             assert code == 0, (name, out)
+
+    @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+    def test_options_of_other_verifiers_refused(self, capsys, name):
+        others = {option for options in BIJECTIONS.values() for option in options}
+        for option in sorted(others - set(BIJECTIONS[name])):
+            flag = "--" + option.replace("_", "-")
+            code, out, err, seconds = refused(capsys, "bijection", name, flag, "3")
+            assert (code, out, seconds < 1.0) == (2, "", True), (name, flag)
+            assert f"unrecognized arguments: {flag} 3" in err, (name, flag, err)
 
 
 # one small run of every command; each must be refused under a tiny budget
@@ -508,6 +546,15 @@ class TestNegativeSizes:
             (("verify", "alt_binomial", "--m-max", "2", "--j-max", "1"),
              "alt_binomial takes r, n, k, not --m-max --j-max"),
             (("enumerate", "avoiders", "--n", "4", "--patterns", "0a1"), "'0a1' is not a word of decimal digits"),
+            (("triangle", "2", "--offset", "7"), "--offset applies to --format bfile only"),
+            (("triangle", "2", "--format", "csv", "--offset", "0"), "--offset applies to --format bfile only"),
+            (("etable", "2", "1", "--format", "json", "--offset", "3"), "--offset applies to --format bfile only"),
+            (("verify", "row_sum", "--n-max", "3", "--timing"), "--timing applies to --format json only"),
+            (("triangle", "100000", "--method", "multiplicative", "--j", "2"),
+             "the multiplicative route is defined for j = 1 only"),
+            (("value", "100000", "5", "--method", "multiplicative", "--j", "2"),
+             "the multiplicative route is defined for j = 1 only"),
+            (("triangle", "100000", "--j", "-1"), "ascent bound j must be >= 0"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )
@@ -561,9 +608,6 @@ class TestStartup:
     def test_import_rascal_loads_no_submodule(self):
         assert loaded_modules("import rascal") == set()
 
-    def test_bijection_names_match_maps(self):
-        assert cli.BIJECTION_NAMES == tuple(BIJECTIONS)
-
 
 # every name `rascal` exported when its __init__ imported them eagerly
 OLD_EXPORTS = {
@@ -603,7 +647,7 @@ class TestLazyPackage:
 
     def test_version_and_submodules(self):
         assert rascal.__version__ == "0.1.0"
-        assert rascal.maps.BIJECTIONS is BIJECTIONS
+        assert rascal.maps is importlib.import_module("rascal.maps")
 
 
 class CountingStdout(io.StringIO):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rascal import maps, words
+from rascal import cli, maps, words
 from rascal.errors import DomainViolation
 from rascal.generate import RestrictedSubset, words_with_ascents
 from rascal.maps import (
-    BIJECTIONS,
     MarkedWord,
     SignedPair,
     altbin_involution,
@@ -659,7 +658,7 @@ class TestVerifierStructure:
     }
     GENERATORS = ("words_with_ascents", "avoiders", "canonical_avoiders")
 
-    @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+    @pytest.mark.parametrize("name", sorted(cli.BIJECTIONS))
     def test_words_checked_per_family_not_per_object(self, monkeypatch, name):
         calls = {"as_word": 0, "listings": 0}
 
@@ -673,8 +672,7 @@ class TestVerifierStructure:
         monkeypatch.setattr(words, "as_word", counting("as_word", words.as_word))
         for generator in self.GENERATORS:
             monkeypatch.setattr(maps, generator, counting("listings", getattr(maps, generator)))
-        verifier, _ = BIJECTIONS[name]
-        report = verifier(*self.SMALL[name])
+        report = getattr(maps, f"verify_{name}")(*self.SMALL[name])
         assert report["ok"], report["details"][:3]
         # at most two word checks per generator listing, where a check per
         # mapped object makes more than that at each of these sizes

@@ -128,12 +128,48 @@ class TestRascalGenValue:
         with pytest.raises(ValueError):
             rascal_gen_value(3, 1, -1)
 
+    def test_multiplicative_route_at_j1(self):
+        cache = TriangleCache()
+        for n in range(41):
+            for k in range(-1, n + 2):
+                assert rascal_gen_value(n, k, 1, "multiplicative", cache=cache) == closed_value(n, k, 1)
+
+    def test_routes_fill_their_own_tables(self):
+        # the product route gives the additive route's values, so only its
+        # table shows that it ran the product recurrence
+        product, linear = TriangleCache(), TriangleCache()
+        rascal_gen_value(8, 3, 1, "multiplicative", cache=product)
+        triangle_rows(8, method="linear", cache=linear)
+        assert (len(product._product), len(product._linear)) == (9, 0)
+        assert (len(linear._product), len(linear._linear)) == (0, 2)
+
     def test_huge_j_sums_only_nonzero_terms(self):
         start = time.perf_counter()
         assert rascal_gen_value(5, 2, 10**8) == 10
         # every word of length 60 with 30 ones has at most 30 ascents
         assert rascal_gen_value(60, 30, 10**12) == comb(60, 30)
         assert time.perf_counter() - start < 1.0
+
+
+# a bad route is refused before the (n+1)(n+2)/2-cell table is priced:
+# each call is far over the default budget
+BAD_ROUTES = [
+    ({"method": "magic"}, "unknown method 'magic'"),
+    ({"j": -1}, "ascent bound j must be >= 0"),
+    ({"j": 2, "method": "multiplicative"}, "the multiplicative route is defined for j = 1 only"),
+]
+
+
+class TestRouteChecked:
+    @pytest.mark.parametrize("route, message", BAD_ROUTES)
+    def test_triangle_rows(self, route, message):
+        with pytest.raises(ValueError, match=message):
+            triangle_rows(100000, **route)
+
+    @pytest.mark.parametrize("route, message", BAD_ROUTES)
+    def test_rascal_gen_value(self, route, message):
+        with pytest.raises(ValueError, match=message):
+            rascal_gen_value(100000, 5, **route)
 
 
 class TestClosedValue:
