@@ -57,10 +57,6 @@ def _flatten_bfile(values, offset: int) -> str:
 
 
 def _cmd_value(args) -> int:
-    if args.method == "closed":
-        # min(j, k, n-k)+1 terms, each of up to n+1 bits
-        terms = max(0, min(args.j, args.k, args.n - args.k) + 1)
-        check_cells(terms * (args.n + 1), "closed-form value")
     _write([rascal_gen_value(args.n, args.k, args.j, args.method)])
     return 0
 
@@ -94,33 +90,27 @@ def _cmd_triangle(args) -> int:
 def _enumerate_items(args):
     """The listed objects, lazily and in order, and the function that
     turns them into lines."""
-    from .generate import _restricted_elements, avoiders, words_with_ascents
+    from .generate import _check_restricted, _restricted_elements, avoiders, words_with_ascents
     from .words import word_str
 
     word_lines = partial(map, word_str)
     require_sizes(n=args.n, k=args.k or 0)
     if args.family in ("words", "subsets"):
         require_sizes(j=args.j)
-        what = f"{args.family} listing"
-        if args.k is not None:
-            # R(n, k; j) term by term, stopping once past the cap
-            n, k = args.n, args.k
-            terms = (choose(k, i) * choose(n - k, i) for i in range(min(args.j, k, n - k) + 1))
-            check_sum(terms, what)
-        else:
-            # every k: sum_k R(n, k; j) = sum_{t <= 2j+1} C(n, t), as in
-            # gen_row_sum.  Up to 64 binomials are summed outright, so the
-            # message gives the total; more are drawn only until past the cap.
-            t_max = min(2 * args.j + 1, args.n)
-            terms = (choose(args.n, t) for t in range(t_max + 1))
-            if t_max < 64:
-                check_cells(sum(terms), what)
-            else:
-                check_sum(terms, what)
-        if args.family == "subsets":
+        if args.family == "subsets":  # priced where it is built
             return _restricted_elements(args.n, args.k, args.j), _spaced
         if args.k is not None:
+            _check_restricted(args.n, args.k, args.j, "words listing")
             return words_with_ascents(args.n, args.k, args.j), word_lines
+        # every k: sum_k R(n, k; j) = sum_{t <= 2j+1} C(n, t), as in
+        # gen_row_sum.  Up to 64 binomials are summed outright, so the
+        # message gives the total; more are drawn only until past the cap.
+        t_max = min(2 * args.j + 1, args.n)
+        terms = (choose(args.n, t) for t in range(t_max + 1))
+        if t_max < 64:
+            check_cells(sum(terms), "words listing")
+        else:
+            check_sum(terms, "words listing")
         from heapq import merge
 
         streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
@@ -263,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rascal",
         description="Rascal triangle toolkit: values, word families, bijections, identities",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: `verify row_sum --n 5` must refuse --n, not read it as --n-max
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("value", help="one triangle entry")
     p.add_argument("n", type=int)
@@ -281,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("enumerate", help="list or count a word family")
-    families = p.add_subparsers(dest="family", required=True)
+    families = p.add_subparsers(dest="family", required=True, parser_class=strict)
     for family in ("words", "ascseq", "avoiders", "subsets"):
         q = families.add_parser(family)
         q.add_argument("--n", type=int, required=True)
@@ -306,10 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bijection", help="exhaustively check one constructive map")
-    names = p.add_subparsers(dest="name", required=True)
+    names = p.add_subparsers(dest="name", required=True, parser_class=strict)
     for name, options in BIJECTIONS.items():
-        # no abbreviations: sym must refuse --n, not read it as --n-max
-        q = names.add_parser(name, allow_abbrev=False)
+        q = names.add_parser(name)
         for option, default in options.items():
             q.add_argument("--" + option.replace("_", "-"), type=int, default=default)
     p.set_defaults(func=_cmd_bijection)

@@ -8,8 +8,9 @@ lazily, while count_words_with_ascents walks run-length profiles and
 all_binary_words lists all 2^n words; avoiders walks a pruned tree of
 ascent-sequence prefixes, while ascent_sequences walks the whole tree
 unpruned.  Each generator is priced against the cell budget before its
-first object: words by closed forms at the call sites, ascent sequences
-by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
+first object: words by closed forms at the call sites, restricted
+subsets by R(n, k; j), profile counts by their profiles, ascent
+sequences by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import comb
 from collections.abc import Iterator
 
 from .errors import DomainViolation, ResourceLimit
-from .limits import check_cells, max_cells
+from .limits import check_cells, check_sum, max_cells
 from .words import (
     Word,
     as_word,
@@ -39,16 +40,6 @@ def all_binary_words(n: int) -> Iterator[Word]:
     if n >= cap.bit_length():  # 2^n > cap, without building 2^n
         raise ResourceLimit(f"2^{n} binary words exceed the cap {cap}")
     return product((0, 1), repeat=n)
-
-
-def _head_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Tuples (a_0, a_1, ..., a_parts) with a_0 >= 0, a_i >= 1, summing to total."""
-    if parts == 0:
-        yield (total,)
-        return
-    for head in range(total - parts + 1):
-        for rest in _positive_compositions(total - head, parts):
-            yield (head,) + rest
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -94,9 +85,10 @@ def _one_runs(prefix: Word, zeros: int, ones: int, left: int) -> Iterator[Word]:
 
 
 def _profile_count(total: int, parts: int) -> int:
-    """How many _head_compositions(total, parts) there are, counted by
-    walking them: the oracle never takes a binomial from the closed form."""
-    return sum(1 for _ in _head_compositions(total, parts))
+    """How many (a_0, ..., a_parts) with a_0 >= 0, a_i >= 1 sum to total,
+    counted by walking them as the positive compositions of total + 1
+    (a_0 + 1 first): the oracle never takes a binomial from the closed form."""
+    return sum(1 for _ in _positive_compositions(total + 1, parts + 1))
 
 
 def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
@@ -117,8 +109,11 @@ def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
 def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
     """|B_k^(j)(n)| from the run-length profiles of words_with_ascents,
     each side's profiles walked and counted once per r, then multiplied;
-    no letters and no binomials, so this is the cheap oracle for large
-    identity grids."""
+    no letters and no binomials in the count, so this is the cheap
+    oracle for large identity grids.  Priced first by the profiles it
+    walks, C(k, r) + C(n-k, r) for each r, only until past the cap."""
+    terms = (comb(k, r) + comb(n - k, r) for r in range(min(j, k, n - k) + 1))
+    check_sum(terms, "walking oracle profiles")
     return _count_by_profiles(_profile_count, n, k, j)
 
 
@@ -286,17 +281,25 @@ class RestrictedSubset:
             )
 
 
+def _check_restricted(n: int, k: int, j: int, what: str) -> None:
+    """Price R(n, k; j) objects term by term, C(k, i) * C(n-k, i) for
+    i <= min(j, k, n-k), only until past the cap."""
+    check_sum((comb(k, i) * comb(n - k, i) for i in range(min(j, k, n - k) + 1)), what)
+
+
 def _restricted_elements(n: int, k: int, j: int) -> list[tuple[int, ...]]:
     """The sorted element tuples of restricted_subsets(n, k, j), correct
     by construction and so not checked one by one.
 
-    Built as a low part (t <= j elements of {1..n-k}) times a high part
-    (k-t elements of {n-k+1..n}), so the cost follows the output.
+    Priced by `_check_restricted`, then built as a low part (t <= j
+    elements of {1..n-k}) times a high part (k-t elements of
+    {n-k+1..n}), so the cost follows the output.
     """
     if j < 0:
         raise ValueError("intersection bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return []
+    _check_restricted(n, k, j, "subsets listing")
     low, high = range(1, n - k + 1), range(n - k + 1, n + 1)
     return sorted(
         lo + hi

@@ -2,13 +2,14 @@
 
 Each entry carries the statement as written, executable evaluators for
 both sides, and its parameter domain as `bounds`: `{param: (lo, hi)}`
-in parameter order, where `lo` is an int or None and `hi` is None or
-the name of an earlier parameter, so "1 <= m <= n" is
-`{"n": (None, None), "m": (1, "n")}`.  The parameter names and the
-domain text both come from `bounds`.  Verification never repairs a
-failing formula: where enumeration contradicts a stated right-hand
-side, a corrected variant is registered alongside it and reports show
-both, so the discrepancy stays visible as a permanent regression check.
+in parameter order, where `lo` is an int or None and `hi` is None,
+or for the last parameter the name of the one before it (`_register`
+refuses any other shape), so "1 <= m <= n" is `{"n": (None, None),
+"m": (1, "n")}`.  The parameter names and the domain text both come
+from `bounds`.  Verification never repairs a failing formula: where
+enumeration contradicts a stated right-hand side, a corrected variant
+is registered alongside it and reports show both, so the discrepancy
+stays visible as a permanent regression check.
 
 Left-hand sides are expressed through a value source `v(n, k, j=1)`,
 which is either the closed form or an enumeration count (the product
@@ -23,9 +24,10 @@ builds rows cell by cell from its own counts.
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, **params)`, the left side at `params` from `prev`, the
 left side one less on that parameter.  `verify_range` clips each grid
-axis to its bounds given the earlier values, prices the grid from the
-clipped lengths before evaluating a cell, and folds each run of the
-last axis with `step`, so each cell costs only its new terms.
+axis to its bounds given the earlier values, prices the grid in closed
+form before evaluating a cell (the leading axes' values times the runs
+of the last axis summed over the axis before it), and folds each run of
+the last axis with `step`, so each cell costs only its new terms.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ _REGISTRY: dict[str, Identity] = {}
 def _register(name: str, statement: str, bounds, lhs, rhs, **options) -> None:
     if name in _REGISTRY:
         raise ValueError(f"duplicate identity name {name!r}")
+    caps = [hi for _, hi in bounds.values()]
+    if any(caps[:-1]) or caps[-1] not in (None, *list(bounds)[-2:-1]):
+        raise ValueError(f"{name}: only the last parameter may be capped, by the one before it")
     _REGISTRY[name] = Identity(name, statement, bounds, lhs, rhs, **options)
 
 
@@ -433,38 +438,24 @@ def _tied_cells(t: int, lo: int, hi: int) -> int:
 
 
 def _grid_size(ident: Identity, grid, cap: int) -> int:
-    """The number of grid cells inside the domain.  The runs of the last
-    axis are priced a family at a time in closed form, one family for
-    each value of the axes before the last two, and every run and every
-    family is charged at least one unit against `cap`, so a grid of
-    empty or one-cell runs is refused without walking its runs; past
-    `cap` it raises ResourceLimit.  When no later bound reads the first
-    of three axes, every family is alike: one is priced and multiplied
-    by the number of first-axis values."""
-    axes = _axes(ident, grid)
-    _, lo, hi, tie = axes[-1]
-    copies = 1
-    if len(axes) == 3 and axes[0][0] not in (axes[1][3], tie):
-        _, first_lo, first_hi, _ = axes.pop(0)
-        copies = max(0, first_hi - first_lo + 1)
-    if len(axes) == 1:
-        families, tied = [({}, range(1))], False
+    """The number of grid cells inside the domain, in closed form: the
+    values of the leading axes times the cells of the last axis summed
+    over the runs of the axis before it.  Every run and every value of
+    the leading axes is charged at least one unit against `cap`, so a
+    grid of empty or one-cell runs is refused without walking it; past
+    `cap` it raises ResourceLimit.  A one-value axis 0..0 goes first, so
+    even a one-axis grid has an axis before its last."""
+    *lead, (_, start, stop, _), (_, lo, hi, tie) = [(None, 0, 0, None), *_axes(ident, grid)]
+    copies = prod(max(0, b - a + 1) for _, a, b, _ in lead)
+    runs, width = max(0, stop - start + 1), max(0, hi - lo + 1)
+    if tie:  # the run at x is lo..min(hi, x)
+        cells = max(0, _tied_cells(stop + 1, lo, hi) - _tied_cells(start, lo, hi))
+        empty = runs if hi < lo else min(max(lo - start, 0), runs)
     else:
-        families, tied = _walk(axes[:-1], {}), tie == axes[-2][0]
-    size = units = 0
-    for head, xs in families:
-        runs = max(0, xs.stop - xs.start)  # len() overflows past 2^63
-        if tied:  # the run at x is lo..min(hi, x)
-            cells = _tied_cells(xs.stop, lo, hi) - _tied_cells(xs.start, lo, hi) if runs else 0
-            empty = runs if hi < lo else min(max(lo - xs.start, 0), runs)
-        else:  # every run is lo..hi, cut at a value of the head
-            width = max(0, (hi if tie is None else min(hi, head[tie])) - lo + 1)
-            cells, empty = runs * width, 0 if width else runs
-        size += cells * copies
-        units += max(1, cells + empty) * copies
-        if units > cap:
-            raise ResourceLimit(f"grid for identity {ident.name} needs more than {cap} cells")
-    return size
+        cells, empty = runs * width, 0 if width else runs
+    if copies * max(1, cells + empty) > cap:
+        raise ResourceLimit(f"grid for identity {ident.name} needs more than {cap} cells")
+    return copies * cells
 
 
 def verify_range(

@@ -39,7 +39,7 @@ from .generate import (
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes
-from .numbers import choose, rascal_gen_value, rascal_value
+from .numbers import choose, closed_value, rascal_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
 
@@ -610,8 +610,8 @@ def verify_ascseq(n_max: int) -> dict:
 def verify_subset(n_max: int, j_max: int) -> dict:
     """word_to_subset / subset_to_word are mutually inverse bijections."""
     require_sizes(n_max=n_max, j_max=j_max)
-    families = (  # both directions, with R(n, k; j) = R(n, k; n) for j > n
-        2 * rascal_gen_value(n, k, min(j, n))
+    families = (  # both directions
+        2 * closed_value(n, k, j)
         for n in range(n_max + 1)
         for k in range(n + 1)
         for j in range(j_max + 1)
@@ -733,7 +733,7 @@ def verify_genalt(n: int, j: int) -> dict:
     equals the alternating row sum."""
     require_sizes(n=n, j=j)
     # each of the j + 1 stages visits at most the whole domain
-    check_sum(((j + 1) * rascal_gen_value(n, k, j) for k in range(n + 1)), "genalt check")
+    check_sum(((j + 1) * closed_value(n, k, j) for k in range(n + 1)), "genalt check")
     details: list[str] = []
     domain = [w for k in range(n + 1) for w in words_with_ascents(n, k, j)]
     members = set(domain)
@@ -746,7 +746,7 @@ def verify_genalt(n: int, j: int) -> dict:
             partial(_genalt_fixed, d=d), details, word_str,
         )
     fixed_sum = sum(_sign(sum(w)) for w in current)
-    total = sum((-1) ** k * rascal_gen_value(n, k, j) for k in range(n + 1))
+    total = sum((-1) ** k * closed_value(n, k, j) for k in range(n + 1))
     if fixed_sum != total:
         details.append(f"genalt: fixed-point sum {fixed_sum} != alternating row sum {total}")
     if n % 2 == 1 and current:

@@ -202,7 +202,8 @@ def rascal_gen_value(
     _check_route(method, j)
     if not 0 <= k <= n:
         return 0
-    if method == "closed":
+    if method == "closed":  # min(j, k, n-k) + 1 terms of up to n + 1 bits each
+        check_cells((min(j, k, n - k) + 1) * (n + 1), "closed-form value")
         return closed_value(n, k, j)
     if method != "enumeration":  # priced at 2^n by all_binary_words
         check_cells(_table_cells(n), f"{method} recurrence table")
@@ -263,9 +264,11 @@ def e_defect(n: int, k: int, j: int = 1) -> int:
 
     For j = 1 this is identically 1 at interior cells (the +1 of the
     product recurrence); for larger j it is tabulated, not closed-form.
+    Checked and priced once, by `rascal_gen_value` at (n, k): no other
+    of the four cells costs more, and all four are 0 when it is.
     """
-    return rascal_gen_value(n, k, j) * rascal_gen_value(n - 2, k - 1, j) - (
-        rascal_gen_value(n - 1, k, j) * rascal_gen_value(n - 1, k - 1, j)
+    return rascal_gen_value(n, k, j) * closed_value(n - 2, k - 1, j) - (
+        closed_value(n - 1, k, j) * closed_value(n - 1, k - 1, j)
     )
 
 
@@ -275,12 +278,11 @@ def triangle_rows(
     *,
     method: str = "closed",
     cache: TriangleCache | None = None,
-    max_cells: int | None = None,
 ) -> list[list[int]]:
     """Rows 0..n_max of the triangle for ascent bound j."""
     _check_route(method, j)
     if n_max < 0:
         return []
-    check_cells(_table_cells(n_max), "triangle", max_cells)
+    check_cells(_table_cells(n_max), "triangle")
     cache = cache or TriangleCache()
     return [list(_route_row(method, n, j, cache)) for n in range(n_max + 1)]

@@ -17,9 +17,9 @@ Word = tuple[int, ...]
 MAX_LETTER = 1 << 16
 
 
-def as_word(w, *, max_letter: int = MAX_LETTER) -> Word:
+def as_word(w) -> Word:
     """Coerce a digit string or iterable of ints into a word tuple."""
-    if isinstance(w, tuple) and all(type(x) is int and 0 <= x <= max_letter for x in w):
+    if isinstance(w, tuple) and all(type(x) is int and 0 <= x <= MAX_LETTER for x in w):
         return w
     if isinstance(w, str) and w and not w.isdecimal():
         raise ValueError(f"{w!r} is not a word of decimal digits")
@@ -27,8 +27,8 @@ def as_word(w, *, max_letter: int = MAX_LETTER) -> Word:
     for x in letters:
         if x < 0:
             raise ValueError(f"negative letter {x} in word")
-        if x > max_letter:
-            raise ValueError(f"letter {x} exceeds the letter cap {max_letter}")
+        if x > MAX_LETTER:
+            raise ValueError(f"letter {x} exceeds the letter cap {MAX_LETTER}")
     return letters
 
 

@@ -463,6 +463,15 @@ class TestBudget:
         monkeypatch.delenv("RASCAL_MAX_CELLS")
         assert run(capsys, *argv)[0] == 0
 
+    def test_empty_leading_axis_not_walked(self, capsys, monkeypatch):
+        # r starts at 2, so no run of (n, k) is walked however long it is
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        argv = ("verify", "alt_binomial", "--r-max", "1", "--n-max", "100000000", "--k-max", "100000000")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert (code, time.perf_counter() - start < 1.0) == (0, True)
+        assert out.startswith("alt_binomial: PASS cells=0 ")
+
     def test_verify_grid_small_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("RASCAL_MAX_CELLS", "10")
         start = time.perf_counter()
@@ -506,7 +515,26 @@ class TestEtable:
         assert blob["negatives"] == []
 
 
+# each option abbreviates a longer one and is refused, not read as it
+ABBREVIATED = [
+    (("verify", "row_sum", "--n", "5"), "--n"),
+    (("verify", "all", "--j", "1"), "--j"),
+    (("triangle", "3", "--form", "csv"), "--form"),
+    (("value", "6", "3", "--meth", "linear"), "--meth"),
+    (("etable", "2", "1", "--form", "json"), "--form"),
+    (("enumerate", "words", "--n", "3", "--count"), "--count"),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, option", ABBREVIATED, ids=lambda v: " ".join(v) if isinstance(v, tuple) else None
+    )
+    def test_abbreviation_refused(self, capsys, argv, option):
+        code, out, err, seconds = refused(capsys, *argv)
+        assert (code, out, seconds < 1.0) == (2, "", True)
+        assert f"unrecognized arguments: {option}" in err
+
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

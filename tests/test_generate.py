@@ -127,6 +127,14 @@ class TestWordsWithAscents:
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(words_with_ascents(9, 4, 3)))
 
+    def test_count_priced_by_profiles(self, monkeypatch):
+        # C(100, 5) + C(100, 5) profiles for r = 5 alone
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="walking oracle profiles"):
+            count_words_with_ascents(200, 100, 5)
+        assert time.perf_counter() - start < 1.0
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(n=st.integers(0, 14), data=st.data())
     def test_equals_filter_of_all_words(self, n, data):
@@ -375,6 +383,14 @@ class TestRestrictedSubsets:
     def test_cost_follows_output(self):
         start = time.perf_counter()
         assert [s.elements for s in restricted_subsets(40, 20, 0)] == [tuple(range(21, 41))]
+        assert time.perf_counter() - start < 1.0
+
+    def test_priced(self, monkeypatch):
+        # R(60, 30; 30) = C(60, 30) subsets, refused before any is listed
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="subsets listing"):
+            next(restricted_subsets(60, 30, 30))
         assert time.perf_counter() - start < 1.0
 
     def test_validation(self):

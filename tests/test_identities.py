@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rascal import generate, identities
+from rascal import identities
 from rascal.errors import DomainViolation, ResourceLimit, UnknownIdentity
 from rascal.identities import (
     ClosedValues,
@@ -67,6 +67,19 @@ class TestRegistry:
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
             evaluate("no_such_identity", {"n": 3})
+
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [
+            ("capped_middle", {"a": (0, None), "b": (0, "a"), "c": (0, None)}),
+            ("capped_by_first", {"a": (0, None), "b": (0, None), "c": (0, "a")}),
+        ],
+    )
+    def test_register_refuses_other_bounds_shapes(self, name, bounds):
+        before = dict(identities._REGISTRY)
+        with pytest.raises(ValueError, match=f"{name}: only the last parameter may be capped"):
+            identities._register(name, "0 = 0", bounds, lambda v, a, b, c: 0, lambda a, b, c: 0)
+        assert identities._REGISTRY == before
 
     def test_domain_enforced(self):
         with pytest.raises(DomainViolation):
@@ -257,10 +270,10 @@ class TestEnumerationSource:
 
         def recording(total, parts):
             walked.append((total, parts))
-            return head_compositions(total, parts)
+            return profile_count(total, parts)
 
-        head_compositions = generate._head_compositions
-        monkeypatch.setattr(generate, "_head_compositions", recording)
+        profile_count = identities._profile_count
+        monkeypatch.setattr(identities, "_profile_count", recording)
         report = verify_range("forward_diff", {"n": (0, 16), "j": (0, 4)}, oracle=True)
         assert (report.cells, report.failures) == (85, ())
         assert walked and len(walked) == len(set(walked))

@@ -150,6 +150,14 @@ class TestRascalGenValue:
         assert rascal_gen_value(60, 30, 10**12) == comb(60, 30)
         assert time.perf_counter() - start < 1.0
 
+    def test_closed_route_priced(self, monkeypatch):
+        # 100,001 terms of up to 200,001 bits each
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=f"needs {100001 * 200001} cells"):
+            rascal_gen_value(200000, 100000, 100000)
+        assert time.perf_counter() - start < 1.0
+
 
 # a bad route is refused before the (n+1)(n+2)/2-cell table is priced:
 # each call is far over the default budget
@@ -266,6 +274,13 @@ class TestPrefixSuffixCount:
 
 
 class TestEDefect:
+    def test_priced(self, monkeypatch):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="closed-form value"):
+            e_defect(300000, 150000, 150000)
+        assert time.perf_counter() - start < 1.0
+
     def test_j1_example(self):
         assert e_defect(6, 3, 1) == 1
 
@@ -319,11 +334,12 @@ class TestTriangleRows:
                 assert all(row[i] <= row[i + 1] for i in range(peak))
                 assert all(row[i] >= row[i + 1] for i in range(peak, len(row) - 1))
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
         with pytest.raises(ResourceLimit):
             triangle_rows(2000)
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "10")
         with pytest.raises(ResourceLimit):
-            triangle_rows(20, max_cells=10)
+            triangle_rows(20)
 
     def test_negative_n_max(self):
         assert triangle_rows(-1) == []

@@ -170,7 +170,6 @@ class TestWordCoercion:
     def test_letter_cap(self):
         with pytest.raises(ValueError):
             as_word([1 << 20])
-        assert as_word([1 << 20], max_letter=1 << 21) == (1 << 20,)
 
     @pytest.mark.parametrize("text", ["0a1", "1 0", "-1", "1.0"])
     def test_non_digit_string_quoted(self, text):
