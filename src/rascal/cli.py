@@ -20,9 +20,12 @@ from functools import partial
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .limits import check_cells, check_sum, max_cells, require_sizes
-from .numbers import METHODS, choose, e_defect, rascal_gen_value, triangle_rows
+from .numbers import METHODS, _table_cells, choose, e_defect, rascal_gen_value, triangle_rows
 
 FORMATS = ("table", "json", "csv", "bfile")
+
+# the identity parameters `rascal verify` caps, one --X-max option each
+VERIFY_AXES = "nkrmj"
 
 # name -> {option: default} for `rascal bijection NAME`, which passes
 # each option to maps.verify_NAME as the argument of the same name
@@ -148,7 +151,7 @@ def _report_lines(report):
 def _cmd_verify(args) -> int:
     from . import identities
 
-    caps = {p: cap for p in "nkrmj" if (cap := getattr(args, f"{p}_max")) is not None}
+    caps = {p: cap for p in VERIFY_AXES if (cap := getattr(args, f"{p}_max")) is not None}
     require_sizes(**{f"{p}_max": cap for p, cap in caps.items()})
     if args.name == "all":  # each cap applies where the identity takes it
         names = identities.identity_names()
@@ -204,7 +207,7 @@ def _cmd_bijection(args) -> int:
 
 def _cmd_etable(args) -> int:
     require_sizes(n_max=args.n_max, j_max=args.j_max)
-    check_cells((args.j_max + 1) * (args.n_max + 1) * (args.n_max + 2) // 2, "E table")
+    check_cells(_table_cells(args.n_max, args.j_max + 1), "E table")
     tables = {
         j: [[e_defect(n, k, j) for k in range(n + 1)] for n in range(args.n_max + 1)]
         for j in range(args.j_max + 1)
@@ -288,11 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check identities over parameter grids")
     p.add_argument("name", help="identity name or 'all'")
     p.add_argument("--oracle", action="store_true", help="enumeration-backed left sides")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--r-max", type=int)
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--j-max", type=int)
+    for axis in VERIFY_AXES:
+        p.add_argument(f"--{axis}-max", type=int)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--timing", action="store_true", help="real elapsed_ms in JSON output")
     p.set_defaults(func=_cmd_verify)

@@ -39,7 +39,7 @@ from .generate import (
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes
-from .numbers import choose, closed_value, rascal_value
+from .numbers import choose, closed_value, prefix_suffix_count, rascal_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
 
@@ -47,16 +47,16 @@ from .words import Word, _asc, as_word, binary_word, word_str
 # helper views on binary words
 
 
-def _leading(w: Word, bit: int) -> int:
+def _leading_ones(w: Word) -> int:
     for run, x in enumerate(w):
-        if x != bit:
+        if x != 1:
             return run
     return len(w)
 
 
-def _trailing(w: Word, bit: int) -> int:
+def _trailing_zeros(w: Word) -> int:
     for run, x in enumerate(reversed(w)):
-        if x != bit:
+        if x != 0:
             return run
     return len(w)
 
@@ -67,8 +67,8 @@ def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
     Returns (x0, [(y_1, x_1), ..., (y_m, x_m)], y0) where m = asc(b);
     inner runs are positive, outer runs may be empty.
     """
-    x0 = _leading(b, 1)
-    y0 = _trailing(b, 0) if len(b) > x0 else 0
+    x0 = _leading_ones(b)
+    y0 = _trailing_zeros(b) if len(b) > x0 else 0
     middle = b[x0 : len(b) - y0]
     pairs: list[tuple[int, int]] = []
     i = 0
@@ -90,11 +90,6 @@ def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> Word:
     for zeros, ones in pairs:
         bits += [0] * zeros + [1] * ones
     return tuple(bits + [0] * y0)
-
-
-def _sign(m: int) -> int:
-    """(-1) ** m."""
-    return -1 if m % 2 else 1
 
 
 def _require_family(b: Word, j: int, what: str) -> None:
@@ -128,9 +123,9 @@ def strip(b, lead_ones: int, trail_zeros: int) -> Word:
     """Remove `lead_ones` leading 1's and `trail_zeros` trailing 0's."""
     b = binary_word(b)
     require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
-    if _leading(b, 1) < lead_ones:
+    if _leading_ones(b) < lead_ones:
         raise DomainViolation(f"{word_str(b)} does not start with {lead_ones} ones")
-    if _trailing(b, 0) < trail_zeros:
+    if _trailing_zeros(b) < trail_zeros:
         raise DomainViolation(f"{word_str(b)} does not end with {trail_zeros} zeros")
     return _strip(b, lead_ones, trail_zeros)
 
@@ -359,14 +354,14 @@ def signed_pair(subset, word, r: int) -> SignedPair:
     s = frozenset(subset)
     w = binary_word(word)
     _require_signed(s, w, r)
-    return SignedPair(s, w, _sign(r - len(s)))
+    return SignedPair(s, w, (-1) ** (r - len(s)))
 
 
 def _require_signed(s: frozenset[int], w: Word, r: int) -> None:
     """S must lie in {1..r} and w must end in at least r - |S| zeros."""
     if any(e < 1 or e > r for e in s):
         raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
-    if _trailing(w, 0) < r - len(s):
+    if _trailing_zeros(w) < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
 
 
@@ -377,7 +372,7 @@ def in_altbin_fix(pair: SignedPair, r: int) -> bool:
 
 
 def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
-    return r in s and _trailing(w, 0) == r - len(s)
+    return r in s and _trailing_zeros(w) == r - len(s)
 
 
 def _require_altbin_sizes(r: int, n: int, k: int) -> None:
@@ -402,15 +397,15 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
         raise DomainViolation(f"{word_str(w)} is not a length-{n + r} word with {k} ones")
     _require_family(w, 1, "altbin_involution")
     _require_signed(s, w, r)
-    if pair.weight != _sign(r - len(s)):
+    if pair.weight != (-1) ** (r - len(s)):
         raise DomainViolation(
             f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"
-            f" not (-1)^(r-|S|) = {_sign(r - len(s))}"
+            f" not (-1)^(r-|S|) = {(-1) ** (r - len(s))}"
         )
     if stage == 2 and not in_altbin_fix(pair, r):
         raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
     t, moved = _altbin(stage, s, w, r)
-    return SignedPair(t, moved, _sign(r - len(t)))
+    return SignedPair(t, moved, (-1) ** (r - len(t)))
 
 
 def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[int], Word]:
@@ -420,8 +415,8 @@ def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[i
     and y0 >= 1 when it is not."""
     if stage == 1:
         t = s - {r} if r in s else s | {r}
-        return (t, w) if _trailing(w, 0) >= r - len(t) else (s, w)
-    x0 = _leading(w, 1)
+        return (t, w) if _trailing_zeros(w) >= r - len(t) else (s, w)
+    x0 = _leading_ones(w)
     if 1 in s:  # a zero of the inner run moves to the trailing run
         return s - {1}, w[:x0] + w[x0 + 1 :] + (0,)
     return s | {1}, w[:x0] + (0,) + w[x0:-1]
@@ -468,7 +463,7 @@ def genalt_involution(d: int, w, j: int) -> Word:
 
 def _genalt(d: int, w: Word) -> Word:
     if d == 0:  # one letter between the leading 1-run and the trailing 0-run
-        if _leading(w, 1) % 2:
+        if _leading_ones(w) % 2:
             return w[1:] + (0,)
         return (1,) + w[:-1] if w[-1:] == (0,) else w
     x0, pairs, y0 = _profile(w)
@@ -558,7 +553,7 @@ def verify_strip(n_max: int) -> dict:
     one, with unstrip as two-sided inverse, in the counted quantity."""
     require_sizes(n_max=n_max)
     domains = (
-        rascal_value(n - lead - trail, k - lead)
+        prefix_suffix_count(n, k, lead, trail)
         for n in range(n_max + 1)
         for k in range(n + 1)
         for lead in range(k + 1)
@@ -569,11 +564,11 @@ def verify_strip(n_max: int) -> dict:
     checked = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
-            family = [(b, _leading(b, 1), _trailing(b, 0)) for b in words_with_ascents(n, k, 1)]
+            family = [(b, _leading_ones(b), _trailing_zeros(b)) for b in words_with_ascents(n, k, 1)]
             for lead, trail in product(range(k + 1), range(n - k + 1)):
                 where = f"n={n}, k={k}, lead={lead}, trail={trail}"
                 domain = [b for b, ones, zeros in family if ones >= lead and zeros >= trail]
-                expected = rascal_value(n - lead - trail, k - lead)
+                expected = prefix_suffix_count(n, k, lead, trail)
                 if len(domain) != expected:
                     details.append(f"strip: count {len(domain)} != R = {expected} at ({where})")
                 target = set(words_with_ascents(n - lead - trail, k - lead, 1))
@@ -698,7 +693,7 @@ def verify_ratio(n: int, k: int) -> dict:
 
 def _altbin_space(r: int, n: int, k: int) -> list[tuple[frozenset[int], Word]]:
     """The (S, w) pairs of the signed set, from one listing of the words."""
-    words = [(w, _trailing(w, 0)) for w in words_with_ascents(n + r, k, 1)]
+    words = [(w, _trailing_zeros(w)) for w in words_with_ascents(n + r, k, 1)]
     subsets = [frozenset(c) for size in range(r + 1) for c in combinations(range(1, r + 1), size)]
     return [(s, w) for s in subsets for w, zeros in words if zeros >= r - len(s)]
 
@@ -712,7 +707,7 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     details: list[str] = []
     space = _altbin_space(r, n, k)
     members = set(space)
-    signed_sum = sum(_sign(r - len(s)) for s, _w in space)
+    signed_sum = sum((-1) ** (r - len(s)) for s, _w in space)
     formula = sum((-1) ** (r - t) * choose(r, t) * rascal_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
@@ -745,7 +740,7 @@ def verify_genalt(n: int, j: int) -> dict:
             f"genalt: stage {d}", "domain", current, members, partial(_genalt, d), sum,
             partial(_genalt_fixed, d=d), details, word_str,
         )
-    fixed_sum = sum(_sign(sum(w)) for w in current)
+    fixed_sum = sum((-1) ** sum(w) for w in current)
     total = sum((-1) ** k * closed_value(n, k, j) for k in range(n + 1))
     if fixed_sum != total:
         details.append(f"genalt: fixed-point sum {fixed_sum} != alternating row sum {total}")

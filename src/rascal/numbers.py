@@ -20,10 +20,10 @@ Four routes are implemented and cross-checked by the test suite:
 
 Both recurrences apply to interior cells 1 <= k <= n-1 only; boundary
 columns k = 0 and k = n are the base value 1; the product recurrence is
-defined for j = 1 only.  `_route_row` is the one dispatch over the
-routes; `triangle_rows` and `rascal_gen_value` refuse a bad route
-(`_check_route`) and price the work before they call it.  Python ints
-are exact at any size, so all arithmetic here is exact by construction.
+defined for j = 1 only.  `_route_row` dispatches over the routes once
+`_check_route` has passed; each route prices what it builds (the
+closed form in `rascal_gen_value`, every layer of a recurrence table in
+`TriangleCache`).  Python ints are exact, so all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class TriangleCache:
 
     One instance owns its tables outright; nothing is shared through
     module globals, so callers control reuse and lifetime.  Tables are
-    append-only: safe to share once construction is done.
+    append-only: safe to share once construction is done.  A call that
+    must grow a table first prices the whole table it asks for.
     """
 
     def __init__(self) -> None:
@@ -67,25 +68,19 @@ class TriangleCache:
     # -- additive recurrence -------------------------------------------------
 
     def linear_row(self, n: int, j: int = 1) -> list[int]:
+        """Row n of layer j; layer j is built from layers 0..j."""
         if n < 0 or j < 0:
             raise ValueError("linear_row needs n, j >= 0")
-        self._grow_linear(n, j)
+        if len(self._linear) <= j or len(self._linear[j]) <= n:
+            check_cells(_table_cells(n, j + 1), "linear recurrence table")
+            self._linear += [[] for _ in range(j + 1 - len(self._linear))]
+            for layer, rows in enumerate(self._linear[: j + 1]):
+                while len(rows) <= n:
+                    rows.append(self._build_linear_row(layer, len(rows)))
         return self._linear[j][n]
 
-    def _grow_linear(self, n: int, j: int) -> None:
-        while len(self._linear) <= j:
-            self._linear.append([])
-        for layer in range(j + 1):
-            rows = self._linear[layer]
-            while len(rows) <= n:
-                rows.append(self._build_linear_row(layer, len(rows)))
-
     def _build_linear_row(self, j: int, n: int) -> list[int]:
-        if n == 0:
-            return [1]
-        if n == 1:
-            return [1, 1]
-        if j == 0:
+        if n < 2 or j == 0:
             return [1] * (n + 1)
         prev = self._linear[j][n - 1]
         prev2 = self._linear[j][n - 2]
@@ -101,15 +96,15 @@ class TriangleCache:
     def product_row(self, n: int) -> list[int]:
         if n < 0:
             raise ValueError("product_row needs n >= 0")
-        while len(self._product) <= n:
-            self._product.append(self._build_product_row(len(self._product)))
+        if len(self._product) <= n:
+            check_cells(_table_cells(n), "multiplicative recurrence table")
+            while len(self._product) <= n:
+                self._product.append(self._build_product_row(len(self._product)))
         return self._product[n]
 
     def _build_product_row(self, n: int) -> list[int]:
-        if n == 0:
-            return [1]
-        if n == 1:
-            return [1, 1]
+        if n < 2:
+            return [1] * (n + 1)
         prev = self._product[n - 1]
         prev2 = self._product[n - 2]
         row = [1]
@@ -126,9 +121,9 @@ class TriangleCache:
         return row
 
 
-def _table_cells(n: int) -> int:
-    """Cells in rows 0..n of a triangle table."""
-    return (n + 1) * (n + 2) // 2
+def _table_cells(n: int, layers: int = 1) -> int:
+    """Cells in rows 0..n of `layers` triangle tables."""
+    return layers * (n + 1) * (n + 2) // 2
 
 
 def _enum_row_counts(n: int, j: int) -> list[int]:
@@ -163,7 +158,7 @@ def _check_route(method: str, j: int) -> None:
 
 def _route_row(method: str, n: int, j: int, cache: TriangleCache) -> list[int]:
     """Row n of R(., .; j) by one route; the caller has checked the
-    route and priced the work."""
+    route.  The recurrence tables and the word listing price themselves."""
     if method == "closed":
         return closed_row(n, j)
     if method == "linear":
@@ -205,8 +200,6 @@ def rascal_gen_value(
     if method == "closed":  # min(j, k, n-k) + 1 terms of up to n + 1 bits each
         check_cells((min(j, k, n - k) + 1) * (n + 1), "closed-form value")
         return closed_value(n, k, j)
-    if method != "enumeration":  # priced at 2^n by all_binary_words
-        check_cells(_table_cells(n), f"{method} recurrence table")
     return _route_row(method, n, j, cache or TriangleCache())[k]
 
 
@@ -279,10 +272,11 @@ def triangle_rows(
     method: str = "closed",
     cache: TriangleCache | None = None,
 ) -> list[list[int]]:
-    """Rows 0..n_max of the triangle for ascent bound j."""
+    """Rows 0..n_max of the triangle for ascent bound j, built top row
+    first so that a route prices its whole work before it builds any."""
     _check_route(method, j)
     if n_max < 0:
         return []
     check_cells(_table_cells(n_max), "triangle")
     cache = cache or TriangleCache()
-    return [list(_route_row(method, n, j, cache)) for n in range(n_max + 1)]
+    return [list(_route_row(method, n, j, cache)) for n in range(n_max, -1, -1)][::-1]

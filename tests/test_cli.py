@@ -72,12 +72,14 @@ class TestValue:
 
     @pytest.mark.parametrize("method", ["linear", "multiplicative"])
     def test_recurrence_table_cap(self, capsys, monkeypatch, method):
-        # the (n+1)(n+2)/2-cell table is refused before it is built
+        # the (n+1)(n+2)/2-cell table is refused before it is built; at
+        # j = 1 the linear route builds two of them, layers 0 and 1
         monkeypatch.setenv("RASCAL_MAX_CELLS", "100")
         start = time.perf_counter()
         code, _, err = run(capsys, "value", "1500", "3", "--method", method)
         assert (code, time.perf_counter() - start < 1.0) == (3, True)
-        assert "1127251 cells" in err
+        cells = {"linear": 2254502, "multiplicative": 1127251}[method]
+        assert f"{cells} cells" in err
 
     @pytest.mark.parametrize("n, k, j", [(10000, 5000, 5000), (20000, 10000, 10000)])
     def test_closed_route_priced(self, capsys, monkeypatch, n, k, j):
@@ -420,6 +422,23 @@ class TestBudget:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("value", "1000", "500", "--j", "300", "--method", "linear"),
+            ("triangle", "1000", "--j", "200", "--method", "linear", "--format", "bfile"),
+        ],
+        ids=" ".join,
+    )
+    def test_linear_layers_priced(self, capsys, monkeypatch, argv):
+        # one table of rows 0..1000 fits the default budget; the j + 1
+        # layers that the linear route builds at bound j do not
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
+        assert "linear recurrence table" in err
 
     def test_bijection_subset_small_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("RASCAL_MAX_CELLS", "10")

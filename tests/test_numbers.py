@@ -1,8 +1,10 @@
 """Rascal values across routes, helper quantities, and the recurrences."""
 
+import os
 import time
 from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,43 @@ class TestTriangleRows:
 
     def test_negative_n_max(self):
         assert triangle_rows(-1) == []
+
+    def test_whole_route_priced_first(self, monkeypatch):
+        # the output fits the budget, the 201 layers do not: refused by
+        # the top row before any lower row is built
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        cache = TriangleCache()
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="linear recurrence table"):
+            triangle_rows(1000, 200, method="linear", cache=cache)
+        assert (time.perf_counter() - start < 1.0, cache._linear) == (True, [])
+
+
+class TestTablePrice:
+    @pytest.mark.parametrize("route", ["linear", "multiplicative"])
+    def test_absurd_table_refused_before_building(self, monkeypatch, route):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        cache = TriangleCache()
+        build = cache.linear_row if route == "linear" else cache.product_row
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=f"{route} recurrence table"):
+            build(5000)
+        assert time.perf_counter() - start < 1.0
+        assert (cache._linear, cache._product) == ([], [])
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 30), st.integers(0, 4))
+    def test_linear_price_is_the_table_built(self, n, j):
+        with mock.patch.dict(os.environ):
+            os.environ.pop("RASCAL_MAX_CELLS", None)
+            cache = TriangleCache()
+            row = cache.linear_row(n, j)
+            cells = sum(len(r) for layer in cache._linear for r in layer)
+            os.environ["RASCAL_MAX_CELLS"] = str(cells)
+            assert TriangleCache().linear_row(n, j) == row
+            os.environ["RASCAL_MAX_CELLS"] = str(cells - 1)
+            with pytest.raises(ResourceLimit, match=f"needs {cells} cells"):
+                TriangleCache().linear_row(n, j)
 
 
 class TestRecurrences:
