@@ -16,10 +16,10 @@ which is either the closed form or an enumeration count (the product
 rule over walked run-length profiles, never a binomial); that is what
 lets the same registry run against brute-force ground truth.
 Row sums read a whole row at once through `v.row(n, j)`, which each
-source builds once: the closed form grows row (n, j) from its row
-(n, j-1) by one term column (else `numbers.closed_row`) and reads single
-cells from the unchecked `numbers.closed_value`; the enumeration source
-builds rows cell by cell from its own counts.
+source builds once: the closed form's rows come from the unchecked
+`numbers._closed_row` (row (n, j) grown from a built row (n, j-1) by one
+term column) and its cells from the unchecked `numbers.closed_value`;
+the enumeration source builds rows cell by cell from its own counts.
 
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, **params)`, the left side at `params` from `prev`, the
@@ -44,7 +44,7 @@ from typing import Callable
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import _count_by_profiles, _profile_count
 from . import limits
-from .numbers import _add_term, _mirror, choose, closed_row, closed_value, falling_factorial
+from .numbers import _closed_row, choose, closed_value, falling_factorial
 
 
 class ClosedValues:
@@ -77,13 +77,7 @@ class ClosedValues:
     def _row(self, n: int, j: int) -> list[int]:
         """The row (n, j) from the cached row (n, j-1) by its one new
         term column, if that row was built; else from scratch."""
-        prev = self._rows.get((n, j - 1))
-        if prev is None:
-            row = closed_row(n, j)
-        elif j > n // 2:  # the new column C(k, j) * C(n-k, j) is all 0
-            row = prev
-        else:
-            row = _mirror(_add_term(prev[: n // 2 + 1], n, j), n)
+        row = _closed_row(n, j, self._rows.get((n, j - 1)))
         self._memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), row))
         return row
 

@@ -1,12 +1,12 @@
-"""One resource budget: every path that builds values or objects is
-priced in cells from exact counts of its inputs, before anything is
-built, against RASCAL_MAX_CELLS (else 2^20), by the library call that
-builds it.  Binary-word enumeration costs 2^n, a walk of every ascent
-sequence the Fishburn number, the pruned {001, 210}-avoider tree its
-nodes, a closed-form value (and an E-table defect) its terms times their
-bits, a recurrence table its cells in every layer it grows, a
-restricted-subset listing R(n, k; j), the profile oracle the C(t, r)
-profiles it walks.
+"""One resource budget: every path that builds values or objects is priced
+in cells from exact counts of its inputs, before anything is built,
+against RASCAL_MAX_CELLS (else 2^20), by the library call that builds it.
+Binary-word enumeration costs 2^n, a walk of every ascent sequence the
+Fishburn number, the pruned {001, 210}-avoider tree its nodes, a
+closed-form value (and an E-table defect) its terms times their bits, a
+closed-form row a triangle up to it per term column plus its own cells,
+a recurrence table its cells in every layer it grows, a restricted-subset
+listing R(n, k; j), the profile oracle the C(t, r) profiles it walks.
 """
 
 import os

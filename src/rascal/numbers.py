@@ -8,8 +8,8 @@ sum_{i=0..j} C(k, i) * C(n-k, i).
 Four routes are implemented and cross-checked by the test suite:
 
 * closed         -- the binomial closed form above: `closed_value` sums
-                    one cell's terms, `closed_row` adds one term column
-                    per i to a half row
+                    one cell's terms, `_closed_row`, the one row builder,
+                    adds one term column per i to a half row
 * linear         -- additive recurrence
                     R(n,k) = R(n-1,k) + R(n-1,k-1) - R(n-2,k-1) + 1
                     (generalized: the final +1 becomes a j-1 layer term)
@@ -21,9 +21,9 @@ Four routes are implemented and cross-checked by the test suite:
 Both recurrences apply to interior cells 1 <= k <= n-1 only; boundary
 columns k = 0 and k = n are the base value 1; the product recurrence is
 defined for j = 1 only.  `_route_row` dispatches over the routes once
-`_check_route` has passed; each route prices what it builds (the
-closed form in `rascal_gen_value`, every layer of a recurrence table in
-`TriangleCache`).  Python ints are exact, so all arithmetic is exact.
+`_check_route` has passed; each route prices what it builds (closed
+values and rows in `rascal_gen_value` and `closed_row`, every recurrence
+layer in `TriangleCache`).  Python ints make all arithmetic exact.
 """
 
 from __future__ import annotations
@@ -204,27 +204,25 @@ def rascal_gen_value(
 
 
 def closed_row(n: int, j: int = 1) -> list[int]:
-    """R(n, k; j) for k = 0..n by the closed form: the all-ones row of
-    j = 0 with one term column added per i <= min(j, n // 2).  Only
-    k <= n // 2 is summed: the row is symmetric in k <-> n-k."""
+    """R(n, k; j) for k = 0..n by the closed form, priced first like
+    the closed triangle up to row n: one table of rows 0..n per term
+    column it adds, plus the row itself."""
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
-    half = [1] * (n // 2 + 1)
-    for i in range(1, min(j, n // 2) + 1):
-        half = _add_term(half, n, i)
-    return _mirror(half, n)
+    check_cells(_table_cells(n, min(j, n // 2)) + n + 1, "closed-form row")
+    return _closed_row(n, j)
 
 
-def _add_term(half: list[int], n: int, i: int) -> list[int]:
-    """half[k] + C(k, i) * C(n-k, i) for k = 0..n // 2: the half row of
-    R(n, k; i) from that of R(n, k; i-1).  The column C(0..n, i) gives
-    C(k, i); reversed, it gives C(n-k, i)."""
-    col = list(map(math.comb, range(n + 1), repeat(i)))
-    return list(map(add, half, map(mul, col, reversed(col))))
-
-
-def _mirror(half: list[int], n: int) -> list[int]:
-    """The full row k = 0..n from its half k = 0..n // 2."""
+def _closed_row(n: int, j: int, below: list[int] | None = None) -> list[int]:
+    """R(n, k; j) for k = 0..n, unchecked: the all-ones row of j = 0, or
+    `below`, the row (n, j-1), with the term columns C(k, i) * C(n-k, i)
+    added for i up to min(j, n // 2) (the rest vanish).  Only the half
+    k <= n // 2 is summed: the row is symmetric in k <-> n-k.  The
+    column C(0..n, i) gives C(k, i); reversed, it gives C(n-k, i)."""
+    half = [1] * (n // 2 + 1) if below is None else below[: n // 2 + 1]
+    for i in range(1 if below is None else j, min(j, n // 2) + 1):
+        col = list(map(math.comb, range(n + 1), repeat(i)))
+        half = list(map(add, half, map(mul, col, reversed(col))))
     return half + half[: (n + 1) // 2][::-1]
 
 

@@ -18,18 +18,20 @@ MAX_LETTER = 1 << 16
 
 
 def as_word(w) -> Word:
-    """Coerce a digit string or iterable of ints into a word tuple."""
+    """Coerce a digit string or an iterable of ints or bools into a word tuple."""
     if isinstance(w, tuple) and all(type(x) is int and 0 <= x <= MAX_LETTER for x in w):
         return w
-    if isinstance(w, str) and w and not w.isdecimal():
-        raise ValueError(f"{w!r} is not a word of decimal digits")
-    letters = tuple(int(x) for x in w)  # a string gives one letter per digit
+    if isinstance(w, str):
+        if w and not w.isdecimal():
+            raise ValueError(f"{w!r} is not a word of decimal digits")
+        return tuple(map(int, w))  # one letter 0..9 per digit
+    letters = tuple(w)
     for x in letters:
-        if x < 0:
-            raise ValueError(f"negative letter {x} in word")
-        if x > MAX_LETTER:
-            raise ValueError(f"letter {x} exceeds the letter cap {MAX_LETTER}")
-    return letters
+        if not isinstance(x, int):
+            raise ValueError(f"letter {x!r} is not an integer")
+        if not 0 <= x <= MAX_LETTER:
+            raise ValueError(f"letter {x} is outside 0..{MAX_LETTER}")
+    return tuple(map(int, letters))
 
 
 def word_str(w) -> str:

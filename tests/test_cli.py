@@ -404,6 +404,9 @@ ABSURD_RUNS = [
     ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "0", "--k-max", "0"),
     ("enumerate", "avoiders", "--n", "1000000", "--patterns", "001,210"),
     ("enumerate", "ascseq", "--n", "1000000", "--k", "3"),
+    # the top row of a closed triangle is priced before any row is built
+    ("triangle", "1000", "--j", "500", "--format", "bfile"),
+    ("triangle", "400", "--j", "200", "--format", "bfile"),
 ]
 
 

@@ -200,7 +200,9 @@ class TestClosedRow:
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(0, 400), st.integers(0, 250))
     def test_random_large(self, n, j):
-        assert closed_row(n, j) == [rascal_gen_value(n, k, j) for k in range(n + 1)]
+        # closed_row(400, 250) is priced at 16,120,601 cells, over 2^20
+        with mock.patch.dict(os.environ, {"RASCAL_MAX_CELLS": str(1 << 24)}):
+            assert closed_row(n, j) == [rascal_gen_value(n, k, j) for k in range(n + 1)]
 
     def test_row_sums_cover_every_word(self):
         # j >= n/2 admits every word: the row sums to 2^n
@@ -211,6 +213,24 @@ class TestClosedRow:
         assert closed_row(-1, 2) == []
         with pytest.raises(ValueError):
             closed_row(3, -1)
+
+    @pytest.mark.parametrize("n, j", [(2000, 1000), (1000, 500), (3000000, 2)])
+    def test_absurd_row_refused_before_building(self, monkeypatch, n, j):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="closed-form row"):
+            closed_row(n, j)
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 60), st.integers(0, 8))
+    def test_price_is_one_table_per_term_column_and_the_row(self, n, j):
+        cells = min(j, n // 2) * (n + 1) * (n + 2) // 2 + n + 1
+        with mock.patch.dict(os.environ, {"RASCAL_MAX_CELLS": str(cells)}):
+            assert closed_row(n, j) == [closed_value(n, k, j) for k in range(n + 1)]
+            os.environ["RASCAL_MAX_CELLS"] = str(cells - 1)
+            with pytest.raises(ResourceLimit, match=f"needs {cells} cells"):
+                closed_row(n, j)
 
 
 class TestFallingFactorial:

@@ -171,6 +171,27 @@ class TestWordCoercion:
         with pytest.raises(ValueError):
             as_word([1 << 20])
 
+    @pytest.mark.parametrize(
+        "letters, bad",
+        [([0.9, 1.2, 2.7], "0.9"), ((1.0, 0), "1.0"), ([1, 0.2], "0.2"), ([0, "1"], "'1'")],
+    )
+    def test_non_integer_letter_named(self, letters, bad):
+        with pytest.raises(ValueError, match=re.escape(f"letter {bad} is not an integer")):
+            as_word(letters)
+
+    def test_non_integer_letter_reaches_no_statistic(self):
+        from rascal.maps import sym_map
+
+        with pytest.raises(ValueError, match="letter 1.0 is not an integer"):
+            sym_map([1.0, 0.2])
+        with pytest.raises(ValueError, match="letter 0.5 is not an integer"):
+            asc([0.5, 0.9])
+
+    def test_bools_and_ints_kept(self):
+        assert as_word([True, False]) == (1, 0)
+        assert all(type(x) is int for x in as_word((True, 0)))
+        assert as_word([3, 0, 2]) == as_word("302") == as_word((3, 0, 2)) == (3, 0, 2)
+
     @pytest.mark.parametrize("text", ["0a1", "1 0", "-1", "1.0"])
     def test_non_digit_string_quoted(self, text):
         with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a word of decimal digits")):
