@@ -24,9 +24,8 @@ _EXPORTS = {
     " word_to_ascseq word_to_subset",
     "numbers": "TriangleCache choose closed_row e_defect falling_factorial prefix_suffix_count"
     " rascal_gen_value rascal_value triangle_rows",
-    "words": "Word as_word asc ascent_positions avoids complement contains_001 contains_210"
-    " contains_pattern des descent_positions is_ascent_sequence is_binary is_pattern is_rgf"
-    " reduce_word reverse_word word_str",
+    "words": "Word as_word asc contains_001 contains_210 contains_pattern des is_ascent_sequence"
+    " is_pattern is_rgf reduce_word word_str",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_ORIGIN)

@@ -119,8 +119,10 @@ def _enumerate_items(args):
         streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
         return merge(*streams), word_lines
     # ascseq lists the avoiders of no pattern; avoiders checks each pattern before pricing
-    text = getattr(args, "patterns", None) or ""
-    patterns = [p.strip() for p in text.split(",") if p.strip()]
+    text = getattr(args, "patterns", None)
+    patterns = [p.strip() for p in (text or "").split(",") if p.strip()]
+    if text is not None and not patterns:
+        raise DomainViolation(f"--patterns {text!r} names no pattern")
     return avoiders(args.n, patterns, args.k), word_lines
 
 

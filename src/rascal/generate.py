@@ -268,7 +268,7 @@ class RestrictedSubset:
         object.__setattr__(self, "elements", elems)
         if list(elems) != sorted(set(elems)):
             raise DomainViolation(f"subset elements must be sorted and distinct: {elems}")
-        if any(e < 1 or e > self.n for e in elems):
+        if any(not isinstance(e, int) or not 1 <= e <= self.n for e in elems):
             raise DomainViolation(f"subset {elems} not within {{1..{self.n}}}")
         if len(elems) != self.k:
             raise DomainViolation(f"subset {elems} has size {len(elems)}, expected {self.k}")

@@ -31,8 +31,11 @@ def max_cells(override: int | None = None) -> int:
 
 
 def require_sizes(**sizes: int) -> None:
-    """Raise DomainViolation naming the first negative size."""
+    """Raise DomainViolation naming the first size that is not an
+    integer or is negative."""
     for name, value in sizes.items():
+        if not isinstance(value, int):
+            raise DomainViolation(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise DomainViolation(f"{name} must be >= 0, got {value}")
 

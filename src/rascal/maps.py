@@ -17,7 +17,7 @@ counting facts.  The altbin and genalt verifiers run each stage of
 their involution chains through one check, _check_involution: every
 moved object lands in the signed set, changes its grade by one (so its
 sign flips) and comes back, and the fixed points are exactly those of
-a separate description (in_altbin_fix, in_genalt_fix), which the next
+a separate description (_altbin_fixed, _genalt_fixed), which the next
 stage then acts on.  The ratio verifier checks its injection directly.
 Before building anything, every verifier prices the objects it will
 check from closed forms against the one cell budget (limits.check_sum).
@@ -255,7 +255,7 @@ def divider_encode(subset, n: int) -> Word:
     odd sections with 0's."""
     require_sizes(n=n)
     s = sorted(set(subset))
-    if any(e < 1 or e > n for e in s):
+    if any(not isinstance(e, int) or not 1 <= e <= n for e in s):
         raise DomainViolation(f"subset {s} not within {{1..{n}}}")
     return _divider_encode(s, n)
 
@@ -294,7 +294,7 @@ class MarkedWord:
     def __post_init__(self) -> None:
         w = binary_word(self.word)
         object.__setattr__(self, "word", w)
-        if not 1 <= self.mark <= len(w) or w[self.mark - 1] != 1:
+        if not isinstance(self.mark, int) or not 1 <= self.mark <= len(w) or w[self.mark - 1] != 1:
             raise DomainViolation(f"mark {self.mark} is not the position of a 1 in {word_str(w)}")
 
     def __str__(self) -> str:
@@ -359,19 +359,15 @@ def signed_pair(subset, word, r: int) -> SignedPair:
 
 def _require_signed(s: frozenset[int], w: Word, r: int) -> None:
     """S must lie in {1..r} and w must end in at least r - |S| zeros."""
-    if any(e < 1 or e > r for e in s):
+    if any(not isinstance(e, int) or not 1 <= e <= r for e in s):
         raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
     if _trailing_zeros(w) < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
 
 
-def in_altbin_fix(pair: SignedPair, r: int) -> bool:
+def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
     """Fixed points of the first involution: the word ends in exactly
     r - |S| zeros and r is in S."""
-    return _altbin_fixed(pair.subset, pair.word, r)
-
-
-def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
     return r in s and _trailing_zeros(w) == r - len(s)
 
 
@@ -402,7 +398,7 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
             f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"
             f" not (-1)^(r-|S|) = {(-1) ** (r - len(s))}"
         )
-    if stage == 2 and not in_altbin_fix(pair, r):
+    if stage == 2 and not _altbin_fixed(s, w, r):
         raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
     t, moved = _altbin(stage, s, w, r)
     return SignedPair(t, moved, (-1) ** (r - len(t)))
@@ -426,13 +422,8 @@ def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[i
 # the alternating-row-sum involution chain
 
 
-def in_genalt_fix(w, d: int, j: int) -> bool:
-    """Is w a fixed point of the involutions 0..d of the chain?"""
-    w = binary_word(w)
-    return _asc(w) <= j and _genalt_fixed(w, d)
-
-
 def _genalt_fixed(w: Word, d: int) -> bool:
+    """Is w a fixed point of the involutions 0..d of the chain?"""
     x0, pairs, y0 = _profile(w)
     if x0 % 2 or y0 != 0:
         return False

@@ -1,9 +1,8 @@
-"""Word statistics and elementary word transformations.
+"""Word statistics, pattern containment and reduction, and the
+ascent-sequence and restricted-growth predicates.
 
 A word is a tuple of nonnegative integers.  Every public function also
 accepts a compact digit string ("2051159858") or any iterable of ints.
-Positions in the public API are 1-based, matching the usual notation
-w_1 w_2 ... w_n; internally everything is ordinary 0-based tuples.
 """
 
 from __future__ import annotations
@@ -39,28 +38,12 @@ def word_str(w) -> str:
     return "".join(str(x) for x in as_word(w))
 
 
-def is_binary(w) -> bool:
-    return all(x in (0, 1) for x in as_word(w))
-
-
 def binary_word(w) -> Word:
     """Like as_word, but rejects non-bit letters."""
     word = as_word(w)
     if not all(x in (0, 1) for x in word):
         raise DomainViolation(f"{word_str(word)} is not a binary word")
     return word
-
-
-def ascent_positions(w) -> set[int]:
-    """1-based positions i with w_i < w_{i+1}."""
-    w = as_word(w)
-    return {i for i in range(1, len(w)) if w[i - 1] < w[i]}
-
-
-def descent_positions(w) -> set[int]:
-    """1-based positions i with w_i > w_{i+1}."""
-    w = as_word(w)
-    return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
 
 
 def asc(w) -> int:
@@ -128,10 +111,6 @@ def contains_pattern(w, p) -> bool:
     return extend(0, ())
 
 
-def avoids(w, p) -> bool:
-    return not contains_pattern(w, p)
-
-
 def contains_001(w) -> bool:
     """Linear-time test for an occurrence i<j<l with w_i = w_j < w_l."""
     seen: set[int] = set()
@@ -160,16 +139,6 @@ def contains_210(w) -> bool:
         if prefix_max is None or x > prefix_max:
             prefix_max = x
     return False
-
-
-def reverse_word(w) -> Word:
-    """Letters in reversed index order.  Self-inverse."""
-    return as_word(w)[::-1]
-
-
-def complement(b) -> Word:
-    """Flip every bit of a binary word.  Self-inverse."""
-    return tuple(1 - x for x in binary_word(b))
 
 
 def is_ascent_sequence(w) -> bool:

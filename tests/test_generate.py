@@ -400,3 +400,5 @@ class TestRestrictedSubsets:
             RestrictedSubset((0, 1), 4, 2, 2)  # 0 outside the ground set
         with pytest.raises(DomainViolation):
             RestrictedSubset((1, 2), 4, 3, 2)  # wrong cardinality
+        with pytest.raises(DomainViolation, match=r"subset \(1.5, 3\) not within \{1..3\}"):
+            RestrictedSubset((1.5, 3), 3, 2, 1)  # not an integer

@@ -16,8 +16,6 @@ from rascal.maps import (
     divider_decode,
     divider_encode,
     genalt_involution,
-    in_altbin_fix,
-    in_genalt_fix,
     ratio_map,
     signed_pair,
     strip,
@@ -211,7 +209,7 @@ class TestAltbinInvolution:
         r, n, k = 2, 2, 1
         # word ends in exactly r - |S| = 0 zeros and r is in S
         pair = signed_pair({1, 2}, "0001", r)
-        assert in_altbin_fix(pair, r)
+        assert maps._altbin_fixed(pair.subset, pair.word, r)
         assert altbin_involution(1, pair, r, n, k) == pair
 
     def test_many_trailing_zeros_toggles_r(self):
@@ -540,7 +538,7 @@ class TestMapProperties:
         out = altbin_involution(1, pair, r, n, k)
         if out == pair:
             assert r in pair.subset and _trail(pair.word) == r - len(pair.subset)
-            assert in_altbin_fix(pair, r)
+            assert maps._altbin_fixed(pair.subset, pair.word, r)
             return
         assert out.word == pair.word and out.subset == pair.subset ^ {r}
         assert out.weight == -pair.weight
@@ -550,10 +548,10 @@ class TestMapProperties:
     @given(altbin_fixed_points())
     def test_altbin_stage2_sign_reversing_involution(self, case):
         pair, r, n, k = case
-        assert in_altbin_fix(pair, r)
+        assert maps._altbin_fixed(pair.subset, pair.word, r)
         out = altbin_involution(2, pair, r, n, k)
         assert out != pair and out.weight == -pair.weight
-        assert out.subset == pair.subset ^ {1} and in_altbin_fix(out, r)
+        assert out.subset == pair.subset ^ {1} and maps._altbin_fixed(out.subset, out.word, r)
         assert altbin_involution(2, out, r, n, k) == pair
 
     @PROPERTY
@@ -571,13 +569,13 @@ class TestMapProperties:
     @given(genalt_fixed_points())
     def test_genalt_stage_d_sign_reversing_involution(self, case):
         d, w, j = case
-        assert in_genalt_fix(w, d - 1, j)
+        assert asc(w) <= j and maps._genalt_fixed(w, d - 1)
         out = genalt_involution(d, w, j)
         if out == w:
-            assert in_genalt_fix(w, d, j)
+            assert maps._genalt_fixed(w, d)
             return
         assert abs(sum(out) - sum(w)) == 1
-        assert in_genalt_fix(out, d - 1, j) and not in_genalt_fix(out, d, j)
+        assert asc(out) <= j and maps._genalt_fixed(out, d - 1) and not maps._genalt_fixed(out, d)
         assert genalt_involution(d, out, j) == w
 
     @PROPERTY
@@ -619,6 +617,13 @@ class TestMapProperties:
             lambda: genalt_involution(0, bad, 4),
             lambda: divider_encode({len(b) + data.draw(st.integers(1, 5))}, len(b)),
             lambda: divider_encode({-data.draw(st.integers(0, 5))}, len(b)),
+            lambda: divider_encode({data.draw(st.integers(1, 5)) + 0.5}, len(b) + 6),
+            lambda: strip(b, 0.0, 0),
+            lambda: unstrip(b, 0, 0.0),
+            lambda: word_to_subset(b, 4.0),
+            lambda: genalt_involution(0.0, b, 4),
+            lambda: MarkedWord(b + (1,), float(len(b) + 1)),
+            lambda: signed_pair({1.5}, b + (0, 0), 2),
         ):
             with pytest.raises(DomainViolation):
                 call()
@@ -632,14 +637,24 @@ class TestPublicEdge:
             altbin_involution(1, pair, 2, 2, 1)
         with pytest.raises(DomainViolation, match="weight"):
             altbin_involution(2, SignedPair(frozenset({1, 2}), (0, 0, 0, 1), -1), 2, 2, 1)
+        with pytest.raises(DomainViolation, match=r"subset \[1.5\] not within \{1..2\}"):
+            signed_pair({1.5}, "000", 2)
 
     def test_negative_divider_length_named(self):
         with pytest.raises(DomainViolation, match="n must be >= 0, got -3"):
             divider_encode([], -3)
+        with pytest.raises(DomainViolation, match=r"subset \[1.5\] not within \{1..3\}"):
+            divider_encode({1.5}, 3)
 
     def test_negative_genalt_bound_named(self):
         with pytest.raises(DomainViolation, match="j must be >= 0, got -1"):
             genalt_involution(0, (1, 0), -1)
+        with pytest.raises(DomainViolation, match="d must be an integer, got 0.0"):
+            genalt_involution(0.0, "1100", 1)
+        with pytest.raises(DomainViolation, match="lead_ones must be an integer, got 1.0"):
+            strip("1100", 1.0, 1)
+        with pytest.raises(DomainViolation, match="mark 2.0 is not the position of a 1 in 0110"):
+            MarkedWord("0110", 2.0)
 
 
 class TestVerifierStructure:

@@ -1,4 +1,4 @@
-"""Word statistics, pattern containment, and the elementary transforms."""
+"""Word statistics, pattern containment and reduction, and the word predicates."""
 
 import re
 from itertools import product
@@ -7,45 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rascal.errors import DomainViolation
 from rascal.words import (
     as_word,
     asc,
-    ascent_positions,
-    complement,
     contains_001,
     contains_210,
     contains_pattern,
     des,
-    descent_positions,
     is_ascent_sequence,
     is_pattern,
     is_rgf,
     reduce_word,
-    reverse_word,
     word_str,
 )
 
-binary_words = st.lists(st.integers(0, 1), max_size=14).map(tuple)
 small_words = st.lists(st.integers(0, 5), max_size=12).map(tuple)
 
 
 class TestAscentsDescents:
     def test_ascent_positions_example(self):
-        assert ascent_positions("2051159858") == {2, 5, 6, 9}
         assert asc("2051159858") == 4
 
     def test_empty_word(self):
-        assert ascent_positions("") == set()
         assert asc("") == 0
 
     def test_weakly_decreasing(self):
-        assert ascent_positions("1100") == set()
+        assert asc("1100") == 0
 
     def test_descent_positions(self):
-        assert descent_positions("1100") == {2}
-        assert descent_positions("0011") == set()
-        assert descent_positions("1010") == {1, 3}
+        assert des("1100") == 1
+        assert des("0011") == 0
+        assert des("1010") == 2
 
     def test_adjacency_partition(self):
         # ascents + descents + plateaus partition the n-1 adjacent pairs
@@ -106,30 +98,6 @@ class TestPatternContainment:
     def test_specialized_agree_with_generic(self, w):
         assert contains_001(w) == contains_pattern(w, "001")
         assert contains_210(w) == contains_pattern(w, "210")
-
-
-class TestReverseComplement:
-    def test_reverse(self):
-        assert reverse_word("110") == as_word("011")
-
-    def test_complement(self):
-        assert complement("110") == as_word("001")
-
-    def test_double_application(self):
-        b = as_word("10010")
-        assert reverse_word(reverse_word(b)) == b
-        assert complement(complement(b)) == b
-
-    def test_complement_needs_bits(self):
-        with pytest.raises(DomainViolation):
-            complement("012")
-
-    @settings(max_examples=200, derandomize=True)
-    @given(binary_words)
-    def test_involutions_commute(self, b):
-        assert reverse_word(reverse_word(b)) == b
-        assert complement(complement(b)) == b
-        assert complement(reverse_word(b)) == reverse_word(complement(b))
 
 
 class TestAscentSequencePredicate:
