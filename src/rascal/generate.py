@@ -4,12 +4,12 @@ Every stream yields in strictly increasing lexicographic order, so
 listings are deterministic and diffable.  The slow oracles and the fast
 structured generators are kept separate on purpose, and the test suite
 checks each generator against its oracle: words_with_ascents walks runs
-lazily, while count_words_with_ascents walks run-length profiles and
-all_binary_words lists all 2^n words; avoiders walks a pruned tree of
-ascent-sequence prefixes, while ascent_sequences walks the whole tree
-unpruned.  Each generator is priced against the cell budget before its
+lazily, while count_words_with_ascents counts run-length profiles by
+running sums and all_binary_words lists all 2^n words; avoiders walks a
+pruned tree of ascent-sequence prefixes, while ascent_sequences walks
+the whole tree unpruned.  Each generator is priced against the cell budget before its
 first object: words by closed forms at the call sites, restricted
-subsets by R(n, k; j), profile counts by their profiles, ascent
+subsets by R(n, k; j), profile counts by the cells they fill, ascent
 sequences by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
 """
 
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from math import comb
 from collections.abc import Iterator
 
 from .errors import DomainViolation, ResourceLimit
-from .limits import check_cells, check_sum, max_cells
+from .limits import check_cells, check_sum, max_cells, require_sizes
 from .words import (
     Word,
     as_word,
@@ -42,16 +42,6 @@ def all_binary_words(n: int) -> Iterator[Word]:
     return product((0, 1), repeat=n)
 
 
-def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def words_with_ascents(n: int, k: int, j: int = 1) -> Iterator[Word]:
     """The words of length n with k ones and at most j ascents, lazily
     and in lexicographic order.
@@ -61,8 +51,8 @@ def words_with_ascents(n: int, k: int, j: int = 1) -> Iterator[Word]:
     shorter 1-runs come first, so the words come out sorted with nothing
     to sort; the walk keeps one generator per ascent (at most j + 1).
     """
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
+    require_sizes(negative_ok=True, n=n, k=k)
+    require_sizes(j=j)
     if n < 0 or k < 0 or k > n:
         return
     if k == 0:
@@ -86,9 +76,13 @@ def _one_runs(prefix: Word, zeros: int, ones: int, left: int) -> Iterator[Word]:
 
 def _profile_count(total: int, parts: int) -> int:
     """How many (a_0, ..., a_parts) with a_0 >= 0, a_i >= 1 sum to total,
-    counted by walking them as the positive compositions of total + 1
-    (a_0 + 1 first): the oracle never takes a binomial from the closed form."""
-    return sum(1 for _ in _positive_compositions(total + 1, parts + 1))
+    by running sums: ways[s] counts the tuples so far that sum to s, and
+    each part a_i >= 1 makes ways[s] the sum of ways[0..s-1].  It fills
+    parts + 1 rows of total + 1 cells and takes no binomial."""
+    ways = [1] * (total + 1)
+    for _ in range(parts):
+        ways = [0, *accumulate(ways[:-1])]
+    return ways[total]
 
 
 def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
@@ -108,12 +102,13 @@ def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
 
 def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
     """|B_k^(j)(n)| from the run-length profiles of words_with_ascents,
-    each side's profiles walked and counted once per r, then multiplied;
-    no letters and no binomials in the count, so this is the cheap
-    oracle for large identity grids.  Priced first by the profiles it
-    walks, C(k, r) + C(n-k, r) for each r, only until past the cap."""
-    terms = (comb(k, r) + comb(n - k, r) for r in range(min(j, k, n - k) + 1))
-    check_sum(terms, "walking oracle profiles")
+    each side's profiles counted once per r, then multiplied; no letters
+    and no binomials in the count, so this is the cheap oracle for large
+    identity grids.  Priced first by the cells its counts fill, (r + 1)
+    * (n + 2) for each r, only until past the cap."""
+    require_sizes(negative_ok=True, n=n, k=k, j=j)
+    terms = ((r + 1) * (n + 2) for r in range(min(j, k, n - k) + 1))
+    check_sum(terms, "counting oracle profiles")
     return _count_by_profiles(_profile_count, n, k, j)
 
 
@@ -264,6 +259,7 @@ class RestrictedSubset:
     j: int
 
     def __post_init__(self) -> None:
+        require_sizes(n=self.n, k=self.k, j=self.j)
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
         if list(elems) != sorted(set(elems)):
@@ -272,8 +268,6 @@ class RestrictedSubset:
             raise DomainViolation(f"subset {elems} not within {{1..{self.n}}}")
         if len(elems) != self.k:
             raise DomainViolation(f"subset {elems} has size {len(elems)}, expected {self.k}")
-        if self.j < 0:
-            raise DomainViolation("intersection bound j must be >= 0")
         low = sum(1 for e in elems if e <= self.n - self.k)
         if low > self.j:
             raise DomainViolation(

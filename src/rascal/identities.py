@@ -13,7 +13,7 @@ stays visible as a permanent regression check.
 
 Left-hand sides are expressed through a value source `v(n, k, j=1)`,
 which is either the closed form or an enumeration count (the product
-rule over walked run-length profiles, never a binomial); that is what
+rule over run-length profile counts, never a binomial); that is what
 lets the same registry run against brute-force ground truth.
 Row sums read a whole row at once through `v.row(n, j)`, which each
 source builds once: the closed form's rows come from the unchecked
@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate, repeat
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import mul
 from typing import Callable
 
@@ -85,15 +85,15 @@ class ClosedValues:
 class EnumerationCounts(ClosedValues):
     """Value source backed by enumeration (the oracle): each count is
     the product rule over run-length profiles (`generate`), and each
-    profile family (t, r) is walked at most once per instance.  The
-    walks are priced: C(t, r) profiles are added to a running total
-    before a family is walked, and past the cell cap (`max_cells`, else
-    RASCAL_MAX_CELLS) the source raises ResourceLimit."""
+    profile family (t, r) is counted at most once per instance, priced
+    first: the (t + 1)(r + 1) cells of its running sums join a running
+    total, and past the cell cap (`max_cells`, else RASCAL_MAX_CELLS)
+    the source raises ResourceLimit."""
 
     def __init__(self, max_cells: int | None = None) -> None:
         super().__init__()
         self._profiles: dict[tuple[int, int], int] = {}
-        self._walked = 0
+        self._filled = 0
         self._cap = limits.max_cells(max_cells)
 
     def count(self, n: int, k: int, j: int = 1) -> int:
@@ -102,8 +102,8 @@ class EnumerationCounts(ClosedValues):
     def _family_size(self, t: int, r: int) -> int:
         got = self._profiles.get((t, r))
         if got is None:
-            self._walked += comb(t, r)  # the price only; the value is walked
-            limits.check_cells(self._walked, "walking oracle profiles", self._cap)
+            self._filled += (t + 1) * (r + 1)
+            limits.check_cells(self._filled, "counting oracle profiles", self._cap)
             got = self._profiles[t, r] = _profile_count(t, r)
         return got
 

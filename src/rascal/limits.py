@@ -6,7 +6,8 @@ Fishburn number, the pruned {001, 210}-avoider tree its nodes, a
 closed-form value (and an E-table defect) its terms times their bits, a
 closed-form row a triangle up to it per term column plus its own cells,
 a recurrence table its cells in every layer it grows, a restricted-subset
-listing R(n, k; j), the profile oracle the C(t, r) profiles it walks.
+listing R(n, k; j), the profile oracle the (t + 1)(r + 1) cells of the
+running sums that count each profile family (t, r).
 """
 
 import os
@@ -30,13 +31,13 @@ def max_cells(override: int | None = None) -> int:
     return int(raw)
 
 
-def require_sizes(**sizes: int) -> None:
+def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
     """Raise DomainViolation naming the first size that is not an
-    integer or is negative."""
+    integer or (unless `negative_ok`) is negative."""
     for name, value in sizes.items():
         if not isinstance(value, int):
             raise DomainViolation(f"{name} must be an integer, got {value!r}")
-        if value < 0:
+        if value < 0 and not negative_ok:
             raise DomainViolation(f"{name} must be >= 0, got {value}")
 
 

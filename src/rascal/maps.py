@@ -351,6 +351,7 @@ class SignedPair:
 def signed_pair(subset, word, r: int) -> SignedPair:
     """Build a SignedPair, checking it lies in the alternating-sum set:
     the word must end in at least r - |S| zeros."""
+    require_sizes(r=r)
     s = frozenset(subset)
     w = binary_word(word)
     _require_signed(s, w, r)
@@ -372,6 +373,7 @@ def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
 
 
 def _require_altbin_sizes(r: int, n: int, k: int) -> None:
+    require_sizes(negative_ok=True, r=r, n=n, k=k)
     if r < 2 or not 0 <= k <= n:
         raise DomainViolation(f"altbin needs r >= 2 and 0 <= k <= n, got r={r}, n={n}, k={k}")
 

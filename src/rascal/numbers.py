@@ -180,6 +180,7 @@ def rascal_value(
     `cache` lets callers reuse recurrence tables across calls; when
     omitted, a throwaway one is built.
     """
+    require_sizes(negative_ok=True, n=n, k=k)
     if method != "closed":
         return rascal_gen_value(n, k, 1, method, cache=cache)
     return k * (n - k) + 1 if 0 <= k <= n else 0
@@ -194,6 +195,7 @@ def rascal_gen_value(
     cache: TriangleCache | None = None,
 ) -> int:
     """R(n, k; j): binary words of length n, k ones, at most j ascents."""
+    require_sizes(negative_ok=True, n=n, k=k, j=j)
     _check_route(method, j)
     if not 0 <= k <= n:
         return 0
@@ -207,8 +209,8 @@ def closed_row(n: int, j: int = 1) -> list[int]:
     """R(n, k; j) for k = 0..n by the closed form, priced first like
     the closed triangle up to row n: one table of rows 0..n per term
     column it adds, plus the row itself."""
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
+    require_sizes(negative_ok=True, n=n)
+    require_sizes(j=j)
     check_cells(_table_cells(n, min(j, n // 2)) + n + 1, "closed-form row")
     return _closed_row(n, j)
 
@@ -246,6 +248,7 @@ def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int
     Equals R(n - lead_ones - trail_zeros, k - lead_ones): stripping the
     forced prefix and suffix is a bijection onto the smaller family.
     """
+    require_sizes(negative_ok=True, n=n, k=k)
     require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
     return rascal_value(n - lead_ones - trail_zeros, k - lead_ones)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rascal.errors import DomainViolation, ResourceLimit
 from rascal.generate import (
     RestrictedSubset,
+    _profile_count,
     all_binary_words,
     ascent_sequences,
     avoider_nodes,
@@ -62,6 +63,23 @@ ASCSEQ4 = [
 
 def lex_increasing(seq):
     return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def positive_compositions(total, parts):
+    """Every tuple of `parts` positive ints summing to `total`, walked."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in positive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def walked_profile_count(total, parts):
+    """How many (a_0, ..., a_parts) with a_0 >= 0, a_i >= 1 sum to total,
+    walked as the positive compositions of total + 1 (a_0 + 1 first)."""
+    return sum(1 for _ in positive_compositions(total + 1, parts + 1))
 
 
 class TestAllBinaryWords:
@@ -124,15 +142,30 @@ class TestWordsWithAscents:
         j = data.draw(st.integers(0, 5))
         assert count_words_with_ascents(n, k, j) == rascal_gen_value(n, k, j)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_count_matches_closed_form_at_large_sizes(self, data):
+        n = data.draw(st.integers(0, 400))
+        k = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, 6))
+        assert count_words_with_ascents(n, k, j) == rascal_gen_value(n, k, j)
+
+    def test_profile_count_equals_walk(self):
+        # the running sums count what the walk lists, family by family
+        for t in range(17):
+            for r in range(9):
+                assert _profile_count(t, r) == walked_profile_count(t, r), (t, r)
+
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(words_with_ascents(9, 4, 3)))
 
     def test_count_priced_by_profiles(self, monkeypatch):
-        # C(100, 5) + C(100, 5) profiles for r = 5 alone
+        # (r + 1) * (n + 2) cells for each r: 1,000,002 at r = 0 fit the
+        # default budget, and r = 1 takes the total to 3,000,006
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         start = time.perf_counter()
-        with pytest.raises(ResourceLimit, match="walking oracle profiles"):
-            count_words_with_ascents(200, 100, 5)
+        with pytest.raises(ResourceLimit, match="counting oracle profiles"):
+            count_words_with_ascents(10**6, 5 * 10**5, 5)
         assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -160,6 +193,11 @@ class TestWordsWithAscents:
     def test_outside_triangle_empty(self):
         assert list(words_with_ascents(3, 5, 1)) == []
         assert list(words_with_ascents(-1, 0, 1)) == []
+        assert count_words_with_ascents(3, 5, 1) == count_words_with_ascents(-1, 0, 1) == 0
+        with pytest.raises(DomainViolation, match="n must be an integer, got 4.0"):
+            list(words_with_ascents(4.0, 2, 1))
+        with pytest.raises(DomainViolation, match="n must be an integer, got 6.0"):
+            count_words_with_ascents(6.0, 3, 1)
 
 
 class TestAscentSequences:
@@ -402,3 +440,9 @@ class TestRestrictedSubsets:
             RestrictedSubset((1, 2), 4, 3, 2)  # wrong cardinality
         with pytest.raises(DomainViolation, match=r"subset \(1.5, 3\) not within \{1..3\}"):
             RestrictedSubset((1.5, 3), 3, 2, 1)  # not an integer
+        with pytest.raises(DomainViolation, match="n must be an integer, got 3.5"):
+            RestrictedSubset((1, 2), 3.5, 2, 1)
+        with pytest.raises(DomainViolation, match="k must be an integer, got 2.0"):
+            RestrictedSubset((1, 3), 3, 2.0, 1)
+        with pytest.raises(DomainViolation, match="j must be an integer, got 1.5"):
+            RestrictedSubset((1, 3), 3, 2, 1.5)

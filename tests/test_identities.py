@@ -279,11 +279,12 @@ class TestEnumerationSource:
         assert walked and len(walked) == len(set(walked))
 
     def test_profile_walks_priced(self):
-        # forward_diff on this grid walks 37,539 profiles
+        # forward_diff on this grid counts 110 profile families (t, r),
+        # whose running sums fill sum (t + 1)(r + 1) = 4,185 cells
         grid = {"n": (0, 16), "j": (0, 4)}
-        with pytest.raises(ResourceLimit, match="over the cap 37538"):
-            verify_range("forward_diff", grid, oracle=True, max_cells=37538)
-        assert verify_range("forward_diff", grid, oracle=True, max_cells=37539).passed
+        with pytest.raises(ResourceLimit, match="over the cap 4184"):
+            verify_range("forward_diff", grid, oracle=True, max_cells=4184)
+        assert verify_range("forward_diff", grid, oracle=True, max_cells=4185).passed
 
     def test_default_grids_cover_registry(self):
         grids = default_grids()

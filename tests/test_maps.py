@@ -639,6 +639,8 @@ class TestPublicEdge:
             altbin_involution(2, SignedPair(frozenset({1, 2}), (0, 0, 0, 1), -1), 2, 2, 1)
         with pytest.raises(DomainViolation, match=r"subset \[1.5\] not within \{1..2\}"):
             signed_pair({1.5}, "000", 2)
+        with pytest.raises(DomainViolation, match="r must be an integer, got 2.0"):
+            signed_pair({1}, "000", 2.0)
 
     def test_negative_divider_length_named(self):
         with pytest.raises(DomainViolation, match="n must be >= 0, got -3"):
@@ -655,6 +657,10 @@ class TestPublicEdge:
             strip("1100", 1.0, 1)
         with pytest.raises(DomainViolation, match="mark 2.0 is not the position of a 1 in 0110"):
             MarkedWord("0110", 2.0)
+        with pytest.raises(DomainViolation, match="n must be an integer, got 6.0"):
+            verify_ratio(6.0, 3)
+        with pytest.raises(DomainViolation, match="r must be an integer, got 2.0"):
+            verify_altbin(2.0, 3, 1)
 
 
 class TestVerifierStructure:

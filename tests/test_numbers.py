@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rascal.errors import ResourceLimit
+from rascal.errors import DomainViolation, ResourceLimit
 from rascal.numbers import (
     TriangleCache,
     closed_row,
@@ -71,6 +71,8 @@ class TestRascalValue:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             rascal_value(3, 1, "magic")
+        with pytest.raises(DomainViolation, match="n must be an integer, got 6.0"):
+            rascal_value(6.0, 3)
 
     def test_methods_agree_medium(self):
         cache = TriangleCache()
@@ -129,6 +131,8 @@ class TestRascalGenValue:
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
             rascal_gen_value(3, 1, -1)
+        with pytest.raises(DomainViolation, match="n must be an integer, got 6.0"):
+            rascal_gen_value(6.0, 3, 2)
 
     def test_multiplicative_route_at_j1(self):
         cache = TriangleCache()
@@ -213,6 +217,8 @@ class TestClosedRow:
         assert closed_row(-1, 2) == []
         with pytest.raises(ValueError):
             closed_row(3, -1)
+        with pytest.raises(DomainViolation, match="n must be an integer, got 4.0"):
+            closed_row(4.0, 1)
 
     @pytest.mark.parametrize("n, j", [(2000, 1000), (1000, 500), (3000000, 2)])
     def test_absurd_row_refused_before_building(self, monkeypatch, n, j):
@@ -293,6 +299,8 @@ class TestPrefixSuffixCount:
     def test_negative_lengths_rejected(self):
         with pytest.raises(ValueError):
             prefix_suffix_count(6, 3, -1, 0)
+        with pytest.raises(DomainViolation, match="n must be an integer, got 6.0"):
+            prefix_suffix_count(6.0, 3, 0, 0)
 
 
 class TestEDefect:
