@@ -4,20 +4,21 @@ Every stream yields in strictly increasing lexicographic order, so
 listings are deterministic and diffable.  The slow oracles and the fast
 structured generators are kept separate on purpose, and the test suite
 checks each generator against its oracle: words_with_ascents walks runs
-lazily, while count_words_with_ascents counts run-length profiles by
-running sums and all_binary_words lists all 2^n words; avoiders walks a
-pruned tree of ascent-sequence prefixes, while ascent_sequences walks
-the whole tree unpruned.  Each generator is priced against the cell budget before its
-first object: words by closed forms at the call sites, restricted
-subsets by R(n, k; j), profile counts by the cells they fill, ascent
-sequences by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
+lazily, while count_words_with_ascents counts run-length profiles in a
+ProfileTable of running sums and all_binary_words lists all 2^n words;
+avoiders walks a pruned tree of ascent-sequence prefixes, while
+ascent_sequences walks the whole tree unpruned.  Each generator is priced
+against the cell budget before its first object: words by closed forms
+at the call sites, restricted subsets by R(n, k; j), profile counts by
+the table cells they fill, ascent sequences by the Fishburn numbers, the
+{001, 210}-avoider tree by its nodes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice, product, repeat
 from math import comb
 from collections.abc import Iterator
 
@@ -74,42 +75,64 @@ def _one_runs(prefix: Word, zeros: int, ones: int, left: int) -> Iterator[Word]:
     yield prefix + (1,) * ones + (0,) * zeros
 
 
-def _profile_count(total: int, parts: int) -> int:
-    """How many (a_0, ..., a_parts) with a_0 >= 0, a_i >= 1 sum to total,
-    by running sums: ways[s] counts the tuples so far that sum to s, and
-    each part a_i >= 1 makes ways[s] the sum of ways[0..s-1].  It fills
-    parts + 1 rows of total + 1 cells and takes no binomial."""
-    ways = [1] * (total + 1)
-    for _ in range(parts):
-        ways = [0, *accumulate(ways[:-1])]
-    return ways[total]
+class ProfileTable:
+    """The profile counts P(t, r), how many (a_0, ..., a_r) with a_0 >= 0
+    and a_i >= 1 sum to t, as columns [P(0, r), ..., P(T, r)] for r = 0..R,
+    grown in place by running sums, with no binomial: a longer column
+    extends by P(t, r) = P(t-1, r) + P(t-1, r-1), a new column is the
+    running sum of the one below it.  Each growth, and each cell a caller
+    charges, joins a running total before it is allocated; past the cell
+    cap that raises ResourceLimit."""
+
+    def __init__(self, cap: int | None = None) -> None:
+        self.columns: list[list[int]] = []
+        self.filled = 0
+        self._cap = max_cells(cap)
+
+    def charge(self, cells: int) -> None:
+        self.filled += cells
+        check_cells(self.filled, "counting oracle profiles", self._cap)
+
+    def grow(self, t: int, r: int) -> list[list[int]]:
+        """The columns, grown in place to hold at least P(0..t, 0..r)."""
+        cols = self.columns
+        height, width = len(cols[0]) if cols else 0, len(cols)
+        if t < height and r < width:
+            return cols
+        new_height, new_width = max(t + 1, height), max(r + 1, width)
+        self.charge(new_height * new_width - height * width)
+        if cols:
+            cols[0].extend(repeat(1, new_height - height))
+            for below, col in zip(cols, cols[1:]):
+                # accumulate yields its initial first, so the popped last cell goes back
+                col.extend(accumulate(below[height - 1 : new_height - 1], initial=col.pop()))
+        for _ in range(width, new_width):
+            cols.append([0, *accumulate(cols[-1][:-1])] if cols else [1] * new_height)
+        return cols
 
 
-def _count_by_profiles(profile_count, n: int, k: int, j: int) -> int:
+def _count_by_profiles(table: ProfileTable, n: int, k: int, j: int) -> int:
     """|B_k^(j)(n)| by the product rule: a word with exactly r ascents is
     1^x0 0^y1 1^x1 ... 0^yr 1^xr 0^y0, the x's summing to k and the y's
     to n-k (outer runs may be empty, inner runs may not), a free pair of
     an r-part profile of its ones and one of its zeros, so it sums
-    profile_count(k, r) * profile_count(n-k, r) over r."""
+    P(k, r) * P(n-k, r) over r, read from the table."""
     if j < 0:
         raise ValueError("ascent bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return 0
-    return sum(
-        profile_count(k, r) * profile_count(n - k, r) for r in range(min(j, k, n - k) + 1)
-    )
+    r = min(j, k, n - k)
+    return sum(col[k] * col[n - k] for col in table.grow(max(k, n - k), r)[: r + 1])
 
 
 def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
     """|B_k^(j)(n)| from the run-length profiles of words_with_ascents,
-    each side's profiles counted once per r, then multiplied; no letters
-    and no binomials in the count, so this is the cheap oracle for large
-    identity grids.  Priced first by the cells its counts fill, (r + 1)
-    * (n + 2) for each r, only until past the cap."""
+    each side's profiles counted, then multiplied; no letters and no
+    binomials in the count, so this is the cheap oracle for large
+    identity grids.  Priced first by the cells of its profile table,
+    (max(k, n-k) + 1) * (min(j, k, n-k) + 1)."""
     require_sizes(negative_ok=True, n=n, k=k, j=j)
-    terms = ((r + 1) * (n + 2) for r in range(min(j, k, n - k) + 1))
-    check_sum(terms, "counting oracle profiles")
-    return _count_by_profiles(_profile_count, n, k, j)
+    return _count_by_profiles(ProfileTable(), n, k, j)
 
 
 def fishburn_numbers() -> Iterator[int]:

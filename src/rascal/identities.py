@@ -19,7 +19,7 @@ Row sums read a whole row at once through `v.row(n, j)`, which each
 source builds once: the closed form's rows come from the unchecked
 `numbers._closed_row` (row (n, j) grown from a built row (n, j-1) by one
 term column) and its cells from the unchecked `numbers.closed_value`;
-the enumeration source builds rows cell by cell from its own counts.
+the enumeration source builds whole rows from its profile table.
 
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, **params)`, the left side at `params` from `prev`, the
@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate, repeat
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
-from .generate import _count_by_profiles, _profile_count
+from .generate import ProfileTable, _count_by_profiles
 from . import limits
 from .numbers import _closed_row, choose, closed_value, falling_factorial
 
@@ -50,7 +50,7 @@ from .numbers import _closed_row, choose, closed_value, falling_factorial
 class ClosedValues:
     """Closed-form value source with a per-instance memo; subclasses
     change only `count`, the function that fills the memo, and `_row`,
-    the function that fills a whole row of it."""
+    the function that builds a whole row of it."""
 
     count = staticmethod(closed_value)
 
@@ -72,43 +72,41 @@ class ClosedValues:
         got = self._rows.get((n, j))
         if got is None:
             got = self._rows[n, j] = self._row(n, j)
+            self._memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), got))
         return got
 
     def _row(self, n: int, j: int) -> list[int]:
         """The row (n, j) from the cached row (n, j-1) by its one new
         term column, if that row was built; else from scratch."""
-        row = _closed_row(n, j, self._rows.get((n, j - 1)))
-        self._memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), row))
-        return row
+        return _closed_row(n, j, self._rows.get((n, j - 1)))
 
 
 class EnumerationCounts(ClosedValues):
-    """Value source backed by enumeration (the oracle): each count is
-    the product rule over run-length profiles (`generate`), and each
-    profile family (t, r) is counted at most once per instance, priced
-    first: the (t + 1)(r + 1) cells of its running sums join a running
-    total, and past the cell cap (`max_cells`, else RASCAL_MAX_CELLS)
-    the source raises ResourceLimit."""
+    """Value source backed by enumeration (the oracle): cells by the product
+    rule over one table of run-length profile counts (`generate.ProfileTable`),
+    rows from its columns.  The table's growth and each row's new term
+    columns and own n + 1 cells join one running total, priced first; past
+    the cell cap (`max_cells`, else RASCAL_MAX_CELLS) it raises ResourceLimit."""
 
     def __init__(self, max_cells: int | None = None) -> None:
         super().__init__()
-        self._profiles: dict[tuple[int, int], int] = {}
-        self._filled = 0
-        self._cap = limits.max_cells(max_cells)
+        self._table = ProfileTable(max_cells)
 
     def count(self, n: int, k: int, j: int = 1) -> int:
-        return _count_by_profiles(self._family_size, n, k, j)
-
-    def _family_size(self, t: int, r: int) -> int:
-        got = self._profiles.get((t, r))
-        if got is None:
-            self._filled += (t + 1) * (r + 1)
-            limits.check_cells(self._filled, "counting oracle profiles", self._cap)
-            got = self._profiles[t, r] = _profile_count(t, r)
-        return got
+        return _count_by_profiles(self._table, n, k, j)
 
     def _row(self, n: int, j: int) -> list[int]:
-        return [self(n, k, j) for k in range(n + 1)]
+        """sum_r P(k, r) * P(n-k, r) over r <= min(j, n // 2) for k = 0..n,
+        each column read forwards and reversed: grown from the built row
+        (n, j-1) by its one new column (none once j > n // 2), else whole."""
+        row = self._rows.get((n, j - 1))
+        terms = range(0 if row is None else j, min(j, n // 2) + 1)
+        self._table.charge((len(terms) + 1) * (n + 1))
+        row = row or [0] * (n + 1)
+        for col in self._table.grow(n, terms.stop - 1)[terms.start : terms.stop]:
+            head = col[: n + 1]
+            row = list(map(add, row, map(mul, head, reversed(head))))
+        return row
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ Fishburn number, the pruned {001, 210}-avoider tree its nodes, a
 closed-form value (and an E-table defect) its terms times their bits, a
 closed-form row a triangle up to it per term column plus its own cells,
 a recurrence table its cells in every layer it grows, a restricted-subset
-listing R(n, k; j), the profile oracle the (t + 1)(r + 1) cells of the
-running sums that count each profile family (t, r).
+listing R(n, k; j), the profile oracle each growth of its profile table
+plus each row's new term columns and own cells.
 """
 
 import os

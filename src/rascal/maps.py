@@ -39,7 +39,7 @@ from .generate import (
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes
-from .numbers import choose, closed_value, prefix_suffix_count, rascal_value
+from .numbers import choose, closed_value, rascal_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
 
@@ -347,6 +347,13 @@ class SignedPair:
         if self.weight not in (1, -1):
             raise DomainViolation("weight must be +1 or -1")
 
+    @classmethod
+    def _trusted(cls, subset: frozenset[int], word: Word, weight: int) -> SignedPair:
+        """A core's output pair, built without re-running the checks above."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(subset=subset, word=word, weight=weight)
+        return pair
+
 
 def signed_pair(subset, word, r: int) -> SignedPair:
     """Build a SignedPair, checking it lies in the alternating-sum set:
@@ -403,7 +410,7 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     if stage == 2 and not _altbin_fixed(s, w, r):
         raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
     t, moved = _altbin(stage, s, w, r)
-    return SignedPair(t, moved, (-1) ** (r - len(t)))
+    return SignedPair._trusted(t, moved, (-1) ** (r - len(t)))
 
 
 def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[int], Word]:
@@ -546,7 +553,7 @@ def verify_strip(n_max: int) -> dict:
     one, with unstrip as two-sided inverse, in the counted quantity."""
     require_sizes(n_max=n_max)
     domains = (
-        prefix_suffix_count(n, k, lead, trail)
+        closed_value(n - lead - trail, k - lead)
         for n in range(n_max + 1)
         for k in range(n + 1)
         for lead in range(k + 1)
@@ -561,7 +568,7 @@ def verify_strip(n_max: int) -> dict:
             for lead, trail in product(range(k + 1), range(n - k + 1)):
                 where = f"n={n}, k={k}, lead={lead}, trail={trail}"
                 domain = [b for b, ones, zeros in family if ones >= lead and zeros >= trail]
-                expected = prefix_suffix_count(n, k, lead, trail)
+                expected = closed_value(n - lead - trail, k - lead)
                 if len(domain) != expected:
                     details.append(f"strip: count {len(domain)} != R = {expected} at ({where})")
                 target = set(words_with_ascents(n - lead - trail, k - lead, 1))

@@ -250,7 +250,7 @@ def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int
     """
     require_sizes(negative_ok=True, n=n, k=k)
     require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
-    return rascal_value(n - lead_ones - trail_zeros, k - lead_ones)
+    return closed_value(n - lead_ones - trail_zeros, k - lead_ones)
 
 
 def e_defect(n: int, k: int, j: int = 1) -> int:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from rascal.errors import DomainViolation, ResourceLimit
 from rascal.generate import (
+    ProfileTable,
     RestrictedSubset,
-    _profile_count,
     all_binary_words,
     ascent_sequences,
     avoider_nodes,
@@ -151,17 +151,21 @@ class TestWordsWithAscents:
         assert count_words_with_ascents(n, k, j) == rascal_gen_value(n, k, j)
 
     def test_profile_count_equals_walk(self):
-        # the running sums count what the walk lists, family by family
+        # the table's running sums count what the walk lists, family by
+        # family, after growing in both directions from a smaller table
+        table = ProfileTable()
+        table.grow(5, 3)
+        columns = table.grow(16, 8)
         for t in range(17):
             for r in range(9):
-                assert _profile_count(t, r) == walked_profile_count(t, r), (t, r)
+                assert columns[r][t] == walked_profile_count(t, r), (t, r)
 
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(words_with_ascents(9, 4, 3)))
 
     def test_count_priced_by_profiles(self, monkeypatch):
-        # (r + 1) * (n + 2) cells for each r: 1,000,002 at r = 0 fit the
-        # default budget, and r = 1 takes the total to 3,000,006
+        # a table of (max(k, n-k) + 1) * (min(j, k, n-k) + 1) = 3,000,006
+        # cells, refused before it is built
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         start = time.perf_counter()
         with pytest.raises(ResourceLimit, match="counting oracle profiles"):

@@ -265,26 +265,34 @@ class TestEnumerationSource:
             for j in range(5):
                 assert counts.row(n, j) == _enum_row_counts(n, j), (n, j)
 
-    def test_each_profile_family_walked_once(self, monkeypatch):
-        walked = []
+    def test_no_table_cell_filled_twice(self, monkeypatch):
+        sources = []
 
-        def recording(total, parts):
-            walked.append((total, parts))
-            return profile_count(total, parts)
+        class Recording(EnumerationCounts):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sources.append(self)
 
-        profile_count = identities._profile_count
-        monkeypatch.setattr(identities, "_profile_count", recording)
+        monkeypatch.setattr(identities, "EnumerationCounts", Recording)
         report = verify_range("forward_diff", {"n": (0, 16), "j": (0, 4)}, oracle=True)
         assert (report.cells, report.failures) == (85, ())
-        assert walked and len(walked) == len(set(walked))
+        # the running total is the table's cells plus, for each row in the
+        # order built, its new term columns and its own n + 1 cells
+        [v] = sources
+        built, rows = set(), 0
+        for n, j in v._rows:
+            grown = (n, j - 1) in built
+            rows += (len(range(j if grown else 0, min(j, n // 2) + 1)) + 1) * (n + 1)
+            built.add((n, j))
+        assert v._table.filled == sum(map(len, v._table.columns)) + rows
 
     def test_profile_walks_priced(self):
-        # forward_diff on this grid counts 110 profile families (t, r),
-        # whose running sums fill sum (t + 1)(r + 1) = 4,185 cells
+        # forward_diff on this grid reads rows n <= 25 at j <= 4: a profile
+        # table of 26 x 5 cells and row charges take the total to 5,420
         grid = {"n": (0, 16), "j": (0, 4)}
-        with pytest.raises(ResourceLimit, match="over the cap 4184"):
-            verify_range("forward_diff", grid, oracle=True, max_cells=4184)
-        assert verify_range("forward_diff", grid, oracle=True, max_cells=4185).passed
+        with pytest.raises(ResourceLimit, match="over the cap 5419"):
+            verify_range("forward_diff", grid, oracle=True, max_cells=5419)
+        assert verify_range("forward_diff", grid, oracle=True, max_cells=5420).passed
 
     def test_default_grids_cover_registry(self):
         grids = default_grids()
@@ -421,6 +429,18 @@ class TestRows:
         v = ClosedValues()
         for j in order:
             assert v.row(n, j) == closed_row(n, j) == [rascal_gen_value(n, k, j) for k in range(n + 1)], j
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 14) | st.integers(15, 300),
+        st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True),
+    )
+    def test_oracle_rows_in_any_j_order(self, n, order):
+        # the oracle's rows, grown or built from its profile table, against
+        # the 2^n word filter at small n and the closed form beyond
+        v = EnumerationCounts()
+        for j in order:
+            assert v.row(n, j) == (_enum_row_counts(n, j) if n <= 14 else closed_row(n, j)), j
 
     @pytest.mark.parametrize(
         "name, grid",

@@ -642,6 +642,16 @@ class TestPublicEdge:
         with pytest.raises(DomainViolation, match="r must be an integer, got 2.0"):
             signed_pair({1}, "000", 2.0)
 
+    def test_caller_built_signed_pair_validated(self):
+        # altbin_involution builds its output unchecked; a caller's pair is checked
+        with pytest.raises(DomainViolation, match="0120 is not a binary word"):
+            SignedPair(frozenset({2}), (0, 1, 2, 0), 1)
+        with pytest.raises(DomainViolation, match="weight must be"):
+            SignedPair(frozenset({2}), (1, 0, 0, 0), 2)
+        image = altbin_involution(1, SignedPair({2}, "1000", -1), 2, 2, 1)
+        assert image == SignedPair(frozenset(), (1, 0, 0, 0), 1)
+        assert (type(image.subset), type(image.word)) == (frozenset, tuple)
+
     def test_negative_divider_length_named(self):
         with pytest.raises(DomainViolation, match="n must be >= 0, got -3"):
             divider_encode([], -3)
