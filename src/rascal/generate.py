@@ -35,8 +35,7 @@ from .words import (
 
 def all_binary_words(n: int) -> Iterator[Word]:
     """All 2^n binary words of length n, lexicographic with 0 < 1."""
-    if n < 0:
-        raise ValueError("word length must be >= 0")
+    require_sizes(n=n)
     cap = max_cells()
     if n >= cap.bit_length():  # 2^n > cap, without building 2^n
         raise ResourceLimit(f"2^{n} binary words exceed the cap {cap}")
@@ -117,8 +116,6 @@ def _count_by_profiles(table: ProfileTable, n: int, k: int, j: int) -> int:
     to n-k (outer runs may be empty, inner runs may not), a free pair of
     an r-part profile of its ones and one of its zeros, so it sums
     P(k, r) * P(n-k, r) over r, read from the table."""
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return 0
     r = min(j, k, n - k)
@@ -131,7 +128,8 @@ def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
     binomials in the count, so this is the cheap oracle for large
     identity grids.  Priced first by the cells of its profile table,
     (max(k, n-k) + 1) * (min(j, k, n-k) + 1)."""
-    require_sizes(negative_ok=True, n=n, k=k, j=j)
+    require_sizes(negative_ok=True, n=n, k=k)
+    require_sizes(j=j)
     return _count_by_profiles(ProfileTable(), n, k, j)
 
 
@@ -164,8 +162,7 @@ def ascent_sequences(n: int) -> Iterator[Word]:
     prefix pushed last letter first; the prefixes of length n - 1 are
     expanded in place.  The small-n oracle for the pruned avoiders tree.
     """
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    require_sizes(n=n)
     _check_fishburn(n)
     if n <= 1:
         yield (0,) * n
@@ -207,8 +204,8 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     for p in pats:
         if not is_pattern(p):
             raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    require_sizes(n=n)
+    require_sizes(negative_ok=True, k=0 if k is None else k)
     no001, no210 = (0, 0, 1) in pats, (2, 1, 0) in pats
     if no001 and no210:
         check_cells(avoider_nodes(n), f"the {{001,210}}-avoider tree to length {n}")
@@ -256,13 +253,8 @@ def canonical_avoiders(n: int, k: int) -> Iterator[Word]:
     letter x < k.  Must agree elementwise with the filtering oracle
     avoiders(n, {001, 210}, k).
     """
-    if n < 0 or k < 0:
-        return
-    if n == 0:
-        if k == 0:
-            yield ()
-        return
-    if k > n - 1:
+    require_sizes(negative_ok=True, n=n, k=k)
+    if n < 0 or not 0 <= k < max(n, 1):
         return
     staircase = tuple(range(k))
     tail = n - k  # positions left after the staircase; all hold k or k then x
@@ -312,8 +304,6 @@ def _restricted_elements(n: int, k: int, j: int) -> list[tuple[int, ...]]:
     elements of {1..n-k}) times a high part (k-t elements of
     {n-k+1..n}), so the cost follows the output.
     """
-    if j < 0:
-        raise ValueError("intersection bound j must be >= 0")
     if n < 0 or k < 0 or k > n:
         return []
     _check_restricted(n, k, j, "subsets listing")
@@ -329,5 +319,7 @@ def _restricted_elements(n: int, k: int, j: int) -> list[tuple[int, ...]]:
 def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
     """All k-subsets of {1..n} whose intersection with {1..n-k} has at
     most j elements, in lexicographic order of the sorted element lists."""
+    require_sizes(negative_ok=True, n=n, k=k)
+    require_sizes(j=j)
     for elements in _restricted_elements(n, k, j):
         yield RestrictedSubset(elements, n, k, j)

@@ -37,14 +37,14 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate, repeat
-from math import factorial, prod
+from math import factorial, perm, prod
 from operator import add, mul
 from typing import Callable
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import ProfileTable, _count_by_profiles
 from . import limits
-from .numbers import _closed_row, choose, closed_value, falling_factorial
+from .numbers import _closed_row, choose, closed_value
 
 
 class ClosedValues:
@@ -117,7 +117,6 @@ class Identity:
     lhs: Callable[..., int]
     rhs: Callable[..., int]
     corrected_rhs: Callable[..., int] | None = None
-    corrected_note: str = ""
     step: Callable[..., int] | None = None
     note: str = ""
 
@@ -243,6 +242,8 @@ _register(
     step=lambda v, prev, k, r: prev + v(k + r, k),
 )
 
+# As stated this fails from n = 2 on (6 vs 5); direct pair counting gives
+# the first term 2^(n-1)*C(n,2), registered as the corrected variant.
 _register(
     "weighted_row_sum",
     "sum_{k=0..n} C(n,k)*R(n,k) = 2^(n-2)*C(n,2) + 2^n",
@@ -250,10 +251,6 @@ _register(
     lambda v, n: sum(map(mul, _binomial_row(n), v.row(n))),
     lambda n: (choose(n, 2) * 2 ** (n - 2) if n >= 2 else 0) + 2**n,
     corrected_rhs=lambda n: (choose(n, 2) * 2 ** (n - 1) if n >= 2 else 0) + 2**n,
-    corrected_note=(
-        "as stated this fails from n = 2 on (6 vs 5); direct pair counting "
-        "gives first term 2^(n-1)*C(n,2), kept here as the corrected variant"
-    ),
 )
 
 _register(
@@ -288,7 +285,7 @@ _register(
     "prod_{k=1..m} (R(n,k) - 1) = m! * ff(n-1, m)",
     {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
-    lambda n, m: factorial(m) * falling_factorial(n - 1, m),
+    lambda n, m: factorial(m) * perm(n - 1, m),
     step=_product_step,
 )
 
@@ -297,7 +294,7 @@ _register(
     "sum_{S subset of {1..m}} (-1)^(m-|S|) * prod_{i in S} R(n,i) = m! * ff(n-1, m)",
     {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: _subset_ie_lhs(v, n, m),
-    lambda n, m: factorial(m) * falling_factorial(n - 1, m),
+    lambda n, m: factorial(m) * perm(n - 1, m),
     note="cost grows as 2^m",
 )
 

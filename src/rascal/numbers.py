@@ -45,13 +45,6 @@ def choose(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """n * (n-1) * ... * (n-k+1); 1 when k = 0, 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("falling_factorial needs n, k >= 0")
-    return math.perm(n, k)
-
-
 class TriangleCache:
     """Explicit memo for the recurrence methods.
 
@@ -69,8 +62,7 @@ class TriangleCache:
 
     def linear_row(self, n: int, j: int = 1) -> list[int]:
         """Row n of layer j; layer j is built from layers 0..j."""
-        if n < 0 or j < 0:
-            raise ValueError("linear_row needs n, j >= 0")
+        require_sizes(n=n, j=j)
         if len(self._linear) <= j or len(self._linear[j]) <= n:
             check_cells(_table_cells(n, j + 1), "linear recurrence table")
             self._linear += [[] for _ in range(j + 1 - len(self._linear))]
@@ -94,8 +86,7 @@ class TriangleCache:
     # -- product recurrence --------------------------------------------------
 
     def product_row(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError("product_row needs n >= 0")
+        require_sizes(n=n)
         if len(self._product) <= n:
             check_cells(_table_cells(n), "multiplicative recurrence table")
             while len(self._product) <= n:
@@ -241,18 +232,6 @@ def closed_value(n: int, k: int, j: int = 1) -> int:
     return total
 
 
-def prefix_suffix_count(n: int, k: int, lead_ones: int, trail_zeros: int) -> int:
-    """Words of length n with k ones and at most one ascent that start
-    with at least `lead_ones` 1's and end with at least `trail_zeros` 0's.
-
-    Equals R(n - lead_ones - trail_zeros, k - lead_ones): stripping the
-    forced prefix and suffix is a bijection onto the smaller family.
-    """
-    require_sizes(negative_ok=True, n=n, k=k)
-    require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
-    return closed_value(n - lead_ones - trail_zeros, k - lead_ones)
-
-
 def e_defect(n: int, k: int, j: int = 1) -> int:
     """R(n,k;j) * R(n-2,k-1;j)  -  R(n-1,k;j) * R(n-1,k-1;j).
 
@@ -275,6 +254,7 @@ def triangle_rows(
 ) -> list[list[int]]:
     """Rows 0..n_max of the triangle for ascent bound j, built top row
     first so that a route prices its whole work before it builds any."""
+    require_sizes(negative_ok=True, n_max=n_max, j=j)
     _check_route(method, j)
     if n_max < 0:
         return []

@@ -677,8 +677,7 @@ OLD_EXPORTS = {
     "maps": "MarkedWord SignedPair altbin_involution ascseq_to_word divider_decode divider_encode"
     " genalt_involution ratio_map signed_pair strip subset_to_word sym_map unstrip"
     " word_to_ascseq word_to_subset",
-    "numbers": "TriangleCache choose closed_row e_defect falling_factorial prefix_suffix_count"
-    " rascal_gen_value rascal_value triangle_rows",
+    "numbers": "TriangleCache choose closed_row e_defect rascal_gen_value rascal_value triangle_rows",
     "words": "Word as_word asc contains_001 contains_210 contains_pattern des is_ascent_sequence"
     " is_pattern is_rgf reduce_word word_str",
 }
@@ -724,9 +723,6 @@ class TestLazyPackage:
             "is_rgf",
             # the validating constructor of SignedPair
             "signed_pair",
-            # the validating edge of the strip count, whose unchecked core
-            # verify_strip calls
-            "prefix_suffix_count",
         }
         assert sorted(set(rascal.__all__) - used) == sorted(exempt)
 
@@ -745,14 +741,36 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
-# sha256 of stdout recorded before output was written whole
+# exit code and sha256 of stdout, each recorded at the default budget
+# before a change that had to keep it byte for byte
 OUTPUT_SHA256 = {
     ("triangle", "40", "--format", "csv"):
-        "5d141b7dd215993035bc2fc3ea79554a42bb6a63cbd30f0f2b9f6a333ae60303",
+        (0, "5d141b7dd215993035bc2fc3ea79554a42bb6a63cbd30f0f2b9f6a333ae60303"),
     ("etable", "12", "3", "--format", "csv"):
-        "ad1f4dba513c98f6e942dc20627609b31353f12e2af99495661d28e15dbd99b0",
+        (0, "ad1f4dba513c98f6e942dc20627609b31353f12e2af99495661d28e15dbd99b0"),
     ("enumerate", "words", "--n", "12", "--j", "2"):
-        "68c03be3b8103cd8f1b7bb1d716e9dad4084f5c6b172cc4c47986d681fb392d4",
+        (0, "68c03be3b8103cd8f1b7bb1d716e9dad4084f5c6b172cc4c47986d681fb392d4"),
+    ("etable", "12", "3", "--format", "bfile", "--offset", "1"):
+        (0, "4bba71de2e9d6dfa1d52f2d78ec7419f62bb417fc8076dc6fac71aa392cf3348"),
+    # the one documented weighted_row_sum failure
+    ("verify", "all"):
+        (1, "76fbaa90f3f5de9a9ee9586285911ece7325fd91e82b1f297bfe301220b6df35"),
+    ("bijection", "altbin"):
+        (0, "4578d60630de05fbaba280415ef102596f6705dfed1de182f9e00a1fa94902bf"),
+    ("bijection", "ascseq"):
+        (0, "2b8e86a0df02e45a1a1140caaba72f38c8627d4758c71dc217293e0c45b70212"),
+    ("bijection", "divider"):
+        (0, "de55b52f409bc5764df181be06ec1474227d732817be6995a197dc777d733b71"),
+    ("bijection", "genalt"):
+        (0, "e887c42e8bf5fc60da80c12f2ca9a9ccde094485506e4b1a105c0a5141a98ca3"),
+    ("bijection", "ratio"):
+        (0, "1deffeab7000009817e945e99095058ed97b63a429a382254fa17995a3393bf5"),
+    ("bijection", "strip"):
+        (0, "0af5737b0dc5ea187b063882a08367a854400864242eeaa4b568d454decdb13a"),
+    ("bijection", "subset"):
+        (0, "22bfbf2905b6d63dfcce483e9d7339c2c8c17427a9732b145e51bce2b2fd15e7"),
+    ("bijection", "sym"):
+        (0, "03014196dd35de01072e7ccc55509f7d7477bb70219a4e6ac474683cbc2a18e4"),
 }
 
 
@@ -790,6 +808,7 @@ class TestWholeOutput:
         assert out and writes == 1
 
     @pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=" ".join)
-    def test_bytes_unchanged(self, capsys, argv):
+    def test_bytes_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         code, out, _ = run(capsys, *argv)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, OUTPUT_SHA256[argv])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[argv]

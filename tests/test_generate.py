@@ -23,7 +23,7 @@ from rascal.generate import (
     restricted_subsets,
     words_with_ascents,
 )
-from rascal.numbers import choose, rascal_gen_value, rascal_value
+from rascal.numbers import TriangleCache, choose, rascal_gen_value, rascal_value, triangle_rows
 from rascal.words import _asc, asc, contains_pattern, is_ascent_sequence, is_rgf, word_str
 
 PATTERNS = ("001", "210")
@@ -450,3 +450,42 @@ class TestRestrictedSubsets:
             RestrictedSubset((1, 3), 3, 2.0, 1)
         with pytest.raises(DomainViolation, match="j must be an integer, got 1.5"):
             RestrictedSubset((1, 3), 3, 2, 1.5)
+
+
+# every public edge of generate and numbers checks its sizes with
+# limits.require_sizes before it reads them
+SIZE_EDGES = {
+    "restricted_subsets(6.0, 3, 1)":
+        (lambda: list(restricted_subsets(6.0, 3, 1)), "n must be an integer, got 6.0"),
+    "canonical_avoiders(4.0, 1)":
+        (lambda: list(canonical_avoiders(4.0, 1)), "n must be an integer, got 4.0"),
+    "all_binary_words(3.0)": (lambda: all_binary_words(3.0), "n must be an integer, got 3.0"),
+    "triangle_rows(5.0)": (lambda: triangle_rows(5.0), "n_max must be an integer, got 5.0"),
+    "triangle_rows(5, 1.5, linear)":
+        (lambda: triangle_rows(5, 1.5, method="linear"), "j must be an integer, got 1.5"),
+    "linear_row(3.0, 1)":
+        (lambda: TriangleCache().linear_row(3.0, 1), "n must be an integer, got 3.0"),
+    "product_row(3.0)": (lambda: TriangleCache().product_row(3.0), "n must be an integer, got 3.0"),
+    "ascent_sequences(3.0)": (lambda: list(ascent_sequences(3.0)), "n must be an integer, got 3.0"),
+    "avoiders(3.0)": (lambda: list(avoiders(3.0)), "n must be an integer, got 3.0"),
+    "avoiders(4, 001/210, 1.5)":
+        (lambda: list(avoiders(4, PATTERNS, 1.5)), "k must be an integer, got 1.5"),
+    "count_words_with_ascents(5, 2, -1)":
+        (lambda: count_words_with_ascents(5, 2, -1), "j must be >= 0, got -1"),
+    "restricted_subsets(6, 3, -1)":
+        (lambda: list(restricted_subsets(6, 3, -1)), "j must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(SIZE_EDGES))
+def test_size_refused_at_the_edge(edge):
+    call, message = SIZE_EDGES[edge]
+    with pytest.raises(DomainViolation, match=message):
+        call()
+
+
+def test_negative_size_still_empty():
+    # a negative n or k lies outside the triangle: nothing listed, 0 counted
+    assert list(canonical_avoiders(-1, 0)) == list(canonical_avoiders(3, -1)) == []
+    assert list(avoiders(4, PATTERNS, -1)) == list(restricted_subsets(-1, 0, 1)) == []
+    assert list(restricted_subsets(3, -1, 1)) == [] and count_words_with_ascents(3, -1, 1) == 0

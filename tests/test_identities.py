@@ -225,11 +225,6 @@ class TestWeightedRowSumGroundTruth:
             if n >= 2:
                 assert stated != pairs
 
-    def test_corrected_note_present(self):
-        ident = get_identity("weighted_row_sum")
-        assert ident.corrected_rhs is not None
-        assert "corrected" in ident.corrected_note
-
 
 class TestGenAltRowSum:
     def test_odd_lengths_vanish(self):
