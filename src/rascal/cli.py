@@ -20,7 +20,7 @@ from functools import partial
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .limits import check_cells, check_sum, max_cells, require_sizes
-from .numbers import METHODS, _table_cells, choose, e_defect, rascal_gen_value, triangle_rows
+from .numbers import METHODS, _choose, _table_cells, e_defect, rascal_gen_value, triangle_rows
 
 FORMATS = ("table", "json", "csv", "bfile")
 
@@ -109,7 +109,7 @@ def _enumerate_items(args):
         # gen_row_sum.  Up to 64 binomials are summed outright, so the
         # message gives the total; more are drawn only until past the cap.
         t_max = min(2 * args.j + 1, args.n)
-        terms = (choose(args.n, t) for t in range(t_max + 1))
+        terms = (_choose(args.n, t) for t in range(t_max + 1))
         if t_max < 64:
             check_cells(sum(terms), "words listing")
         else:

@@ -24,13 +24,7 @@ from collections.abc import Iterator
 
 from .errors import DomainViolation, ResourceLimit
 from .limits import check_cells, check_sum, max_cells, require_sizes
-from .words import (
-    Word,
-    as_word,
-    contains_pattern,
-    is_pattern,
-    word_str,
-)
+from .words import Word, _contains, as_word, is_pattern, word_str
 
 
 def all_binary_words(n: int) -> Iterator[Word]:
@@ -213,7 +207,7 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
         _check_fishburn(n)
     others = [p for p in pats if p not in ((0, 0, 1), (2, 1, 0))]
     root = (0,) * min(n, 1)  # the one ascent sequence of length <= 1
-    if (k is not None and not 0 <= k < max(n, 1)) or any(contains_pattern(root, p) for p in others):
+    if (k is not None and not 0 <= k < max(n, 1)) or any(_contains(root, p) for p in others):
         return
     if n <= 1:
         yield root
@@ -233,7 +227,7 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
             if k is not None and not up <= k <= up + left:
                 continue
             child = prefix + (x,)
-            if others and any(contains_pattern(child, p) for p in others):
+            if others and any(_contains(child, p) for p in others):
                 continue
             if left:
                 children.append(

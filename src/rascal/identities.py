@@ -44,7 +44,7 @@ from typing import Callable
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import ProfileTable, _count_by_profiles
 from . import limits
-from .numbers import _closed_row, choose, closed_value
+from .numbers import _choose, _closed_row, closed_value
 
 
 class ClosedValues:
@@ -230,7 +230,7 @@ _register(
     "sum_{k=0..n} R(n,k) = C(n+1,3) + n + 1",
     {"n": (0, None)},
     lambda v, n: sum(v.row(n)),
-    lambda n: choose(n + 1, 3) + n + 1,
+    lambda n: _choose(n + 1, 3) + n + 1,
 )
 
 _register(
@@ -238,7 +238,7 @@ _register(
     "sum_{i=0..r} R(k+i,k) = k*C(r+1,2) + r + 1",
     {"k": (0, None), "r": (0, None)},
     lambda v, k, r: sum(v(k + i, k) for i in range(r + 1)),
-    lambda k, r: k * choose(r + 1, 2) + r + 1,
+    lambda k, r: k * _choose(r + 1, 2) + r + 1,
     step=lambda v, prev, k, r: prev + v(k + r, k),
 )
 
@@ -249,8 +249,8 @@ _register(
     "sum_{k=0..n} C(n,k)*R(n,k) = 2^(n-2)*C(n,2) + 2^n",
     {"n": (0, None)},
     lambda v, n: sum(map(mul, _binomial_row(n), v.row(n))),
-    lambda n: (choose(n, 2) * 2 ** (n - 2) if n >= 2 else 0) + 2**n,
-    corrected_rhs=lambda n: (choose(n, 2) * 2 ** (n - 1) if n >= 2 else 0) + 2**n,
+    lambda n: (_choose(n, 2) * 2 ** (n - 2) if n >= 2 else 0) + 2**n,
+    corrected_rhs=lambda n: (_choose(n, 2) * 2 ** (n - 1) if n >= 2 else 0) + 2**n,
 )
 
 _register(
@@ -258,7 +258,7 @@ _register(
     "sum_{i=1..n} sum_{k=1..i-1} R(i,k) = C(n+2,4) + C(n,2)",
     {"n": (2, None)},
     lambda v, n: sum(_triangle_row_sum(v, i) for i in range(1, n + 1)),
-    lambda n: choose(n + 2, 4) + choose(n, 2),
+    lambda n: _choose(n + 2, 4) + _choose(n, 2),
     step=lambda v, prev, n: prev + _triangle_row_sum(v, n),
 )
 
@@ -267,7 +267,7 @@ _register(
     "sum_{t=0..r} (-1)^(r-t)*C(r,t)*R(n+t,k) = 0",
     {"r": (2, None), "n": (None, None), "k": (0, "n")},
     lambda v, r, n, k: sum(
-        (-1) ** (r - t) * choose(r, t) * v(n + t, k) for t in range(r + 1)
+        (-1) ** (r - t) * _choose(r, t) * v(n + t, k) for t in range(r + 1)
     ),
     lambda r, n, k: 0,
 )
@@ -303,7 +303,7 @@ _register(
     "prod_{k=1..m} (R(n,k) - 1) = (m!)^2 * C(n-1,m)   [cross-multiplied form]",
     {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
-    lambda n, m: factorial(m) ** 2 * choose(n - 1, m),
+    lambda n, m: factorial(m) ** 2 * _choose(n - 1, m),
     step=_product_step,
 )
 
@@ -312,7 +312,7 @@ _register(
     "sum_{k=0..n} R(n,k;j) = sum_{k=0..2j+1} C(n,k)",
     {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(v.row(n, j)),
-    lambda n, j: sum(choose(n, k) for k in range(2 * j + 2)),
+    lambda n, j: sum(_choose(n, k) for k in range(2 * j + 2)),
 )
 
 _register(
@@ -328,7 +328,7 @@ _register(
     "(2j+1)-th forward difference in n of sum_k R(n,k;j) = 1",
     {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(
-        (-1) ** (2 * j + 1 - t) * choose(2 * j + 1, t) * sum(v.row(n + t, j))
+        (-1) ** (2 * j + 1 - t) * _choose(2 * j + 1, t) * sum(v.row(n + t, j))
         for t in range(2 * j + 2)
     ),
     lambda n, j: 1,
@@ -359,7 +359,7 @@ def _gen_alt_rhs(n: int, j: int) -> int:
     if n == 0:
         # C(-1, j) = (-1)^j by convention, so the signs cancel
         return 1
-    return (-1) ** j * choose(n // 2 - 1, j)
+    return (-1) ** j * _choose(n // 2 - 1, j)
 
 
 # ---------------------------------------------------------------------------

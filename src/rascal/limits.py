@@ -7,7 +7,9 @@ closed-form value (and an E-table defect) its terms times their bits, a
 closed-form row a triangle up to it per term column plus its own cells,
 a recurrence table its cells in every layer it grows, a restricted-subset
 listing R(n, k; j), the profile oracle each growth of its profile table
-plus each row's new term columns and own cells.
+plus each row's new term columns and own cells, a pattern search
+(contains_pattern) the partial embeddings it can try, sum_{d <= min(m, n)}
+C(n, d) for m pattern letters in n word letters.
 """
 
 import os

@@ -21,12 +21,17 @@ a separate description (_altbin_fixed, _genalt_fixed), which the next
 stage then acts on.  The ratio verifier checks its injection directly.
 Before building anything, every verifier prices the objects it will
 check from closed forms against the one cell budget (limits.check_sum).
+Each core runs once per distinct object: _check_involution skips the
+partner of an object that passed, whose checks are the same, and
+verify_subset (per (n, k)) and verify_divider (per n) keep one
+functools.cache per core over the nested families of every j, so a
+cache holds at most the block's largest family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, combinations, product
 
 from .errors import DomainViolation
@@ -39,7 +44,7 @@ from .generate import (
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes
-from .numbers import choose, closed_value, rascal_value
+from .numbers import _choose, closed_value, rascal_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
 
@@ -48,17 +53,11 @@ from .words import Word, _asc, as_word, binary_word, word_str
 
 
 def _leading_ones(w: Word) -> int:
-    for run, x in enumerate(w):
-        if x != 1:
-            return run
-    return len(w)
+    return w.index(0) if 0 in w else len(w)
 
 
 def _trailing_zeros(w: Word) -> int:
-    for run, x in enumerate(reversed(w)):
-        if x != 0:
-            return run
-    return len(w)
+    return w[::-1].index(1) if 1 in w else len(w)
 
 
 def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
@@ -68,21 +67,16 @@ def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
     inner runs are positive, outer runs may be empty.
     """
     x0 = _leading_ones(b)
-    y0 = _trailing_zeros(b) if len(b) > x0 else 0
-    middle = b[x0 : len(b) - y0]
+    end = len(b) - (_trailing_zeros(b) if len(b) > x0 else 0)
+    padded = b[:end] + (0,)  # so the last one-run ends at a zero too
     pairs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(middle):
-        zeros = 0
-        while i < len(middle) and middle[i] == 0:
-            zeros += 1
-            i += 1
-        ones = 0
-        while i < len(middle) and middle[i] == 1:
-            ones += 1
-            i += 1
-        pairs.append((zeros, ones))
-    return x0, pairs, y0
+    start = x0
+    while start < end:
+        ones = padded.index(1, start)
+        stop = padded.index(0, ones)
+        pairs.append((ones - start, stop - ones))
+        start = stop
+    return x0, pairs, len(b) - end
 
 
 def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> Word:
@@ -322,9 +316,7 @@ def _ratio(w: Word, mark: int) -> tuple[Word, int]:
     if w[0] == 1:
         return w, mark
     # starts with 0 and has at most one ascent: the 1's form one run
-    run_end = w.index(1)
-    while run_end < len(w) and w[run_end] == 1:
-        run_end += 1
+    run_end = (w + (0,)).index(0, w.index(1))
     p = mark - 1
     return w[p:run_end] + w[:p] + w[run_end:], 1
 
@@ -506,13 +498,19 @@ def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int
 
 
 def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, show=None) -> list:
-    """Check one stage f of an involution chain on `domain`: each object
-    f moves must land in `members`, change its grade by exactly one (so
-    its sign flips) and come back under f, and the objects f fixes must
-    be the ones `is_fixed` picks out, in domain order.  Add a line to
-    `details` for each failure; return the fixed objects."""
+    """Check one stage f of an involution chain on `domain`, which lies in
+    `members`: each object f moves must land in `members`, change its
+    grade by exactly one (so its sign flips) and come back under f, and
+    the objects f fixes must be the ones `is_fixed` picks out, in domain
+    order.  Once x passes, f(x) is skipped: its image, return and grade
+    were checked with x.  The partner of an object that failed is
+    checked on its own.  Add a line to `details` for each failure;
+    return the fixed objects."""
     fixed = []
+    partners = set()
     for x in domain:
+        if x in partners:
+            continue
         y = f(x)
         if y == x:
             fixed.append(x)
@@ -524,6 +522,7 @@ def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, 
         elif f(y) != x:
             fault = "is not an involution"
         else:
+            partners.add(y)
             continue
         details.append(f"{tag} {fault}" + (f" on {show(x)}" if show else ""))
     if fixed != [x for x in domain if is_fixed(x)]:
@@ -615,19 +614,21 @@ def verify_subset(n_max: int, j_max: int) -> dict:
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
-        for k, j in product(range(n + 1), range(j_max + 1)):
-            where = f"n={n}, k={k}, j={j}"
-            family = list(words_with_ascents(n, k, j))
-            subsets = _restricted_elements(n, k, j)
-            if len(family) != len(subsets):
-                details.append(f"subset: family sizes differ at ({where})")
-            to_word = partial(_from_subset, n=n, k=k)
-            checked += _check_bijection(
-                "subset", where, family, set(subsets), _to_subset, to_word, word_str, details
-            )
-            checked += _check_bijection(
-                "subset", where, subsets, set(family), to_word, _to_subset, str, details
-            )
+        for k in range(n + 1):
+            # one cache per core over the nested families of every j
+            to_subset, to_word = cache(_to_subset), cache(partial(_from_subset, n=n, k=k))
+            for j in range(j_max + 1):
+                where = f"n={n}, k={k}, j={j}"
+                family = list(words_with_ascents(n, k, j))
+                subsets = _restricted_elements(n, k, j)
+                if len(family) != len(subsets):
+                    details.append(f"subset: family sizes differ at ({where})")
+                checked += _check_bijection(
+                    "subset", where, family, set(subsets), to_subset, to_word, word_str, details
+                )
+                checked += _check_bijection(
+                    "subset", where, subsets, set(family), to_word, to_subset, str, details
+                )
     return _report(checked, details)
 
 
@@ -636,7 +637,7 @@ def verify_divider(n_max: int, j_max: int) -> dict:
     the at-most-j-ascent words, with divider_decode as inverse."""
     require_sizes(n_max=n_max, j_max=j_max)
     subsets = (
-        choose(n, t)
+        _choose(n, t)
         for n in range(n_max + 1)
         for j in range(j_max + 1)
         for t in range(min(n, 2 * j + 1) + 1)
@@ -644,17 +645,17 @@ def verify_divider(n_max: int, j_max: int) -> dict:
     check_sum(subsets, "divider check")
     details: list[str] = []
     checked = 0
-    for n, j in product(range(n_max + 1), range(j_max + 1)):
-        where = f"n={n}, j={j}"
-        domain = [s for t in range(min(n, 2 * j + 1) + 1) for s in combinations(range(1, n + 1), t)]
-        target = {w for k in range(n + 1) for w in words_with_ascents(n, k, j)}
-        encode = partial(_divider_encode, n=n)
-        checked += _check_bijection(
-            "divider", where, domain, target, encode, _divider_decode, str, details
-        )
-        expected = sum(choose(n, t) for t in range(2 * j + 2))
-        if len(domain) != expected:
-            details.append(f"divider: subset count {len(domain)} != {expected} at ({where})")
+    for n in range(n_max + 1):
+        # one cache per core over the nested domains of every j
+        encode, decode = cache(partial(_divider_encode, n=n)), cache(_divider_decode)
+        for j in range(j_max + 1):
+            where = f"n={n}, j={j}"
+            domain = [s for t in range(min(n, 2 * j + 1) + 1) for s in combinations(range(1, n + 1), t)]
+            target = {w for k in range(n + 1) for w in words_with_ascents(n, k, j)}
+            checked += _check_bijection("divider", where, domain, target, encode, decode, str, details)
+            expected = sum(_choose(n, t) for t in range(2 * j + 2))
+            if len(domain) != expected:
+                details.append(f"divider: subset count {len(domain)} != {expected} at ({where})")
     return _report(checked, details)
 
 
@@ -703,12 +704,12 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     points, so the signed sum collapses to zero."""
     _require_altbin_sizes(r, n, k)
     # 2^r * R(n+r, k) pairs scanned, summed by subset size
-    check_sum((choose(r, t) * rascal_value(n + r, k) for t in range(r + 1)), "altbin check")
+    check_sum((_choose(r, t) * rascal_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
     space = _altbin_space(r, n, k)
     members = set(space)
     signed_sum = sum((-1) ** (r - len(s)) for s, _w in space)
-    formula = sum((-1) ** (r - t) * choose(r, t) * rascal_value(n + t, k) for t in range(r + 1))
+    formula = sum((-1) ** (r - t) * _choose(r, t) * rascal_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
     fixed = space  # the grade is |S|; stage 2 acts on stage 1's fixed points and has none

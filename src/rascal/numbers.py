@@ -40,9 +40,13 @@ METHODS = ("closed", "multiplicative", "linear", "enumeration")
 
 def choose(n: int, k: int) -> int:
     """Binomial coefficient with C(n, k) = 0 outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    require_sizes(negative_ok=True, n=n, k=k)
+    return _choose(n, k)
+
+
+def _choose(n: int, k: int) -> int:
+    """choose on integer sizes, unchecked: the library's own calls."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 class TriangleCache:

@@ -7,7 +7,13 @@ accepts a compact digit string ("2051159858") or any iterable of ints.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
+from math import comb
+from operator import gt, le, lt
+
 from .errors import DomainViolation
+from .limits import check_sum
 
 Word = tuple[int, ...]
 
@@ -18,8 +24,8 @@ MAX_LETTER = 1 << 16
 
 def as_word(w) -> Word:
     """Coerce a digit string or an iterable of ints or bools into a word tuple."""
-    if isinstance(w, tuple) and all(type(x) is int and 0 <= x <= MAX_LETTER for x in w):
-        return w
+    if isinstance(w, tuple) and (not w or {int}.issuperset(map(type, w)) and 0 <= min(w) and max(w) <= MAX_LETTER):
+        return w  # bools fall through, to come back as ints
     if isinstance(w, str):
         if w and not w.isdecimal():
             raise ValueError(f"{w!r} is not a word of decimal digits")
@@ -35,13 +41,13 @@ def as_word(w) -> Word:
 
 def word_str(w) -> str:
     """Compact display form: letters concatenated as digits."""
-    return "".join(str(x) for x in as_word(w))
+    return "".join([str(x) for x in as_word(w)])  # str(x) calls are specialized, map(str) is not
 
 
 def binary_word(w) -> Word:
     """Like as_word, but rejects non-bit letters."""
     word = as_word(w)
-    if not all(x in (0, 1) for x in word):
+    if not {*word} <= {0, 1}:
         raise DomainViolation(f"{word_str(word)} is not a binary word")
     return word
 
@@ -53,20 +59,20 @@ def asc(w) -> int:
 
 def _asc(w: Word) -> int:
     """asc on a word tuple already checked by as_word."""
-    return sum(1 for i in range(1, len(w)) if w[i - 1] < w[i])
+    return sum(map(lt, w, w[1:]))
 
 
 def des(w) -> int:
     """Number of descents of w."""
     w = as_word(w)
-    return sum(1 for i in range(1, len(w)) if w[i - 1] > w[i])
+    return sum(map(gt, w, w[1:]))
 
 
 def reduce_word(w) -> Word:
     """Relabel letters by rank: the i-th smallest distinct letter becomes i-1."""
     w = as_word(w)
-    rank = {x: i for i, x in enumerate(sorted(set(w)))}
-    return tuple(rank[x] for x in w)
+    rank = {x: i for i, x in enumerate(sorted({*w}))}
+    return tuple(map(rank.__getitem__, w))
 
 
 def is_pattern(w) -> bool:
@@ -78,37 +84,55 @@ def is_pattern(w) -> bool:
 def contains_pattern(w, p) -> bool:
     """True iff some subsequence of w reduces to the pattern p.
 
-    Generic backtracking over subsequence embeddings; fine at desk
-    scale (short patterns, words up to a few dozen letters).  See
+    A backtracking walk over subsequence embeddings, priced before it
+    starts by the partial embeddings it can try: sum_{d <= min(m, n)}
+    C(n, d) for m pattern letters in n word letters.  Each candidate
+    letter is tested in O(1), but the walk is still exponential in the
+    worst case (general pattern containment is NP-complete).  See
     contains_001 / contains_210 for the linear-time special cases.
     """
     w = as_word(w)
     p = as_word(p)
     if not is_pattern(p):
         raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
-    m, n = len(p), len(w)
-    if m == 0:
-        return True
-    if m > n:
-        return False
+    if 0 < len(p) <= len(w):
+        check_sum((comb(len(w), d) for d in range(len(p) + 1)), "pattern search")
+    return _contains(w, p)
 
-    def extend(start: int, chosen: tuple[int, ...]) -> bool:
-        d = len(chosen)
+
+def _contains(w: Word, p: Word) -> bool:
+    """contains_pattern on a checked word and pattern, unpriced."""
+    m, n = len(p), len(w)
+    bounds = _bounds(p)
+    chosen = [0] * m + [-1, MAX_LETTER + 1]  # the sentinels, at depths -2 and -1
+
+    def extend(start: int, d: int) -> bool:
         if d == m:
             return True
-        for i in range(start, n - (m - d) + 1):
-            x = w[i]
-            ok = True
-            for e, y in enumerate(chosen):
-                # the partial embedding must stay order-isomorphic to p
-                if (p[e] < p[d]) != (y < x) or (p[e] > p[d]) != (y > x):
-                    ok = False
-                    break
-            if ok and extend(i + 1, chosen + (x,)):
-                return True
+        lo, hi = bounds[d]
+        low, high = (chosen[lo] - 1, chosen[lo] + 1) if lo == hi else (chosen[lo], chosen[hi])
+        for i in range(start, n - m + d + 1):
+            if low < w[i] < high:
+                chosen[d] = w[i]
+                if extend(i + 1, d + 1):
+                    return True
         return False
 
-    return extend(0, ())
+    return extend(0, 0)
+
+
+@lru_cache(maxsize=256)
+def _bounds(p: Word) -> tuple[tuple[int, int], ...]:
+    """For each depth d of a walk embedding p, the two earlier depths
+    whose letters bound the letter at d: an earlier equal pattern letter
+    pins it, given twice; else the nearest smaller and larger earlier
+    pattern letters bracket it, or the sentinels when there are none."""
+    bounds = []
+    for d, x in enumerate(p):
+        lo = max((e for e in range(d) if p[e] <= x), key=p.__getitem__, default=-2)
+        hi = min((e for e in range(d) if p[e] > x), key=p.__getitem__, default=-1)
+        bounds.append((lo, lo) if lo >= 0 and p[lo] == x else (lo, hi))
+    return tuple(bounds)
 
 
 def contains_001(w) -> bool:
@@ -145,27 +169,13 @@ def is_ascent_sequence(w) -> bool:
     """True iff w_1 = 0 and each later letter is at most one more than
     the ascent count of the preceding prefix.  The empty word counts."""
     w = as_word(w)
-    if not w:
-        return True
-    if w[0] != 0:
-        return False
-    ascents = 0
-    for i in range(1, len(w)):
-        if w[i] > ascents + 1:
-            return False
-        if w[i] > w[i - 1]:
-            ascents += 1
-    return True
+    # one more than the ascents before each later letter, from 1
+    bounds = accumulate(map(lt, w, w[1:]), initial=1)
+    return not w or w[0] == 0 and all(map(le, w[1:], bounds))
 
 
 def is_rgf(w) -> bool:
     """Restricted growth: the first occurrence of each letter x >= 1 is
     preceded by an occurrence of x - 1."""
-    w = as_word(w)
-    top = -1  # largest letter whose first occurrence has been passed
-    for x in w:
-        if x > top + 1:
-            return False
-        if x == top + 1:
-            top = x
-    return True
+    firsts = tuple(dict.fromkeys(as_word(w)))  # each letter at its first occurrence
+    return firsts == tuple(range(len(firsts)))

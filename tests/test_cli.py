@@ -446,6 +446,26 @@ class TestBudget:
         assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
         assert "linear recurrence table" in err
 
+    def test_pattern_search_priced(self, monkeypatch):
+        # letters 0..8, each repeated 5 times, have one level too few for
+        # 0123456789: the unpriced walk was still running at 10 s
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        word = tuple(x for x in range(9) for _ in range(5))
+        start = time.perf_counter()
+        with pytest.raises(rascal.ResourceLimit, match="pattern search needs more than"):
+            rascal.contains_pattern(word, "0123456789")
+        assert time.perf_counter() - start < 1.0
+
+    def test_pattern_search_boundary(self, monkeypatch):
+        # 12 letters against a 3-letter pattern: 1 + 12 + 66 + 220 = 299
+        # partial embeddings
+        word = tuple(range(12))
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "298")
+        with pytest.raises(rascal.ResourceLimit, match="more than 298 cells"):
+            rascal.contains_pattern(word, "210")
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "299")
+        assert (rascal.contains_pattern(word, "012"), rascal.contains_pattern(word, "210")) == (True, False)
+
     def test_bijection_subset_small_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("RASCAL_MAX_CELLS", "10")
         start = time.perf_counter()
@@ -723,6 +743,9 @@ class TestLazyPackage:
             "is_rgf",
             # the validating constructor of SignedPair
             "signed_pair",
+            # the validating binomial; the library calls its unchecked
+            # core numbers._choose on its hot paths
+            "choose",
         }
         assert sorted(set(rascal.__all__) - used) == sorted(exempt)
 

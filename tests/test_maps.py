@@ -1,6 +1,8 @@
 """Pointwise behaviour of every constructive map, plus the exhaustive
 verifiers at small sizes."""
 
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,6 +289,22 @@ class TestCheckedCounts:
         assert (report["ok"], report["checked"], report["details"]) == (True, checked, [])
 
 
+class TestPinnedReports:
+    """Whole reports at fixed sizes, so a verifier that skips or caches
+    its way past part of its domain changes them."""
+
+    @pytest.mark.parametrize(
+        "verifier, args, report",
+        [
+            (verify_subset, (10, 3), {"ok": True, "checked": 8184, "details": []}),
+            (verify_genalt, (10, 3), {"ok": True, "checked": 1402, "details": [], "signed_sum": -4, "fixed_points": 26}),
+            (verify_altbin, (4, 10, 5), {"ok": True, "checked": 576, "details": [], "signed_sum": 0}),
+        ],
+    )
+    def test_pinned(self, verifier, args, report):
+        assert verifier(*args) == report
+
+
 class TestCheckBijection:
     def test_reports_each_failure(self):
         from rascal.maps import _check_bijection
@@ -332,6 +350,70 @@ class TestCheckInvolution:
         assert details == [
             "t: stage 2 image is outside the space",
             "t: stage 2 fixed set differs from its description",
+        ]
+
+    def test_three_cycle_reports_each_object(self):
+        from rascal.maps import _check_involution
+
+        details = []
+        # 1 -> 2 -> 3 -> 1 each move one grade but never come back; 4 <-> 5 pass
+        moves = {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}
+        fixed = _check_involution(
+            "t: stage 1", "space", [1, 2, 3, 4, 5, 6], {1, 2, 3, 4, 5, 6}, lambda x: moves.get(x, x),
+            lambda x: x, lambda x: x == 6, details, str,
+        )
+        assert fixed == [6]
+        assert details == [
+            "t: stage 1 is not an involution on 1",
+            "t: stage 1 is not an involution on 2",
+            "t: stage 1 does not change its grade by exactly one on 3",
+        ]
+
+    def test_grade_keeping_pairs_report_both_objects(self):
+        from rascal.maps import _check_involution
+
+        details = []
+        # two involutive pairs whose partners share a grade: no object passes
+        moves = {1: 2, 2: 1, 3: 4, 4: 3}
+        _check_involution(
+            "t: stage 1", "space", [1, 2, 3, 4], {1, 2, 3, 4}, lambda x: moves.get(x, x),
+            lambda x: x in (1, 2), lambda x: False, details, str,
+        )
+        assert details == [f"t: stage 1 does not change its grade by exactly one on {x}" for x in (1, 2, 3, 4)]
+
+    def test_genalt_three_cycle_reports_each_word(self, monkeypatch):
+        core = maps._genalt
+        cycle = {(1, 1, 0, 0): (1, 0, 0, 0), (1, 0, 0, 0): (1, 1, 1, 0), (1, 1, 1, 0): (1, 1, 0, 0)}
+        monkeypatch.setattr(maps, "_genalt", lambda d, w: cycle.get(w, core(d, w)) if d == 0 else core(d, w))
+        assert verify_genalt(4, 1)["details"] == [
+            "genalt: stage 0 is not an involution on 0000",
+            "genalt: stage 0 does not change its grade by exactly one on 1000",
+            "genalt: stage 0 is not an involution on 1100",
+            "genalt: stage 0 is not an involution on 1110",
+        ]
+
+    def test_cached_subset_core_fault_reported_at_every_j(self, monkeypatch):
+        core = maps._to_subset
+        # 0110 takes the subset of 0101
+        monkeypatch.setattr(maps, "_to_subset", lambda b: core((0, 1, 0, 1)) if b == (0, 1, 1, 0) else core(b))
+        assert verify_subset(4, 2)["details"] == [
+            "subset: image of 0110 is outside the target family",
+            "subset: round trip fails on 0110",
+            "subset: not onto at (n=4, k=2, j=1)",
+            "subset: round trip fails on (1, 3)",
+            "subset: round trip fails on 0110",
+            "subset: not onto at (n=4, k=2, j=2)",
+            "subset: round trip fails on (1, 3)",
+        ]
+
+    def test_cached_divider_core_fault_reported_at_every_n(self, monkeypatch):
+        core = maps._divider_encode
+        monkeypatch.setattr(maps, "_divider_encode", lambda s, n: core([1, 2], n) if tuple(s) == (1, 3) else core(s, n))
+        assert verify_divider(4, 1)["details"] == [
+            "divider: round trip fails on (1, 3)",
+            "divider: not onto at (n=3, j=1)",
+            "divider: round trip fails on (1, 3)",
+            "divider: not onto at (n=4, j=1)",
         ]
 
     def test_genalt_stage_keeping_parity_fails(self, monkeypatch):
@@ -627,6 +709,26 @@ class TestMapProperties:
         ):
             with pytest.raises(DomainViolation):
                 call()
+
+
+class TestRunScans:
+    """The tuple.index scans against runs read off by itertools.groupby."""
+
+    @staticmethod
+    def runs(b):
+        return [(bit, len(list(group))) for bit, group in groupby(b)]
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 1), max_size=N_MAX).map(tuple))
+    def test_against_groupby(self, b):
+        from rascal.maps import _leading_ones, _profile, _trailing_zeros
+
+        runs = self.runs(b)
+        x0 = runs.pop(0)[1] if runs and runs[0][0] == 1 else 0
+        y0 = runs.pop()[1] if runs and runs[-1][0] == 0 else 0
+        pairs = [(zeros, ones) for (_, zeros), (_, ones) in zip(runs[::2], runs[1::2])]
+        assert _profile(b) == (x0, pairs, y0)
+        assert (_leading_ones(b), _trailing_zeros(b)) == (x0, y0)
 
 
 class TestPublicEdge:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rascal.errors import DomainViolation, ResourceLimit
 from rascal.numbers import (
     TriangleCache,
+    choose,
     closed_row,
     closed_value,
     e_defect,
@@ -182,6 +183,19 @@ class TestRouteChecked:
     def test_rascal_gen_value(self, route, message):
         with pytest.raises(ValueError, match=message):
             rascal_gen_value(100000, 5, **route)
+
+
+class TestChoose:
+    def test_values(self):
+        assert [choose(6, k) for k in range(-1, 8)] == [0, 1, 6, 15, 20, 15, 6, 1, 0]
+        assert choose(-2, 1) == 0
+
+    @pytest.mark.parametrize(
+        "n, k, message", [(6.0, 3, "n must be an integer, got 6.0"), (6, 3.0, "k must be an integer, got 3.0")]
+    )
+    def test_non_integer_size_named(self, n, k, message):
+        with pytest.raises(DomainViolation, match=message):
+            choose(n, k)
 
 
 class TestClosedValue:

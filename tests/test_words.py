@@ -1,7 +1,7 @@
 """Word statistics, pattern containment and reduction, and the word predicates."""
 
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +99,13 @@ class TestPatternContainment:
         assert contains_001(w) == contains_pattern(w, "001")
         assert contains_210(w) == contains_pattern(w, "210")
 
+    @settings(max_examples=500, derandomize=True)
+    @given(small_words, st.lists(st.integers(0, 3), max_size=4).map(reduce_word))
+    def test_agrees_with_brute_force(self, w, p):
+        # every subsequence of len(p) letters, reduced and compared
+        expected = any(reduce_word(c) == p for c in combinations(w, len(p)))
+        assert contains_pattern(w, p) == expected
+
 
 class TestAscentSequencePredicate:
     def test_examples(self):
@@ -139,6 +146,11 @@ class TestWordCoercion:
         with pytest.raises(ValueError):
             as_word([1 << 20])
 
+    @pytest.mark.parametrize("letters", [(1, -2), (0, 1 << 20), (0, 1.0), (0, "1")])
+    def test_tuple_fast_path_checks_letters(self, letters):
+        with pytest.raises(ValueError):
+            as_word(letters)
+
     @pytest.mark.parametrize(
         "letters, bad",
         [([0.9, 1.2, 2.7], "0.9"), ((1.0, 0), "1.0"), ([1, 0.2], "0.2"), ([0, "1"], "'1'")],
@@ -158,6 +170,10 @@ class TestWordCoercion:
     def test_bools_and_ints_kept(self):
         assert as_word([True, False]) == (1, 0)
         assert all(type(x) is int for x in as_word((True, 0)))
+        # a tuple of bools misses the tuple fast path and comes back as ints
+        assert [type(x) for x in as_word((True, False))] == [int, int]
+        assert as_word((True, False)) == (1, 0)
+        assert as_word(()) == () and as_word((0, 1 << 16)) == (0, 1 << 16)
         assert as_word([3, 0, 2]) == as_word("302") == as_word((3, 0, 2)) == (3, 0, 2)
 
     @pytest.mark.parametrize("text", ["0a1", "1 0", "-1", "1.0"])
