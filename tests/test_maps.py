@@ -282,27 +282,23 @@ class TestCheckedCounts:
             (verify_ratio, (10, 5), 209),
             (verify_altbin, (3, 8, 4), 184),
             (verify_genalt, (10, 3), 1402),
+            (verify_altbin, (4, 10, 5), 576),
         ],
     )
     def test_pinned(self, verifier, args, checked):
         report = verifier(*args)
         assert (report["ok"], report["checked"], report["details"]) == (True, checked, [])
 
-
-class TestPinnedReports:
-    """Whole reports at fixed sizes, so a verifier that skips or caches
-    its way past part of its domain changes them."""
-
     @pytest.mark.parametrize(
-        "verifier, args, report",
+        "verifier, args, sums",
         [
-            (verify_subset, (10, 3), {"ok": True, "checked": 8184, "details": []}),
-            (verify_genalt, (10, 3), {"ok": True, "checked": 1402, "details": [], "signed_sum": -4, "fixed_points": 26}),
-            (verify_altbin, (4, 10, 5), {"ok": True, "checked": 576, "details": [], "signed_sum": 0}),
+            (verify_genalt, (10, 3), {"signed_sum": -4, "fixed_points": 26}),
+            (verify_altbin, (4, 10, 5), {"signed_sum": 0}),
         ],
     )
-    def test_pinned(self, verifier, args, report):
-        assert verifier(*args) == report
+    def test_signed_sums_pinned(self, verifier, args, sums):
+        report = verifier(*args)
+        assert {key: report[key] for key in sums} == sums
 
 
 class TestCheckBijection:
@@ -714,16 +710,12 @@ class TestMapProperties:
 class TestRunScans:
     """The tuple.index scans against runs read off by itertools.groupby."""
 
-    @staticmethod
-    def runs(b):
-        return [(bit, len(list(group))) for bit, group in groupby(b)]
-
     @PROPERTY
     @given(st.lists(st.integers(0, 1), max_size=N_MAX).map(tuple))
     def test_against_groupby(self, b):
         from rascal.maps import _leading_ones, _profile, _trailing_zeros
 
-        runs = self.runs(b)
+        runs = [(bit, len(list(group))) for bit, group in groupby(b)]
         x0 = runs.pop(0)[1] if runs and runs[0][0] == 1 else 0
         y0 = runs.pop()[1] if runs and runs[-1][0] == 0 else 0
         pairs = [(zeros, ones) for (_, zeros), (_, ones) in zip(runs[::2], runs[1::2])]
