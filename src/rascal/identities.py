@@ -16,7 +16,9 @@ which is either the closed form or an enumeration count (the product
 rule over run-length profile counts, never a binomial); that is what
 lets the same registry run against brute-force ground truth.
 Row sums read a whole row at once through `v.row(n, j)`, which each
-source builds once: the closed form's rows come from the unchecked
+source builds and stores once per (n, j), with no key per cell (`_memo`
+is a per-cell view built on read for the perfbench `layers` probe only;
+ROADMAP item 3 removes it): the closed form's rows come from the unchecked
 `numbers._closed_row` (row (n, j) grown from a built row (n, j-1) by one
 term column) and its cells from the unchecked `numbers.closed_value`;
 the enumeration source builds whole rows from its profile table.
@@ -48,32 +50,41 @@ from .numbers import _choose, _closed_row, closed_value
 
 
 class ClosedValues:
-    """Closed-form value source with a per-instance memo; subclasses
-    change only `count`, the function that fills the memo, and `_row`,
-    the function that builds a whole row of it."""
+    """Closed-form value source.  `_served` keeps what it served, in
+    order: each cell under (n, k, j), each row once under (n, None, j).
+    Subclasses change only `count`, which fills a cell, and `_row`."""
 
     count = staticmethod(closed_value)
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[int, int, int], int] = {}
+        self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
         self._rows: dict[tuple[int, int], list[int]] = {}
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
-        got = self._memo.get(key)
+        got = self._served.get(key)
         if got is None:
-            got = self._memo[key] = self.count(n, k, j)
+            got = self._served[key] = self.count(n, k, j)
         return got
 
     def row(self, n: int, j: int = 1) -> list[int]:
-        """[v(n, k, j) for k in 0..n], built once per (n, j) and read
-        only; its cells enter the memo in k order, as that comprehension
-        would put them."""
+        """[v(n, k, j) for k in 0..n], built once per (n, j) and read only."""
         got = self._rows.get((n, j))
         if got is None:
-            got = self._rows[n, j] = self._row(n, j)
-            self._memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), got))
+            got = self._rows[n, j] = self._served[n, None, j] = self._row(n, j)
         return got
+
+    @property
+    def _memo(self) -> dict[tuple[int, int, int], int]:
+        """Each cell served, by (n, k, j) in per-cell memo order, built on
+        read only for the perfbench `layers` probe; ROADMAP item 3 deletes it."""
+        memo = {}
+        for (n, k, j), got in self._served.items():
+            if k is None:
+                memo.update(zip(zip(repeat(n), range(n + 1), repeat(j)), got))
+            else:
+                memo[n, k, j] = got
+        return memo
 
     def _row(self, n: int, j: int) -> list[int]:
         """The row (n, j) from the cached row (n, j-1) by its one new

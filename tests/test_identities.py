@@ -2,8 +2,9 @@
 disagreement between the stated weighted row sum and enumeration."""
 
 import json
+import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import product, repeat
 from unittest.mock import patch
 
 import pytest
@@ -23,6 +24,33 @@ from rascal.identities import (
     verify_range,
 )
 from rascal.numbers import _enum_row_counts, closed_row, rascal_gen_value, rascal_value
+
+
+def eager_fill(source):
+    """`source` with the per-cell memo fill the value sources used to
+    make: every cell served keyed into `filled`, a row's cells in k order
+    as the row is built.  The reference for the `_memo` view."""
+
+    class Eager(source):
+        def __init__(self):
+            super().__init__()
+            self.filled = {}
+
+        def __call__(self, n, k, j=1):
+            key = (n, k, j)
+            got = self.filled.get(key)
+            if got is None:
+                got = self.filled[key] = self.count(n, k, j)
+            return got
+
+        def row(self, n, j=1):
+            got = self._rows.get((n, j))
+            if got is None:
+                got = self._rows[n, j] = self._row(n, j)
+                self.filled.update(zip(zip(repeat(n), range(n + 1), repeat(j)), got))
+            return got
+
+    return Eager
 
 
 def in_domain(ident, point):
@@ -460,3 +488,32 @@ class TestRows:
         grown, plain = sources
         assert list(grown._memo.items()) == list(plain._memo.items())
         assert reports[0] == reports[1]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from([ClosedValues, EnumerationCounts]),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 12), st.integers(-1, 13), st.integers(0, 7)),
+            max_size=40,
+        ),
+    )
+    def test_memo_view_equals_eager_fill(self, source, calls):
+        # cells served before, after and without their rows, rows grown
+        # from the layer below or built whole, cells outside 0..n
+        v, ref = source(), eager_fill(source)()
+        for is_row, n, k, j in calls:
+            if is_row:
+                assert v.row(n, j) == ref.row(n, j)
+            else:
+                assert v(n, k, j) == ref(n, k, j)
+        assert list(v._memo.items()) == list(ref.filled.items())
+
+    def test_row_grid_stores_rows_once(self):
+        tracemalloc.start()
+        try:
+            assert verify_range("gen_alt_row_sum", {"n": (0, 200), "j": (0, 5)}).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 15.1 MB when every row cell was also keyed into a per-cell memo
+        assert peak < 6 << 20
