@@ -5,7 +5,7 @@ classic display, symmetry, and what changes when more ascents are allowed.
 Run: python demos/triangle_tour.py
 """
 
-from rascal import TriangleCache, e_defect, rascal_gen_value, rascal_value, triangle_rows
+from rascal import TriangleCache, closed_row, e_defect, rascal_value, triangle_rows
 
 print("=" * 64)
 print("One entry, four independent routes")
@@ -31,7 +31,7 @@ print("=" * 64)
 print("Allowing up to j ascents (row 8 for growing j)")
 print("=" * 64)
 for j in range(5):
-    row = [rascal_gen_value(8, k, j) for k in range(9)]
+    row = closed_row(8, j)
     print(f"  j={j}: {row}" + ("   <- plain binomials from here on" if j >= 4 else ""))
 
 print()

@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from operator import mul, sub
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .limits import check_cells, check_sum, max_cells, require_sizes
-from .numbers import METHODS, _choose, _table_cells, e_defect, rascal_gen_value, triangle_rows
+from .numbers import METHODS, _choose, _table_cells, rascal_gen_value, triangle_rows
 
 FORMATS = ("table", "json", "csv", "bfile")
 
@@ -210,10 +211,11 @@ def _cmd_bijection(args) -> int:
 def _cmd_etable(args) -> int:
     require_sizes(n_max=args.n_max, j_max=args.j_max)
     check_cells(_table_cells(args.n_max, args.j_max + 1), "E table")
-    tables = {
-        j: [[e_defect(n, k, j) for k in range(n + 1)] for n in range(args.n_max + 1)]
-        for j in range(args.j_max + 1)
-    }
+    tables = {}
+    for j in range(args.j_max + 1):  # e_defect at every cell, with R = 0 outside the rows
+        pad = [[0, 0], [0, 0], *([0, *row, 0] for row in triangle_rows(args.n_max, j))]
+        above = zip(pad, pad[1:], pad[2:])  # padded rows n - 2, n - 1 and n: R(n, k) at k + 1
+        tables[j] = [list(map(sub, map(mul, r[1:], a), map(mul, b[1:], b))) for a, b, r in above]
     negatives = [
         (n, k, j)
         for j, rows in tables.items()

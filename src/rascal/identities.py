@@ -20,16 +20,17 @@ source builds and stores once per (n, j), with no key per cell (`_memo`
 is a per-cell view built on read for the perfbench `layers` probe only;
 ROADMAP item 3 removes it): the closed form's rows come from the unchecked
 `numbers._closed_row` (row (n, j) grown from a built row (n, j-1) by one
-term column) and its cells from the unchecked `numbers.closed_value`;
+term column from its column store) and cells from `numbers.closed_value`;
 the enumeration source builds whole rows from its profile table.
 
 An entry whose sum runs along its last parameter also carries a
-`step(v, prev, **params)`, the left side at `params` from `prev`, the
+`step(v, prev, *params)`, the left side at `params` from `prev`, the
 left side one less on that parameter.  `verify_range` clips each grid
 axis to its bounds given the earlier values, prices the grid in closed
 form before evaluating a cell (the leading axes' values times the runs
 of the last axis summed over the axis before it), and folds each run of
 the last axis with `step`, so each cell costs only its new terms.
+Sides are called positionally, in `bounds` order, as `_register` checks.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class ClosedValues:
     def __init__(self) -> None:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
         self._rows: dict[tuple[int, int], list[int]] = {}
+        self._cols: dict[int, list[int]] = {}
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
@@ -87,9 +89,9 @@ class ClosedValues:
         return memo
 
     def _row(self, n: int, j: int) -> list[int]:
-        """The row (n, j) from the cached row (n, j-1) by its one new
-        term column, if that row was built; else from scratch."""
-        return _closed_row(n, j, self._rows.get((n, j - 1)))
+        """The row (n, j) from the cached row (n, j-1) by its one new term
+        column, if that row was built, else from scratch; columns from `_cols`."""
+        return _closed_row(n, j, self._cols, self._rows.get((n, j - 1)))
 
 
 class EnumerationCounts(ClosedValues):
@@ -193,6 +195,11 @@ def _register(name: str, statement: str, bounds, lhs, rhs, **options) -> None:
     caps = [hi for _, hi in bounds.values()]
     if any(caps[:-1]) or caps[-1] not in (None, *list(bounds)[-2:-1]):
         raise ValueError(f"{name}: only the last parameter may be capped, by the one before it")
+    sides = {"lhs": lhs, "rhs": rhs, **options}  # verify_range calls each one positionally
+    for role, lead in (("lhs", ("v",)), ("step", ("v", "prev")), ("rhs", ()), ("corrected_rhs", ())):
+        code = getattr(sides.get(role), "__code__", None)
+        if code and code.co_varnames[: code.co_argcount] != (*lead, *bounds):
+            raise ValueError(f"{name}: {role} must take {', '.join((*lead, *bounds))}, in that order")
     _REGISTRY[name] = Identity(name, statement, bounds, lhs, rhs, **options)
 
 
@@ -417,17 +424,17 @@ def _axes(ident: Identity, grid) -> list[tuple[str, int, int, str | None]]:
 
 def _walk(axes, head):
     """(head, axis) for each run of the `_axes`, in grid order, from an
-    empty `head`: `head` holds values of every parameter but the last,
-    each inside its bounds, and `axis` is the last parameter's grid
-    range clipped to its bounds given them.  Nothing is listed ahead of
-    the walk."""
-    p, lo, hi, bound_hi = axes[len(head)]
-    axis = range(lo, (hi if bound_hi is None else min(hi, head[bound_hi])) + 1)
+    empty `head`: `head` is the tuple of values of every parameter but
+    the last, each inside its bounds, and `axis` is the last parameter's
+    grid range clipped to its bounds given them (a cap is the value just
+    before).  Nothing is listed ahead of the walk."""
+    _, lo, hi, bound_hi = axes[len(head)]
+    axis = range(lo, (hi if bound_hi is None else min(hi, head[-1])) + 1)
     if len(head) == len(axes) - 1:
         yield head, axis
     else:
         for x in axis:
-            yield from _walk(axes, {**head, p: x})
+            yield from _walk(axes, (*head, x))
 
 
 def _tied_cells(t: int, lo: int, hi: int) -> int:
@@ -480,24 +487,18 @@ def verify_range(
     cap = limits.max_cells(max_cells)
     cells = _grid_size(ident, grid, cap)
     v = EnumerationCounts(cap) if oracle else ClosedValues()
-    last = ident.params[-1]
+    left, step, right, fixed = ident.lhs, ident.step, ident.rhs, ident.corrected_rhs
     failures = []
-    corrected_failures = [] if ident.corrected_rhs is not None else None
+    corrected_failures = [] if fixed is not None else None
     start = time.perf_counter()
-    for head, axis in _walk(_axes(ident, grid), {}):
+    for head, axis in _walk(_axes(ident, grid), ()):
         for x in axis:
-            params = {**head, last: x}
-            if ident.step and x > axis.start:
-                lhs = ident.step(v, lhs, **params)
-            else:
-                lhs = ident.lhs(v, **params)
-            rhs = ident.rhs(**params)
+            lhs = step(v, lhs, *head, x) if step and x > axis.start else left(v, *head, x)
+            rhs = right(*head, x)
             if lhs != rhs:
-                failures.append((tuple(params.items()), lhs, rhs))
-            if ident.corrected_rhs is not None:
-                corrected = ident.corrected_rhs(**params)
-                if lhs != corrected:
-                    corrected_failures.append((tuple(params.items()), lhs, corrected))
+                failures.append((tuple(zip(ident.params, (*head, x))), lhs, rhs))
+            if fixed is not None and lhs != (corrected := fixed(*head, x)):
+                corrected_failures.append((tuple(zip(ident.params, (*head, x))), lhs, corrected))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return IdentityReport(
         identity=name,

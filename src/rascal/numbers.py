@@ -9,7 +9,7 @@ Four routes are implemented and cross-checked by the test suite:
 
 * closed         -- the binomial closed form above: `closed_value` sums
                     one cell's terms, `_closed_row`, the one row builder,
-                    adds one term column per i to a half row
+                    adds one term column per i, kept in a shared store, to a half row
 * linear         -- additive recurrence
                     R(n,k) = R(n-1,k) + R(n-1,k-1) - R(n-2,k-1) + 1
                     (generalized: the final +1 becomes a j-1 layer term)
@@ -50,7 +50,7 @@ def _choose(n: int, k: int) -> int:
 
 
 class TriangleCache:
-    """Explicit memo for the recurrence methods.
+    """Explicit memo for the recurrence tables and the closed rows' term columns.
 
     One instance owns its tables outright; nothing is shared through
     module globals, so callers control reuse and lifetime.  Tables are
@@ -61,6 +61,7 @@ class TriangleCache:
     def __init__(self) -> None:
         self._linear: list[list[list[int]]] = []  # [j][n][k]
         self._product: list[list[int]] = []       # [n][k]
+        self._cols: dict[int, list[int]] = {}     # [i][k], see _closed_row
 
     # -- additive recurrence -------------------------------------------------
 
@@ -153,9 +154,11 @@ def _check_route(method: str, j: int) -> None:
 
 def _route_row(method: str, n: int, j: int, cache: TriangleCache) -> list[int]:
     """Row n of R(., .; j) by one route; the caller has checked the
-    route.  The recurrence tables and the word listing price themselves."""
+    route.  Each route prices what it builds: a closed row as in
+    `closed_row`, from the term columns stored in `cache`."""
     if method == "closed":
-        return closed_row(n, j)
+        check_cells(_table_cells(n, min(j, n // 2)) + n + 1, "closed-form row")
+        return _closed_row(n, j, cache._cols)
     if method == "linear":
         return cache.linear_row(n, j)
     if method == "multiplicative":
@@ -206,20 +209,22 @@ def closed_row(n: int, j: int = 1) -> list[int]:
     column it adds, plus the row itself."""
     require_sizes(negative_ok=True, n=n)
     require_sizes(j=j)
-    check_cells(_table_cells(n, min(j, n // 2)) + n + 1, "closed-form row")
-    return _closed_row(n, j)
+    return _route_row("closed", n, j, TriangleCache())
 
 
-def _closed_row(n: int, j: int, below: list[int] | None = None) -> list[int]:
+def _closed_row(n: int, j: int, cols: dict, below: list[int] | None = None) -> list[int]:
     """R(n, k; j) for k = 0..n, unchecked: the all-ones row of j = 0, or
     `below`, the row (n, j-1), with the term columns C(k, i) * C(n-k, i)
     added for i up to min(j, n // 2) (the rest vanish).  Only the half
-    k <= n // 2 is summed: the row is symmetric in k <-> n-k.  The
-    column C(0..n, i) gives C(k, i); reversed, it gives C(n-k, i)."""
-    half = [1] * (n // 2 + 1) if below is None else below[: n // 2 + 1]
+    k <= n // 2 is summed: the row is symmetric in k <-> n-k.  Column
+    `cols[i]` of the caller's store grows in place to C(0..n, i): read
+    forwards it gives C(k, i), backwards from C(n, i) it gives C(n-k, i)."""
+    h = n // 2 + 1
+    half = [1] * h if below is None else below[:h]
     for i in range(1 if below is None else j, min(j, n // 2) + 1):
-        col = list(map(math.comb, range(n + 1), repeat(i)))
-        half = list(map(add, half, map(mul, col, reversed(col))))
+        col = cols.setdefault(i, [])
+        col += map(math.comb, range(len(col), n + 1), repeat(i))
+        half = list(map(add, half, map(mul, col[:h], col[n : n - h : -1])))
     return half + half[: (n + 1) // 2][::-1]
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import rascal
 from rascal.cli import BIJECTIONS, main
+from rascal.numbers import e_defect
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -560,6 +561,14 @@ class TestEtable:
         assert blob["tables"]["2"][6][3] == 14
         assert blob["negatives"] == []
 
+    def test_every_cell_is_the_single_cell_defect(self, capsys):
+        # the tables are built from whole rows; e_defect prices each cell alone
+        code, out, _ = run(capsys, "etable", "40", "4", "--format", "json")
+        tables = json.loads(out)["tables"]
+        assert code == 0 and sorted(tables) == ["0", "1", "2", "3", "4"]
+        for j, rows in tables.items():
+            assert rows == [[e_defect(n, k, int(j)) for k in range(n + 1)] for n in range(41)], j
+
 
 # each option abbreviates a longer one and is refused, not read as it
 ABBREVIATED = [
@@ -644,7 +653,7 @@ class TestNegativeSizes:
 
 # modules each command must leave unloaded.  One table, so a top-level
 # import added to cli or to a module it loads fails here with its name.
-LEAN = ("rascal.generate", "rascal.words", "rascal.identities", "rascal.maps", "dataclasses")
+LEAN = ("rascal.generate", "rascal.words", "rascal.identities", "rascal.maps", "dataclasses", "inspect")
 STARTUP_CASES = [
     (("value", "6", "3"), LEAN),
     (("triangle", "30", "--format", "csv"), LEAN),
@@ -657,13 +666,13 @@ STARTUP_CASES = [
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The rascal.* and dataclasses modules a fresh interpreter has
-    loaded after running `code`, started as the `rascal` script is."""
+    """The rascal.*, dataclasses and inspect modules a fresh interpreter
+    has loaded after running `code`, started as the `rascal` script is."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": "1"}
     env.pop("RASCAL_MAX_CELLS", None)
     report = (
         "\nprint(*sorted(m for m in sys.modules"
-        " if m.startswith('rascal.') or m == 'dataclasses'), file=sys.__stdout__)"
+        " if m.startswith('rascal.') or m in ('dataclasses', 'inspect')), file=sys.__stdout__)"
     )
     done = subprocess.run(
         [sys.executable, "-c", "import os, sys\n" + code + report],

@@ -5,6 +5,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 from itertools import product, repeat
+from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -23,7 +24,15 @@ from rascal.identities import (
     list_identities,
     verify_range,
 )
-from rascal.numbers import _enum_row_counts, closed_row, rascal_gen_value, rascal_value
+from rascal.numbers import (
+    TriangleCache,
+    _enum_row_counts,
+    closed_row,
+    closed_value,
+    rascal_gen_value,
+    rascal_value,
+    triangle_rows,
+)
 
 
 def eager_fill(source):
@@ -107,6 +116,24 @@ class TestRegistry:
         before = dict(identities._REGISTRY)
         with pytest.raises(ValueError, match=f"{name}: only the last parameter may be capped"):
             identities._register(name, "0 = 0", bounds, lambda v, a, b, c: 0, lambda a, b, c: 0)
+        assert identities._REGISTRY == before
+
+    @pytest.mark.parametrize(
+        "sides, message",
+        [
+            ({"lhs": lambda v, m, n: 0}, "lhs must take v, n, m, in that order"),
+            ({"rhs": lambda m, n: 0}, "rhs must take n, m, in that order"),
+            ({"step": lambda v, n, m, prev: 0}, "step must take v, prev, n, m, in that order"),
+            ({"corrected_rhs": lambda n: 0}, "corrected_rhs must take n, m, in that order"),
+        ],
+        ids=["lhs", "rhs", "step", "corrected_rhs"],
+    )
+    def test_register_refuses_swapped_parameters(self, sides, message):
+        # verify_range calls every side positionally, in bounds order
+        before = dict(identities._REGISTRY)
+        sides = {"lhs": lambda v, n, m: 0, "rhs": lambda n, m: 0, **sides}
+        with pytest.raises(ValueError, match=f"swapped: {message}"):
+            identities._register("swapped", "0 = 0", {"n": (0, None), "m": (0, "n")}, **sides)
         assert identities._REGISTRY == before
 
     def test_domain_enforced(self):
@@ -414,9 +441,9 @@ class TestBounds:
         ]
         visited = []
 
-        def recording(**params):
-            visited.append(tuple(params.items()))
-            return ident.rhs(**params)
+        def recording(*values):
+            visited.append(tuple(zip(ident.params, values)))
+            return ident.rhs(*values)
 
         with patch.dict(identities._REGISTRY, {name: replace(ident, rhs=recording)}):
             report = verify_range(name, grid)
@@ -507,6 +534,33 @@ class TestRows:
             else:
                 assert v(n, k, j) == ref(n, k, j)
         assert list(v._memo.items()) == list(ref.filled.items())
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 80), st.integers(0, 7)), min_size=1, max_size=12),
+        st.sampled_from(["drawn", "rising", "falling", "repeated"]),
+    )
+    def test_column_store_in_any_row_order(self, asks, order):
+        # one ClosedValues grows one store of term columns C(0.., i)
+        asks = {"drawn": asks, "rising": sorted(asks), "falling": sorted(asks, reverse=True)}.get(
+            order, asks + asks[::-1] + asks
+        )
+        v = ClosedValues()
+        for n, j in asks:
+            assert v.row(n, j) == [closed_value(n, k, j) for k in range(n + 1)], (n, j)
+        top = max(n for n, _ in asks)
+        for i, col in v._cols.items():
+            assert col == [comb(k, i) for k in range(len(col))] and len(col) <= top + 1, i
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(0, 120), st.integers(0, 7))
+    def test_triangle_rows_share_one_column_store(self, n_max, j):
+        cache = TriangleCache()
+        rows = triangle_rows(n_max, j, method="closed", cache=cache)
+        assert rows == [[closed_value(n, k, j) for k in range(n + 1)] for n in range(n_max + 1)]
+        # the top row comes first and builds every column to its full length
+        assert sorted(cache._cols) == list(range(1, min(j, n_max // 2) + 1))
+        assert all(col == [comb(k, i) for k in range(n_max + 1)] for i, col in cache._cols.items())
 
     def test_row_grid_stores_rows_once(self):
         tracemalloc.start()
