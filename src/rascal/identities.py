@@ -14,23 +14,27 @@ stays visible as a permanent regression check.
 Left-hand sides are expressed through a value source `v(n, k, j=1)`,
 which is either the closed form or an enumeration count (the product
 rule over run-length profile counts, never a binomial); that is what
-lets the same registry run against brute-force ground truth.
-Row sums read a whole row at once through `v.row(n, j)`, which each
-source builds and stores once per (n, j), with no key per cell (`_memo`
-is a per-cell view built on read for the perfbench `layers` probe only;
-ROADMAP item 3 removes it): the closed form's rows come from the unchecked
-`numbers._closed_row` (row (n, j) grown from a built row (n, j-1) by one
-term column from its column store) and cells from `numbers.closed_value`;
-the enumeration source builds whole rows from its profile table.
+lets the same registry run against brute-force ground truth.  Row sums
+read a whole row through `v.row(n, j)`, which each source builds once
+per (n, j) and keeps in its one store, `_served`, under (n, None, j)
+(`_memo` is a per-cell view built on read for the perfbench `layers`
+probe only; ROADMAP item 3 removes it): the closed form's rows come from
+the unchecked `numbers._closed_row` (row (n, j) grown from a built row
+(n, j-1) by one term column from its column store) and cells from
+`numbers.closed_value`; the enumeration source builds whole rows from
+its profile table.
 
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, *params)`, the left side at `params` from `prev`, the
 left side one less on that parameter.  `verify_range` clips each grid
 axis to its bounds given the earlier values, prices the grid in closed
 form before evaluating a cell (the leading axes' values times the runs
-of the last axis summed over the axis before it), and folds each run of
-the last axis with `step`, so each cell costs only its new terms.
-Sides are called positionally, in `bounds` order, as `_register` checks.
+of the last axis summed over the axis before it), walks the leading
+axes, independent as only the last is capped, with `itertools.product`
+if the grid has a cell (each is then at most the cap long), and folds
+each run of the last axis with `step`, so each cell costs only its new
+terms.  Sides are called positionally, in `bounds` order, as `_register`
+checks.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import add, mul
 from typing import Callable
@@ -59,7 +63,6 @@ class ClosedValues:
 
     def __init__(self) -> None:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
-        self._rows: dict[tuple[int, int], list[int]] = {}
         self._cols: dict[int, list[int]] = {}
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
@@ -71,9 +74,9 @@ class ClosedValues:
 
     def row(self, n: int, j: int = 1) -> list[int]:
         """[v(n, k, j) for k in 0..n], built once per (n, j) and read only."""
-        got = self._rows.get((n, j))
+        got = self._served.get((n, None, j))
         if got is None:
-            got = self._rows[n, j] = self._served[n, None, j] = self._row(n, j)
+            got = self._served[n, None, j] = self._row(n, j)
         return got
 
     @property
@@ -91,7 +94,7 @@ class ClosedValues:
     def _row(self, n: int, j: int) -> list[int]:
         """The row (n, j) from the cached row (n, j-1) by its one new term
         column, if that row was built, else from scratch; columns from `_cols`."""
-        return _closed_row(n, j, self._cols, self._rows.get((n, j - 1)))
+        return _closed_row(n, j, self._cols, self._served.get((n, None, j - 1)))
 
 
 class EnumerationCounts(ClosedValues):
@@ -112,7 +115,7 @@ class EnumerationCounts(ClosedValues):
         """sum_r P(k, r) * P(n-k, r) over r <= min(j, n // 2) for k = 0..n,
         each column read forwards and reversed: grown from the built row
         (n, j-1) by its one new column (none once j > n // 2), else whole."""
-        row = self._rows.get((n, j - 1))
+        row = self._served.get((n, None, j - 1))
         terms = range(0 if row is None else j, min(j, n // 2) + 1)
         self._table.charge((len(terms) + 1) * (n + 1))
         row = row or [0] * (n + 1)
@@ -387,54 +390,42 @@ def _gen_alt_rhs(n: int, j: int) -> int:
 def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tuple[int, int]:
     """Both sides of the named identity at one parameter point."""
     ident = get_identity(name)
-    _require_params(ident, params, "values")
-    if _grid_size(ident, {p: (x, x) for p, x in params.items()}, 1) != 1:
+    grid = {p: (x, x) for p, x in params.items()}
+    _require_params(ident, grid, "values")
+    if _grid_size(ident, grid, 1) != 1:
         raise DomainViolation(f"{params} is outside the domain ({ident.domain_desc})")
-    if variant == "stated":
-        rhs_fn = ident.rhs
-    elif variant == "corrected":
-        if ident.corrected_rhs is None:
-            raise DomainViolation(f"{name} has no corrected variant")
-        rhs_fn = ident.corrected_rhs
-    else:
+    if variant not in ("stated", "corrected"):
         raise DomainViolation(f"unknown variant {variant!r}")
+    rhs_fn = ident.rhs if variant == "stated" else ident.corrected_rhs
+    if rhs_fn is None:
+        raise DomainViolation(f"{name} has no corrected variant")
     v = ClosedValues()
     return ident.lhs(v, **params), rhs_fn(**params)
 
 
-def _require_params(ident: Identity, given, what: str) -> None:
-    """Refuse `given` unless its keys are exactly the identity's parameters."""
-    missing = [p for p in ident.params if p not in given]
+def _require_params(ident: Identity, grid, what: str) -> None:
+    """Refuse `grid` unless its keys are exactly the identity's parameters,
+    each mapped to a (lo, hi) pair of integers."""
+    missing = [p for p in ident.params if p not in grid]
     if missing:
         raise DomainViolation(f"{ident.name} needs {what} for {missing}")
-    extra = [p for p in given if p not in ident.params]
+    extra = [p for p in grid if p not in ident.params]
     if extra:
         raise DomainViolation(f"{ident.name} takes {list(ident.params)}, not {extra}")
+    for p, pair in grid.items():
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise DomainViolation(f"{ident.name} needs a (lo, hi) range for {p}, not {pair!r}")
+        for x in pair:
+            limits.require_sizes(negative_ok=True, **{p: x})
 
 
-def _axes(ident: Identity, grid) -> list[tuple[str, int, int, str | None]]:
-    """(param, lo, hi, bound_hi) for each axis: its grid range with lo
-    raised to the bound, and the earlier parameter that caps it."""
-    axes = []
-    for p, (bound_lo, bound_hi) in ident.bounds.items():
-        lo, hi = grid[p]
-        axes.append((p, lo if bound_lo is None else max(lo, bound_lo), hi, bound_hi))
-    return axes
-
-
-def _walk(axes, head):
-    """(head, axis) for each run of the `_axes`, in grid order, from an
-    empty `head`: `head` is the tuple of values of every parameter but
-    the last, each inside its bounds, and `axis` is the last parameter's
-    grid range clipped to its bounds given them (a cap is the value just
-    before).  Nothing is listed ahead of the walk."""
-    _, lo, hi, bound_hi = axes[len(head)]
-    axis = range(lo, (hi if bound_hi is None else min(hi, head[-1])) + 1)
-    if len(head) == len(axes) - 1:
-        yield head, axis
-    else:
-        for x in axis:
-            yield from _walk(axes, (*head, x))
+def _axes(ident: Identity, grid) -> list[tuple[int, int, str | None]]:
+    """(lo, hi, bound_hi) for each axis: its grid range with lo raised
+    to the bound, and the earlier parameter that caps it."""
+    return [
+        (grid[p][0] if lo is None else max(grid[p][0], lo), grid[p][1], hi)
+        for p, (lo, hi) in ident.bounds.items()
+    ]
 
 
 def _tied_cells(t: int, lo: int, hi: int) -> int:
@@ -452,8 +443,8 @@ def _grid_size(ident: Identity, grid, cap: int) -> int:
     grid of empty or one-cell runs is refused without walking it; past
     `cap` it raises ResourceLimit.  A one-value axis 0..0 goes first, so
     even a one-axis grid has an axis before its last."""
-    *lead, (_, start, stop, _), (_, lo, hi, tie) = [(None, 0, 0, None), *_axes(ident, grid)]
-    copies = prod(max(0, b - a + 1) for _, a, b, _ in lead)
+    *lead, (start, stop, _), (lo, hi, tie) = [(0, 0, None), *_axes(ident, grid)]
+    copies = prod(max(0, b - a + 1) for a, b, _ in lead)
     runs, width = max(0, stop - start + 1), max(0, hi - lo + 1)
     if tie:  # the run at x is lo..min(hi, x)
         cells = max(0, _tied_cells(stop + 1, lo, hi) - _tied_cells(start, lo, hi))
@@ -489,9 +480,12 @@ def verify_range(
     v = EnumerationCounts(cap) if oracle else ClosedValues()
     left, step, right, fixed = ident.lhs, ident.step, ident.rhs, ident.corrected_rhs
     failures = []
-    corrected_failures = [] if fixed is not None else None
+    corrected_failures = []
+    *lead, (lo, hi, tie) = _axes(ident, grid)
     start = time.perf_counter()
-    for head, axis in _walk(_axes(ident, grid), ()):
+    # product lists its axes up front, so walk only a grid with cells: each is then <= cap
+    for head in product(*(range(a, b + 1) for a, b, _ in lead)) if cells else ():
+        axis = range(lo, (hi if tie is None else min(hi, head[-1])) + 1)
         for x in axis:
             lhs = step(v, lhs, *head, x) if step and x > axis.start else left(v, *head, x)
             rhs = right(*head, x)
@@ -505,9 +499,7 @@ def verify_range(
         grid=", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params),
         cells=cells,
         failures=tuple(sorted(failures)),
-        corrected_failures=(
-            None if corrected_failures is None else tuple(sorted(corrected_failures))
-        ),
+        corrected_failures=None if fixed is None else tuple(sorted(corrected_failures)),
         elapsed_ms=elapsed_ms,
     )
 

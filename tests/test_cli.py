@@ -758,6 +758,26 @@ class TestLazyPackage:
         }
         assert sorted(set(rascal.__all__) - used) == sorted(exempt)
 
+    def test_every_private_definition_is_used(self):
+        # a private function, method or class that nothing in the library,
+        # demos or benchmark reads is dead (perfbench alone reads _memo)
+        library = sorted((SRC / "rascal").glob("*.py"))
+        files = [*library, *(SRC.parent / "demos").glob("*.py"), *(SRC.parent / "perfbench").glob("*.py")]
+        defined, used = set(), set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+                elif path in library and isinstance(node, ast.FunctionDef | ast.ClassDef):
+                    if node.name.startswith("_") and not node.name.endswith("__"):
+                        defined.add(f"{path.stem}.{node.name}")
+        assert {"identities._grid_size", "identities._memo", "maps._trusted"} <= defined
+        assert sorted(d for d in defined if d.split(".")[1] not in used) == []
+
     def test_version_and_submodules(self):
         assert rascal.__version__ == "0.1.0"
         assert rascal.maps is importlib.import_module("rascal.maps")

@@ -44,6 +44,7 @@ def eager_fill(source):
         def __init__(self):
             super().__init__()
             self.filled = {}
+            self.rows = {}
 
         def __call__(self, n, k, j=1):
             key = (n, k, j)
@@ -53,9 +54,9 @@ def eager_fill(source):
             return got
 
         def row(self, n, j=1):
-            got = self._rows.get((n, j))
+            got = self.rows.get((n, j))
             if got is None:
-                got = self._rows[n, j] = self._row(n, j)
+                got = self.rows[n, j] = self._row(n, j)
                 self.filled.update(zip(zip(repeat(n), range(n + 1), repeat(j)), got))
             return got
 
@@ -213,6 +214,33 @@ class TestVerifyRange:
         with pytest.raises(DomainViolation, match=message):
             evaluate("row_sum", {"n": 5, "q": 0})
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: verify_range("row_sum", {"n": (0, 2.5)}), "n must be an integer, got 2.5"),
+            (lambda: verify_range("row_sum", {"n": 5}), r"row_sum needs a \(lo, hi\) range for n, not 5"),
+            (lambda: verify_range("row_sum", {"n": (0, 1, 2)}), r"range for n, not \(0, 1, 2\)"),
+            (lambda: evaluate("row_sum", {"n": 2.0}), "n must be an integer, got 2.0"),
+            (lambda: evaluate("col_sum", {"k": 1, "r": "2"}), "r must be an integer, got '2'"),
+        ],
+        ids=["float bound", "not a pair", "triple", "float value", "str value"],
+    )
+    def test_non_integer_input_named(self, call, message):
+        with pytest.raises(DomainViolation, match=message):
+            call()
+
+    def test_empty_grid_not_walked(self):
+        # itertools.product would list the 10^8-value axes before the
+        # first run; a grid with no cell is never walked
+        tracemalloc.start()
+        try:
+            report = verify_range("alt_binomial", {"r": (2, 1), "n": (0, 10**8), "k": (0, 10**8)})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.cells, report.failures) == (0, ())
+        assert peak < 1 << 20
+
     def test_cell_cap(self):
         with pytest.raises(ResourceLimit):
             verify_range("row_sum", {"n": (0, 50)}, max_cells=10)
@@ -330,7 +358,7 @@ class TestEnumerationSource:
         # order built, its new term columns and its own n + 1 cells
         [v] = sources
         built, rows = set(), 0
-        for n, j in v._rows:
+        for n, j in ((n, j) for n, k, j in v._served if k is None):
             grown = (n, j - 1) in built
             rows += (len(range(j if grown else 0, min(j, n // 2) + 1)) + 1) * (n + 1)
             built.add((n, j))
