@@ -26,15 +26,17 @@ its profile table.
 
 An entry whose sum runs along its last parameter also carries a
 `step(v, prev, *params)`, the left side at `params` from `prev`, the
-left side one less on that parameter.  `verify_range` clips each grid
-axis to its bounds given the earlier values, prices the grid in closed
-form before evaluating a cell (the leading axes' values times the runs
-of the last axis summed over the axis before it), walks the leading
-axes, independent as only the last is capped, with `itertools.product`
-if the grid has a cell (each is then at most the cap long), and folds
-each run of the last axis with `step`, so each cell costs only its new
-terms.  Sides are called positionally, in `bounds` order, as `_register`
-checks.
+left side one less on that parameter, and may carry a `rhs_step(prev,
+*params)`, the same for the right side.  `verify_range` clips each grid
+axis to its bounds given the earlier values and, before evaluating a
+cell, prices the grid in closed form (`_grid_size`), then lazily the
+terms its cells build where an entry gives a `cost` (2^m for
+`subset_ie`).  It walks the leading axes, independent as only the last
+is capped, with `itertools.product`, and folds each run of the last
+axis with `step` and `rhs_step`, so each cell costs only its new terms;
+the stated `rhs` is still evaluated at both ends of every run, so it is
+never trusted from its step alone.  Sides are called positionally, in
+`bounds` order, as `_register` checks.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
+from functools import lru_cache
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import add, mul
@@ -134,6 +137,8 @@ class Identity:
     rhs: Callable[..., int]
     corrected_rhs: Callable[..., int] | None = None
     step: Callable[..., int] | None = None
+    rhs_step: Callable[..., int] | None = None
+    cost: Callable[..., int] | None = None
     note: str = ""
 
     @property
@@ -199,8 +204,9 @@ def _register(name: str, statement: str, bounds, lhs, rhs, **options) -> None:
     if any(caps[:-1]) or caps[-1] not in (None, *list(bounds)[-2:-1]):
         raise ValueError(f"{name}: only the last parameter may be capped, by the one before it")
     sides = {"lhs": lhs, "rhs": rhs, **options}  # verify_range calls each one positionally
-    for role, lead in (("lhs", ("v",)), ("step", ("v", "prev")), ("rhs", ()), ("corrected_rhs", ())):
-        code = getattr(sides.get(role), "__code__", None)
+    for role, side in sides.items():
+        lead = {"lhs": ("v",), "step": ("v", "prev"), "rhs_step": ("prev",)}.get(role, ())
+        code = getattr(side, "__code__", None)
         if code and code.co_varnames[: code.co_argcount] != (*lead, *bounds):
             raise ValueError(f"{name}: {role} must take {', '.join((*lead, *bounds))}, in that order")
     _REGISTRY[name] = Identity(name, statement, bounds, lhs, rhs, **options)
@@ -242,8 +248,10 @@ def _triangle_row_sum(v, n):
     return sum(v(n, k) for k in range(1, n))
 
 
-def _product_step(v, prev, n, m):
-    return prev * (v(n, m) - 1)
+@lru_cache(maxsize=64)
+def _signed_binomials(r: int) -> tuple[int, ...]:
+    """(-1)^(r-t) * C(r, t) for t = 0..r."""
+    return tuple(c if (r - t) % 2 == 0 else -c for t, c in enumerate(_binomial_row(r)))
 
 
 _register(
@@ -261,6 +269,7 @@ _register(
     lambda v, k, r: sum(v(k + i, k) for i in range(r + 1)),
     lambda k, r: k * _choose(r + 1, 2) + r + 1,
     step=lambda v, prev, k, r: prev + v(k + r, k),
+    rhs_step=lambda prev, k, r: prev + k * r + 1,
 )
 
 # As stated this fails from n = 2 on (6 vs 5); direct pair counting gives
@@ -287,9 +296,7 @@ _register(
     "alt_binomial",
     "sum_{t=0..r} (-1)^(r-t)*C(r,t)*R(n+t,k) = 0",
     {"r": (2, None), "n": (None, None), "k": (0, "n")},
-    lambda v, r, n, k: sum(
-        (-1) ** (r - t) * _choose(r, t) * v(n + t, k) for t in range(r + 1)
-    ),
+    lambda v, r, n, k: sum(map(mul, _signed_binomials(r), [v(n + t, k) for t in range(r + 1)])),
     lambda r, n, k: 0,
 )
 
@@ -307,7 +314,8 @@ _register(
     {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) * perm(n - 1, m),
-    step=_product_step,
+    step=lambda v, prev, n, m: prev * (v(n, m) - 1),
+    rhs_step=lambda prev, n, m: prev * m * (n - m),
 )
 
 _register(
@@ -316,6 +324,7 @@ _register(
     {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: _subset_ie_lhs(v, n, m),
     lambda n, m: factorial(m) * perm(n - 1, m),
+    cost=lambda n, m: 2**m,
     note="cost grows as 2^m",
 )
 
@@ -325,7 +334,8 @@ _register(
     {"n": (None, None), "m": (1, "n")},
     lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) ** 2 * _choose(n - 1, m),
-    step=_product_step,
+    step=lambda v, prev, n, m: prev * (v(n, m) - 1),
+    rhs_step=lambda prev, n, m: prev * m * (n - m),
 )
 
 _register(
@@ -334,6 +344,7 @@ _register(
     {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(v.row(n, j)),
     lambda n, j: sum(_choose(n, k) for k in range(2 * j + 2)),
+    rhs_step=lambda prev, n, j: prev + _choose(n, 2 * j) + _choose(n, 2 * j + 1),
 )
 
 _register(
@@ -349,8 +360,7 @@ _register(
     "(2j+1)-th forward difference in n of sum_k R(n,k;j) = 1",
     {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(
-        (-1) ** (2 * j + 1 - t) * _choose(2 * j + 1, t) * sum(v.row(n + t, j))
-        for t in range(2 * j + 2)
+        map(mul, _signed_binomials(2 * j + 1), [sum(v.row(n + t, j)) for t in range(2 * j + 2)])
     ),
     lambda n, j: 1,
 )
@@ -399,8 +409,9 @@ def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tupl
     rhs_fn = ident.rhs if variant == "stated" else ident.corrected_rhs
     if rhs_fn is None:
         raise DomainViolation(f"{name} has no corrected variant")
-    v = ClosedValues()
-    return ident.lhs(v, **params), rhs_fn(**params)
+    if ident.cost:
+        limits.check_cells(ident.cost(**params), name)
+    return ident.lhs(ClosedValues(), **params), rhs_fn(**params)
 
 
 def _require_params(ident: Identity, grid, what: str) -> None:
@@ -456,6 +467,13 @@ def _grid_size(ident: Identity, grid, cap: int) -> int:
     return copies * cells
 
 
+def _runs(ident: Identity, grid):
+    """(leading axes' values, last axis clipped to its bounds) per run."""
+    *lead, (lo, hi, tie) = _axes(ident, grid)
+    for head in product(*(range(a, b + 1) for a, b, _ in lead)):
+        yield head, range(lo, (hi if tie is None else min(hi, head[-1])) + 1)
+
+
 def verify_range(
     name: str,
     grid: dict[str, tuple[int, int]],
@@ -471,24 +489,24 @@ def verify_range(
     the report lists every failure.  With `oracle=True` the left side
     uses enumeration counts instead of the closed form.  The first cell
     of each run of the last axis is summed from scratch; every later
-    cell folds the one before with the entry's `step`, if it has one.
+    cell folds the one before with the entry's `step`, and every inner
+    cell its right side with `rhs_step`, where the entry has them.
     """
     ident = get_identity(name)
     _require_params(ident, grid, "grid ranges")
     cap = limits.max_cells(max_cells)
     cells = _grid_size(ident, grid, cap)
+    # _runs's product lists its axes up front, so walk only a grid with cells: each is then <= cap
+    if cells and ident.cost:  # the terms its cells build, summed lazily
+        limits.check_sum((ident.cost(*h, x) for h, axis in _runs(ident, grid) for x in axis), name, cap)
     v = EnumerationCounts(cap) if oracle else ClosedValues()
-    left, step, right, fixed = ident.lhs, ident.step, ident.rhs, ident.corrected_rhs
-    failures = []
-    corrected_failures = []
-    *lead, (lo, hi, tie) = _axes(ident, grid)
+    left, step, right, rstep, fixed = ident.lhs, ident.step, ident.rhs, ident.rhs_step, ident.corrected_rhs
+    failures, corrected_failures = [], []
     start = time.perf_counter()
-    # product lists its axes up front, so walk only a grid with cells: each is then <= cap
-    for head in product(*(range(a, b + 1) for a, b, _ in lead)) if cells else ():
-        axis = range(lo, (hi if tie is None else min(hi, head[-1])) + 1)
+    for head, axis in _runs(ident, grid) if cells else ():
         for x in axis:
             lhs = step(v, lhs, *head, x) if step and x > axis.start else left(v, *head, x)
-            rhs = right(*head, x)
+            rhs = rstep(rhs, *head, x) if rstep and axis.start < x < axis.stop - 1 else right(*head, x)
             if lhs != rhs:
                 failures.append((tuple(zip(ident.params, (*head, x))), lhs, rhs))
             if fixed is not None and lhs != (corrected := fixed(*head, x)):

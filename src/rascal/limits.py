@@ -50,11 +50,11 @@ def check_cells(count: int, what: str, override: int | None = None) -> None:
         raise ResourceLimit(f"{what} needs {count} cells, over the cap {cap}")
 
 
-def check_sum(terms, what: str) -> None:
+def check_sum(terms, what: str, override: int | None = None) -> None:
     """Raise ResourceLimit once the running total of `terms` passes the
     cap.  Terms are drawn lazily, so an absurd size is refused after the
     few terms it takes to pass the cap."""
-    cap = max_cells()
+    cap = max_cells(override)
     total = 0
     for term in terms:
         total += term

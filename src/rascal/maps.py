@@ -86,9 +86,8 @@ def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> Word:
     return tuple(bits + [0] * y0)
 
 
-def _require_family(b, j: int, what: str) -> Word:
-    """`b` as a binary word, refused if it has more than j ascents."""
-    b = binary_word(b)
+def _require_family(b: Word, j: int, what: str) -> Word:
+    """`b`, a binary word, refused if it has more than j ascents."""
     ascents = _asc(b)
     if ascents > j:
         raise DomainViolation(f"{what}: {word_str(b)} has {ascents} ascents, more than {j}")
@@ -103,8 +102,7 @@ def sym_map(b) -> Word:
     """Reverse then complement: swaps the roles of ones and zeros, so it
     carries words with k ones onto words with n-k ones and is an
     involution on the at-most-one-ascent family."""
-    b = _require_family(b, 1, "sym_map")
-    return _sym(b)
+    return _sym(_require_family(binary_word(b), 1, "sym_map"))
 
 
 def _sym(b: Word) -> Word:
@@ -153,8 +151,7 @@ def word_to_ascseq(b) -> Word:
     padded with k's; the one-ascent word 1^(k-x) 0^y 1^x 0^(n-k-y) maps
     to the staircase, y copies of k, then k-x repeated.
     """
-    b = _require_family(b, 1, "word_to_ascseq")
-    return _to_ascseq(b)
+    return _to_ascseq(_require_family(binary_word(b), 1, "word_to_ascseq"))
 
 
 def _to_ascseq(b: Word) -> Word:
@@ -211,7 +208,7 @@ def word_to_subset(b, j: int) -> RestrictedSubset:
     high part shifted down by n-k.
     """
     require_sizes(j=j)
-    b = _require_family(b, j, "word_to_subset")
+    b = _require_family(binary_word(b), j, "word_to_subset")
     return RestrictedSubset(_to_subset(b), len(b), sum(b), j)
 
 
@@ -446,7 +443,7 @@ def genalt_involution(d: int, w, j: int) -> Word:
     fixed points.
     """
     require_sizes(d=d, j=j)
-    w = _require_family(w, j, "genalt_involution")
+    w = _require_family(binary_word(w), j, "genalt_involution")
     if d > 0 and not _genalt_fixed(w, d - 1):
         raise DomainViolation(f"{word_str(w)} is not a fixed point of stages 0..{d - 1}")
     return _genalt(d, w)

@@ -398,6 +398,8 @@ ABSURD_RUNS = [
     ("enumerate", "words", "--n", "10000", "--k", "5000", "--j", "5000", "--count-only"),
     ("enumerate", "subsets", "--n", "10000", "--k", "5000", "--j", "5000", "--count-only"),
     ("verify", "product_formula", "--n-max", "3000", "--m-max", "3000"),
+    # 465 cells, but 2^m signed products in each
+    ("verify", "subset_ie", "--n-max", "30", "--m-max", "30"),
     ("verify", "alt_binomial", "--r-max", "40", "--n-max", "400", "--k-max", "400"),
     ("verify", "alt_binomial", "--r-max", "100000000", "--n-max", "100000000"),
     ("verify", "row_sum", "--n-max", "1" + "0" * 23),
@@ -527,6 +529,14 @@ class TestBudget:
         assert "more than 10 cells" in err
         monkeypatch.setenv("RASCAL_MAX_CELLS", "11")
         assert run(capsys, "verify", "row_sum", "--n-max", "10")[0] == 0
+
+    def test_evaluate_priced_by_its_terms(self, monkeypatch):
+        # one cell of 2^60 signed products
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(rascal.ResourceLimit, match="subset_ie needs 1152921504606846976 cells"):
+            rascal.evaluate("subset_ie", {"n": 100, "m": 60})
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEtable:
@@ -807,6 +817,12 @@ OUTPUT_SHA256 = {
     # the one documented weighted_row_sum failure
     ("verify", "all"):
         (1, "76fbaa90f3f5de9a9ee9586285911ece7325fd91e82b1f297bfe301220b6df35"),
+    # the oracle prints the closed form's table byte for byte
+    ("verify", "all", "--oracle"):
+        (1, "76fbaa90f3f5de9a9ee9586285911ece7325fd91e82b1f297bfe301220b6df35"),
+    # elapsed_ms is 0.0 without --timing
+    ("verify", "all", "--format", "json"):
+        (1, "0666ee1ccc49340343a77da5873db1b3911078804197e5c9526119dc24c2b435"),
     ("bijection", "altbin"):
         (0, "4578d60630de05fbaba280415ef102596f6705dfed1de182f9e00a1fa94902bf"),
     ("bijection", "ascseq"):

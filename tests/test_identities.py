@@ -4,7 +4,7 @@ disagreement between the stated weighted row sum and enumeration."""
 import json
 import tracemalloc
 from dataclasses import replace
-from itertools import product, repeat
+from itertools import groupby, product, repeat
 from math import comb
 from unittest.mock import patch
 
@@ -126,8 +126,10 @@ class TestRegistry:
             ({"rhs": lambda m, n: 0}, "rhs must take n, m, in that order"),
             ({"step": lambda v, n, m, prev: 0}, "step must take v, prev, n, m, in that order"),
             ({"corrected_rhs": lambda n: 0}, "corrected_rhs must take n, m, in that order"),
+            ({"rhs_step": lambda n, prev, m: 0}, "rhs_step must take prev, n, m, in that order"),
+            ({"cost": lambda m, n: 0}, "cost must take n, m, in that order"),
         ],
-        ids=["lhs", "rhs", "step", "corrected_rhs"],
+        ids=["lhs", "rhs", "step", "corrected_rhs", "rhs_step", "cost"],
     )
     def test_register_refuses_swapped_parameters(self, sides, message):
         # verify_range calls every side positionally, in bounds order
@@ -244,6 +246,19 @@ class TestVerifyRange:
     def test_cell_cap(self):
         with pytest.raises(ResourceLimit):
             verify_range("row_sum", {"n": (0, 50)}, max_cells=10)
+
+    def test_subset_ie_priced_by_its_terms(self, monkeypatch):
+        # cells (n, m) with 1 <= m <= n <= 3 build 2 + (2 + 4) + (2 + 4 + 8) terms
+        grid = {"n": (1, 3), "m": (1, 3)}
+        assert verify_range("subset_ie", grid, max_cells=22).cells == 6
+        with pytest.raises(ResourceLimit, match="subset_ie needs more than 21 cells"):
+            verify_range("subset_ie", grid, max_cells=21)
+        # one cell of evaluate: 2^10 terms
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "1024")
+        assert evaluate("subset_ie", {"n": 12, "m": 10})[0] == evaluate("product_formula", {"n": 12, "m": 10})[0]
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "1023")
+        with pytest.raises(ResourceLimit, match="subset_ie needs 1024 cells, over the cap 1023"):
+            evaluate("subset_ie", {"n": 12, "m": 10})
 
     def test_oracle_mode_small(self):
         for name in ("row_sum", "col_sum", "triangle_sum", "alt_row_sum"):
@@ -381,11 +396,13 @@ class TestEnumerationSource:
 
 
 STEPPED = [name for name in identity_names() if get_identity(name).step]
+RHS_STEPPED = [name for name in identity_names() if get_identity(name).rhs_step]
 
 
 class TestFolds:
     def test_stepped_entries(self):
         assert STEPPED == ["col_sum", "triangle_sum", "product_formula", "binom_corollary"]
+        assert RHS_STEPPED == ["col_sum", "product_formula", "binom_corollary", "gen_row_sum"]
 
     @pytest.mark.parametrize("name", STEPPED)
     @pytest.mark.parametrize("source, hi", [(ClosedValues, 300), (EnumerationCounts, 10)])
@@ -400,6 +417,19 @@ class TestFolds:
         v = source()
         assert ident.step(v, ident.lhs(v, **prev), **cell) == ident.lhs(source(), **cell)
 
+    @pytest.mark.parametrize("name", RHS_STEPPED)
+    @pytest.mark.parametrize("source, hi", [(ClosedValues, 300), (EnumerationCounts, 10)])
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_rhs_step_extends_previous_cell(self, name, source, hi, data):
+        ident = get_identity(name)
+        values = data.draw(st.lists(st.integers(0, hi), min_size=len(ident.params), max_size=len(ident.params)))
+        cell = dict(zip(ident.params, values))
+        prev = {**cell, ident.params[-1]: values[-1] - 1}
+        assume(in_domain(ident, cell) and in_domain(ident, prev))
+        # the folded right side equals the stated one and the left side
+        assert ident.rhs_step(ident.rhs(**prev), **cell) == ident.rhs(**cell) == ident.lhs(source(), **cell)
+
     @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize(
         "name, origin, mid",
@@ -411,9 +441,11 @@ class TestFolds:
     def test_grid_start_does_not_matter(self, monkeypatch, oracle, name, origin, mid):
         folded = [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)]
         assert [r["failures"] for r in folded] == [[], []]
-        # the same grids with every cell summed from scratch
-        monkeypatch.setitem(identities._REGISTRY, name, replace(get_identity(name), step=None))
-        assert [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)] == folded
+        # the same grids with every left side, then every right side, from scratch
+        ident = get_identity(name)
+        for unfolded in ({"step": None}, {"rhs_step": None}):
+            monkeypatch.setitem(identities._REGISTRY, name, replace(ident, **unfolded))
+            assert [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)] == folded
 
     @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize(
@@ -428,8 +460,48 @@ class TestFolds:
         # the last axis runs only up to n, so each run is a different length
         folded = verify_range(name, grid, oracle=oracle).to_dict(timing=False)
         assert (folded["cells"], folded["failures"]) == (cells, [])
-        monkeypatch.setitem(identities._REGISTRY, name, replace(get_identity(name), step=None))
-        assert verify_range(name, grid, oracle=oracle).to_dict(timing=False) == folded
+        ident = get_identity(name)
+        for unfolded in ({"step": None}, {"rhs_step": None}):
+            monkeypatch.setitem(identities._REGISTRY, name, replace(ident, **unfolded))
+            assert verify_range(name, grid, oracle=oracle).to_dict(timing=False) == folded
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("col_sum", {"k": (0, 6), "r": (0, 5)}),
+            ("product_formula", {"n": (6, 10), "m": (1, 5)}),
+            ("binom_corollary", {"n": (6, 10), "m": (2, 5)}),
+            ("gen_row_sum", {"n": (0, 12), "j": (0, 5)}),
+        ],
+    )
+    def test_wrong_stated_rhs_fails_at_run_ends(self, monkeypatch, name, grid):
+        # a stated side off by one at the last cell of each run, with its
+        # step unchanged: folding it through the run would hide the error
+        ident = get_identity(name)
+        top = grid[ident.params[-1]][1]
+
+        def wrong(*values):
+            return ident.rhs(*values) + (values[-1] == top)
+
+        monkeypatch.setitem(identities._REGISTRY, name, replace(ident, rhs=wrong))
+        report = verify_range(name, grid)
+        heads = list(product(*(range(lo, hi + 1) for lo, hi in list(grid.values())[:-1])))
+        assert [params for params, _, _ in report.failures] == [
+            tuple(zip(ident.params, (*head, top))) for head in heads
+        ]
+        # and off by one everywhere: the first cell of each run fails too
+        monkeypatch.setitem(identities._REGISTRY, name, replace(ident, rhs=lambda *p: ident.rhs(*p) + 1))
+        assert len(verify_range(name, grid).failures) == report.cells
+
+    def test_gen_row_sum_right_side_reads_new_binomials(self, monkeypatch):
+        # sum_{k <= 2j+1} C(n, k) from scratch at both ends of each run, two new
+        # binomials at each inner cell: 2 + 4 * 2 + 12 calls per n, not
+        # sum_{j <= 5} (2j + 2) = 42
+        calls = []
+        choose = identities._choose
+        monkeypatch.setattr(identities, "_choose", lambda n, k: calls.append((n, k)) or choose(n, k))
+        assert verify_range("gen_row_sum", {"n": (0, 100), "j": (0, 5)}).passed
+        assert len(calls) == 101 * (2 + 4 * 2 + 12)
 
 
 # the domains as predicates, one per entry, for checking the bounds walk
@@ -470,13 +542,23 @@ class TestBounds:
         visited = []
 
         def recording(*values):
-            visited.append(tuple(zip(ident.params, values)))
+            visited.append(("rhs", tuple(zip(ident.params, values))))
             return ident.rhs(*values)
 
-        with patch.dict(identities._REGISTRY, {name: replace(ident, rhs=recording)}):
+        def recording_step(prev, *values):
+            visited.append(("rhs_step", tuple(zip(ident.params, values))))
+            return ident.rhs_step(prev, *values)
+
+        sides = {"rhs": recording, "rhs_step": ident.rhs_step and recording_step}
+        with patch.dict(identities._REGISTRY, {name: replace(ident, **sides)}):
             report = verify_range(name, grid)
-        assert visited == expected
+        assert [cell for _, cell in visited] == expected
         assert report.cells == len(expected)
+        # the stated side at both ends of each run of the last axis, the step between
+        for _, run in groupby(visited, key=lambda kind_cell: kind_cell[1][:-1]):
+            kinds = [kind for kind, _ in run]
+            inner = ["rhs_step" if ident.rhs_step else "rhs"] * (len(kinds) - 2)
+            assert kinds == ["rhs", *inner, "rhs"][: len(kinds)]
 
 
 class TestRows:

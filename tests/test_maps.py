@@ -746,6 +746,26 @@ class TestPublicEdge:
         assert image == SignedPair(frozenset(), (1, 0, 0, 0), 1)
         assert (type(image.subset), type(image.word)) == (frozenset, tuple)
 
+    def test_validated_input_word_not_checked_again(self, monkeypatch):
+        # MarkedWord and SignedPair checked their words when built; the maps
+        # check only the ascent bound
+        cases = [
+            (ratio_map, MarkedWord("0110", 3)),
+            (ratio_map, MarkedWord("1100", 2)),
+            (lambda pair: altbin_involution(1, pair, 2, 2, 1), signed_pair({1}, "1000", 2)),
+            (lambda pair: altbin_involution(2, pair, 2, 2, 1), signed_pair({1, 2}, "0001", 2)),
+        ]
+        seen = []
+        as_word = words.as_word
+        monkeypatch.setattr(words, "as_word", lambda w: seen.append(w) or as_word(w))
+        for call, obj in cases:
+            call(obj)
+            assert obj.word not in seen, call
+        with pytest.raises(DomainViolation, match="ratio_map: 0101 has 2 ascents, more than 1"):
+            ratio_map(MarkedWord("0101", 4))
+        with pytest.raises(DomainViolation, match="altbin_involution: 01010 has 2 ascents, more than 1"):
+            altbin_involution(1, signed_pair({1}, "01010", 2), 2, 3, 2)
+
     def test_negative_divider_length_named(self):
         with pytest.raises(DomainViolation, match="n must be >= 0, got -3"):
             divider_encode([], -3)
