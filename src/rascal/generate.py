@@ -16,8 +16,7 @@ the table cells they fill, ascent sequences by the Fishburn numbers, the
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate, combinations, islice, product, repeat
 from math import comb
 from collections.abc import Iterator
@@ -258,30 +257,24 @@ def canonical_avoiders(n: int, k: int) -> Iterator[Word]:
     yield staircase + (k,) * tail
 
 
-@dataclass(frozen=True)
-class RestrictedSubset:
+class RestrictedSubset(namedtuple("RestrictedSubset", "elements n k j")):
     """A k-subset of {1..n} meeting {1..n-k} in at most j elements."""
 
-    elements: tuple[int, ...]
-    n: int
-    k: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_sizes(n=self.n, k=self.k, j=self.j)
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __new__(cls, elements, n: int, k: int, j: int) -> RestrictedSubset:
+        require_sizes(n=n, k=k, j=j)
+        elems = tuple(elements)
         if list(elems) != sorted(set(elems)):
             raise DomainViolation(f"subset elements must be sorted and distinct: {elems}")
-        if any(not isinstance(e, int) or not 1 <= e <= self.n for e in elems):
-            raise DomainViolation(f"subset {elems} not within {{1..{self.n}}}")
-        if len(elems) != self.k:
-            raise DomainViolation(f"subset {elems} has size {len(elems)}, expected {self.k}")
-        low = sum(1 for e in elems if e <= self.n - self.k)
-        if low > self.j:
-            raise DomainViolation(
-                f"subset {elems} meets {{1..{self.n - self.k}}} in {low} > {self.j} elements"
-            )
+        if any(not isinstance(e, int) or not 1 <= e <= n for e in elems):
+            raise DomainViolation(f"subset {elems} not within {{1..{n}}}")
+        if len(elems) != k:
+            raise DomainViolation(f"subset {elems} has size {len(elems)}, expected {k}")
+        low = sum(1 for e in elems if e <= n - k)
+        if low > j:
+            raise DomainViolation(f"subset {elems} meets {{1..{n - k}}} in {low} > {j} elements")
+        return super().__new__(cls, elems, n, k, j)
 
 
 def _check_restricted(n: int, k: int, j: int, what: str) -> None:
@@ -316,4 +309,4 @@ def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
     require_sizes(negative_ok=True, n=n, k=k)
     require_sizes(j=j)
     for elements in _restricted_elements(n, k, j):
-        yield RestrictedSubset(elements, n, k, j)
+        yield RestrictedSubset._make((elements, n, k, j))

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from functools import lru_cache
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import add, mul
-from typing import Callable
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
 from .generate import ProfileTable, _count_by_profiles
@@ -128,18 +127,14 @@ class EnumerationCounts(ClosedValues):
         return row
 
 
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    statement: str
-    bounds: dict[str, tuple[int | None, str | None]]
-    lhs: Callable[..., int]
-    rhs: Callable[..., int]
-    corrected_rhs: Callable[..., int] | None = None
-    step: Callable[..., int] | None = None
-    rhs_step: Callable[..., int] | None = None
-    cost: Callable[..., int] | None = None
-    note: str = ""
+class Identity(
+    namedtuple(
+        "Identity",
+        "name statement bounds lhs rhs corrected_rhs step rhs_step cost note",
+        defaults=(None, None, None, None, ""),
+    )
+):
+    __slots__ = ()
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -156,16 +151,13 @@ class Identity:
         return f"{text} ({self.note})" if self.note else text
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking one identity over a parameter grid."""
+class IdentityReport(
+    namedtuple("IdentityReport", "identity grid cells failures corrected_failures elapsed_ms")
+):
+    """Outcome of checking one identity over a parameter grid: each
+    failure is (((param, value), ...), lhs, rhs)."""
 
-    identity: str
-    grid: str
-    cells: int
-    failures: tuple[tuple[tuple[tuple[str, int], ...], int, int], ...]
-    corrected_failures: tuple[tuple[tuple[tuple[str, int], ...], int, int], ...] | None
-    elapsed_ms: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

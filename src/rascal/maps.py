@@ -4,7 +4,11 @@ on the word families, each paired with an exhaustive small-size verifier.
 Each map is split in two.  A private core (_sym, _to_subset, _altbin,
 ...) works on trusted tuples -- for altbin, (frozenset, tuple) pairs --
 and checks nothing.  The public function validates its input once, at
-the edge, and then calls the core.  The maps act pointwise and never
+the edge, and then calls the core.  MarkedWord, SignedPair and
+generate.RestrictedSubset are namedtuples that check their fields when
+called; an object that a core built, or whose fields were checked at
+the edge, is made with the namedtuple's own _make (tuple.__new__),
+which checks nothing.  The maps act pointwise and never
 enumerate; the verify_* functions materialize the small domains with
 the generators and run the cores on those objects, so nothing is
 validated per object.  Every image is still tested for membership in a
@@ -30,7 +34,7 @@ cache holds at most the block's largest family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 from itertools import accumulate, combinations, product
 
@@ -209,7 +213,7 @@ def word_to_subset(b, j: int) -> RestrictedSubset:
     """
     require_sizes(j=j)
     b = _require_family(binary_word(b), j, "word_to_subset")
-    return RestrictedSubset(_to_subset(b), len(b), sum(b), j)
+    return RestrictedSubset._make((_to_subset(b), len(b), sum(b), j))
 
 
 def _to_subset(b: Word) -> tuple[int, ...]:
@@ -275,18 +279,16 @@ def _divider_decode(b: Word) -> tuple[int, ...]:
 # marked words and the ratio near-bijection
 
 
-@dataclass(frozen=True)
-class MarkedWord:
+class MarkedWord(namedtuple("MarkedWord", "word mark")):
     """A binary word with one of its 1's circled (1-based position)."""
 
-    word: Word
-    mark: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        w = binary_word(self.word)
-        object.__setattr__(self, "word", w)
-        if not isinstance(self.mark, int) or not 1 <= self.mark <= len(w) or w[self.mark - 1] != 1:
-            raise DomainViolation(f"mark {self.mark} is not the position of a 1 in {word_str(w)}")
+    def __new__(cls, word, mark: int) -> MarkedWord:
+        w = binary_word(word)
+        if not isinstance(mark, int) or not 1 <= mark <= len(w) or w[mark - 1] != 1:
+            raise DomainViolation(f"mark {mark} is not the position of a 1 in {word_str(w)}")
+        return super().__new__(cls, w, mark)
 
     def __str__(self) -> str:
         return f"{word_str(self.word)} mark {self.mark}"
@@ -305,8 +307,8 @@ def ratio_map(mw: MarkedWord) -> MarkedWord:
     first_one = w.index(1) + 1  # a mark exists, so there is a 1
     if mw.mark == first_one:
         raise DomainViolation(f"{mw}: the circled 1 must not be the first 1")
-    word, mark = _ratio(w, mw.mark)
-    return mw if word is w else MarkedWord(word, mark)  # a fixed word is returned as is
+    image = _ratio(w, mw.mark)
+    return mw if image[0] is w else MarkedWord._make(image)  # a fixed word is returned as is
 
 
 def _ratio(w: Word, mark: int) -> tuple[Word, int]:
@@ -322,26 +324,16 @@ def _ratio(w: Word, mark: int) -> tuple[Word, int]:
 # signed pairs and the alternating-binomial involutions
 
 
-@dataclass(frozen=True)
-class SignedPair:
+class SignedPair(namedtuple("SignedPair", "subset word weight")):
     """A subset of {1..r} with a binary word, carrying sign (-1)^(r-|S|)."""
 
-    subset: frozenset[int]
-    word: Word
-    weight: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        object.__setattr__(self, "word", binary_word(self.word))
-        if self.weight not in (1, -1):
+    def __new__(cls, subset, word, weight: int) -> SignedPair:
+        s, w = frozenset(subset), binary_word(word)
+        if weight not in (1, -1):
             raise DomainViolation("weight must be +1 or -1")
-
-    @classmethod
-    def _trusted(cls, subset: frozenset[int], word: Word, weight: int) -> SignedPair:
-        """A core's output pair, built without re-running the checks above."""
-        pair = object.__new__(cls)
-        pair.__dict__.update(subset=subset, word=word, weight=weight)
-        return pair
+        return super().__new__(cls, s, w, weight)
 
 
 def signed_pair(subset, word, r: int) -> SignedPair:
@@ -351,7 +343,7 @@ def signed_pair(subset, word, r: int) -> SignedPair:
     s = frozenset(subset)
     w = binary_word(word)
     _require_signed(s, w, r)
-    return SignedPair(s, w, (-1) ** (r - len(s)))
+    return SignedPair._make((s, w, (-1) ** (r - len(s))))
 
 
 def _require_signed(s: frozenset[int], w: Word, r: int) -> None:
@@ -399,7 +391,7 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     if stage == 2 and not _altbin_fixed(s, w, r):
         raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
     t, moved = _altbin(stage, s, w, r)
-    return SignedPair._trusted(t, moved, (-1) ** (r - len(t)))
+    return SignedPair._make((t, moved, (-1) ** (r - len(t))))
 
 
 def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[int], Word]:

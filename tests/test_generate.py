@@ -435,6 +435,27 @@ class TestRestrictedSubsets:
             next(restricted_subsets(60, 30, 30))
         assert time.perf_counter() - start < 1.0
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 14), data=st.data())
+    def test_listed_subsets_pass_the_checks(self, n, data):
+        # restricted_subsets builds each object with _make; the validating
+        # constructor accepts it and keeps it as it is
+        k = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, 4))
+        for s in restricted_subsets(n, k, j):
+            rebuilt = RestrictedSubset(*s)
+            assert rebuilt == s and list(map(type, rebuilt)) == list(map(type, s))
+
+    def test_value_type(self):
+        # built positionally, immutable, hashable, printed with its field names
+        s = RestrictedSubset((2, 4), 4, 2, 1)
+        assert repr(s) == "RestrictedSubset(elements=(2, 4), n=4, k=2, j=1)"
+        with pytest.raises(AttributeError):
+            s.j = 2
+        listed = list(restricted_subsets(4, 2, 1))[3]
+        assert s == listed and hash(s) == hash(listed)
+        assert RestrictedSubset([2, 4], 4, 2, 1).elements == (2, 4)
+
     def test_validation(self):
         with pytest.raises(DomainViolation):
             RestrictedSubset((1, 2), 4, 2, 0)  # meets {1,2} in 2 > 0 elements

@@ -3,7 +3,6 @@ disagreement between the stated weighted row sum and enumeration."""
 
 import json
 import tracemalloc
-from dataclasses import replace
 from itertools import groupby, product, repeat
 from math import comb
 from unittest.mock import patch
@@ -17,6 +16,8 @@ from rascal.errors import DomainViolation, ResourceLimit, UnknownIdentity
 from rascal.identities import (
     ClosedValues,
     EnumerationCounts,
+    Identity,
+    IdentityReport,
     default_grids,
     evaluate,
     get_identity,
@@ -146,6 +147,35 @@ class TestRegistry:
             evaluate("row_sum", {"n": 3, "m": 1})
         with pytest.raises(DomainViolation):
             evaluate("row_sum", {})
+
+
+class TestValueTypes:
+    """Named and immutable, printed as Name(field=value, ...); an Identity
+    holds a dict of bounds, so it has no hash."""
+
+    def test_identity(self):
+        ident = Identity("row_sum", "sum", {"n": (0, None)}, max, min, note="x")
+        assert repr(ident) == (
+            "Identity(name='row_sum', statement='sum', bounds={'n': (0, None)},"
+            " lhs=<built-in function max>, rhs=<built-in function min>, corrected_rhs=None,"
+            " step=None, rhs_step=None, cost=None, note='x')"
+        )
+        with pytest.raises(AttributeError):
+            ident.rhs = max
+        assert ident == Identity("row_sum", "sum", {"n": (0, None)}, max, min, None, None, None, None, "x")
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(ident)
+
+    def test_identity_report(self):
+        report = verify_range("row_sum", {"n": (0, 3)})
+        assert report == IdentityReport("row_sum", "n=0..3", 4, (), None, report.elapsed_ms)
+        assert repr(report._replace(elapsed_ms=1.5)) == (
+            "IdentityReport(identity='row_sum', grid='n=0..3', cells=4, failures=(),"
+            " corrected_failures=None, elapsed_ms=1.5)"
+        )
+        with pytest.raises(AttributeError):
+            report.cells = 5
+        assert hash(report) == hash(IdentityReport(*report))
 
 
 class TestEvaluateExamples:
@@ -444,7 +474,7 @@ class TestFolds:
         # the same grids with every left side, then every right side, from scratch
         ident = get_identity(name)
         for unfolded in ({"step": None}, {"rhs_step": None}):
-            monkeypatch.setitem(identities._REGISTRY, name, replace(ident, **unfolded))
+            monkeypatch.setitem(identities._REGISTRY, name, ident._replace(**unfolded))
             assert [verify_range(name, g, oracle=oracle).to_dict(timing=False) for g in (origin, mid)] == folded
 
     @pytest.mark.parametrize("oracle", [False, True])
@@ -462,7 +492,7 @@ class TestFolds:
         assert (folded["cells"], folded["failures"]) == (cells, [])
         ident = get_identity(name)
         for unfolded in ({"step": None}, {"rhs_step": None}):
-            monkeypatch.setitem(identities._REGISTRY, name, replace(ident, **unfolded))
+            monkeypatch.setitem(identities._REGISTRY, name, ident._replace(**unfolded))
             assert verify_range(name, grid, oracle=oracle).to_dict(timing=False) == folded
 
     @pytest.mark.parametrize(
@@ -483,14 +513,14 @@ class TestFolds:
         def wrong(*values):
             return ident.rhs(*values) + (values[-1] == top)
 
-        monkeypatch.setitem(identities._REGISTRY, name, replace(ident, rhs=wrong))
+        monkeypatch.setitem(identities._REGISTRY, name, ident._replace(rhs=wrong))
         report = verify_range(name, grid)
         heads = list(product(*(range(lo, hi + 1) for lo, hi in list(grid.values())[:-1])))
         assert [params for params, _, _ in report.failures] == [
             tuple(zip(ident.params, (*head, top))) for head in heads
         ]
         # and off by one everywhere: the first cell of each run fails too
-        monkeypatch.setitem(identities._REGISTRY, name, replace(ident, rhs=lambda *p: ident.rhs(*p) + 1))
+        monkeypatch.setitem(identities._REGISTRY, name, ident._replace(rhs=lambda *p: ident.rhs(*p) + 1))
         assert len(verify_range(name, grid).failures) == report.cells
 
     def test_gen_row_sum_right_side_reads_new_binomials(self, monkeypatch):
@@ -550,7 +580,7 @@ class TestBounds:
             return ident.rhs_step(prev, *values)
 
         sides = {"rhs": recording, "rhs_step": ident.rhs_step and recording_step}
-        with patch.dict(identities._REGISTRY, {name: replace(ident, **sides)}):
+        with patch.dict(identities._REGISTRY, {name: ident._replace(**sides)}):
             report = verify_range(name, grid)
         assert [cell for _, cell in visited] == expected
         assert report.cells == len(expected)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rascal import cli, maps, words
+from rascal import cli, generate, limits, maps, words
 from rascal.errors import DomainViolation
-from rascal.generate import RestrictedSubset, words_with_ascents
+from rascal.generate import RestrictedSubset, restricted_subsets, words_with_ascents
 from rascal.maps import (
     MarkedWord,
     SignedPair,
@@ -35,6 +35,7 @@ from rascal.maps import (
     word_to_ascseq,
     word_to_subset,
 )
+from rascal.numbers import rascal_gen_value
 from rascal.words import as_word, asc, contains_001, contains_210, is_ascent_sequence, word_str
 
 
@@ -665,6 +666,18 @@ class TestMapProperties:
         assert (out_a == out_b) == (a == b)
 
     @PROPERTY
+    @given(marked_word_pairs(), family_words(), altbin_pairs(), altbin_fixed_points())
+    def test_unchecked_outputs_pass_the_checks(self, marked, bj, pair, fixed):
+        # each object a map builds with _make is one its validating
+        # constructor accepts and keeps as it is, field types included
+        outs = [ratio_map(marked[0]), word_to_subset(*bj)]
+        for stage, (p, r, n, k) in ((1, pair), (2, fixed)):
+            outs += [altbin_involution(stage, p, r, n, k), signed_pair(p.subset, p.word, r)]
+        for out in outs:
+            rebuilt = type(out)(*out)
+            assert rebuilt == out and list(map(type, rebuilt)) == list(map(type, out))
+
+    @PROPERTY
     @given(many_ascent_words())
     def test_two_ascents_rejected(self, b):
         m = asc(b)
@@ -723,6 +736,26 @@ class TestRunScans:
         assert (_leading_ones(b), _trailing_zeros(b)) == (x0, y0)
 
 
+class TestValueTypes:
+    """Named, immutable and hashable, printed as Name(field=value, ...)."""
+
+    def test_marked_word(self):
+        mw = MarkedWord("0110", 3)
+        assert repr(mw) == "MarkedWord(word=(0, 1, 1, 0), mark=3)"
+        assert str(mw) == "0110 mark 3"
+        with pytest.raises(AttributeError):
+            mw.mark = 2
+        assert mw == MarkedWord((0, 1, 1, 0), 3) and hash(mw) == hash(MarkedWord((0, 1, 1, 0), 3))
+
+    def test_signed_pair(self):
+        pair = SignedPair({1}, "1000", -1)
+        assert repr(pair) == "SignedPair(subset=frozenset({1}), word=(1, 0, 0, 0), weight=-1)"
+        with pytest.raises(AttributeError):
+            pair.weight = 1
+        same = signed_pair([1], (1, 0, 0, 0), 2)
+        assert pair == same and hash(pair) == hash(same)
+
+
 class TestPublicEdge:
     def test_mis_signed_pair_rejected(self):
         # the true sign of ({2}, 1000) at r = 2 is (-1)^(2-1) = -1
@@ -761,6 +794,24 @@ class TestPublicEdge:
         for call, obj in cases:
             call(obj)
             assert obj.word not in seen, call
+        # signed_pair checks its word once, and ratio_map's image is not checked
+        seen.clear()
+        signed_pair({1}, "1000", 2)
+        assert seen == ["1000"]
+        mw = MarkedWord("0110", 3)
+        seen.clear()
+        assert ratio_map(mw).word == (1, 0, 1, 0) and seen == []
+        # a RestrictedSubset that a core built checks no sizes of its own
+        calls = []
+        require_sizes = limits.require_sizes
+        for module in (maps, generate):
+            monkeypatch.setattr(module, "require_sizes", lambda **kw: calls.append(kw) or require_sizes(**kw))
+        word_to_subset("0110", 1)
+        assert calls == [{"j": 1}]
+        subsets = restricted_subsets(8, 3, 2)
+        next(subsets)
+        calls.clear()
+        assert len(list(subsets)) == rascal_gen_value(8, 3, 2) - 1 and calls == []
         with pytest.raises(DomainViolation, match="ratio_map: 0101 has 2 ascents, more than 1"):
             ratio_map(MarkedWord("0101", 4))
         with pytest.raises(DomainViolation, match="altbin_involution: 01010 has 2 ascents, more than 1"):
