@@ -8,12 +8,12 @@ the edge, and then calls the core.  MarkedWord, SignedPair and
 generate.RestrictedSubset are namedtuples that check their fields when
 called; an object that a core built, or whose fields were checked at
 the edge, is made with the namedtuple's own _make (tuple.__new__),
-which checks nothing.  The maps act pointwise and never
-enumerate; the verify_* functions materialize the small domains with
-the generators and run the cores on those objects, so nothing is
-validated per object.  Every image is still tested for membership in a
-target that a generator built (never the map under test), so a core
-that emits a bad object fails its verifier.  The five bijection
+which checks nothing.  The maps act pointwise and never enumerate; the
+verify_* functions materialize the small domains with the generators
+and run the cores on those objects, so nothing is validated per object.
+Every image is still tested for membership in a target that a
+generator built (never the map under test), so a core that emits a bad
+object fails its verifier.  The five bijection
 verifiers (sym, strip, ascseq, subset, divider) share one check,
 _check_bijection: every image lies in the target, the inverse undoes
 the map, and the image is the whole target.  Each adds only its own
