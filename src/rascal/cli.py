@@ -81,7 +81,7 @@ def _cmd_triangle(args) -> int:
     elif args.format == "csv":
         _write(["n,k,value"])
         for n, row in enumerate(rows):
-            _write(f"{n},{k},{v}" for k, v in enumerate(row))
+            sys.stdout.write("".join([f"{n},{k},{v}\n" for k, v in enumerate(row)]))
     else:
         sys.stdout.write(_flatten_bfile((v for row in rows for v in row), args.offset or 0))
     return 0

@@ -42,9 +42,9 @@ never trusted from its step alone.  Sides are called positionally, in
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import namedtuple
-from importlib import resources
 from functools import lru_cache
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
@@ -246,6 +246,16 @@ def _signed_binomials(r: int) -> tuple[int, ...]:
     return tuple(c if (r - t) % 2 == 0 else -c for t, c in enumerate(_binomial_row(r)))
 
 
+def _subset_ie_lhs(v, n: int, m: int) -> int:
+    """The 2^m subset products prod_{i in S} -R(n, i), each built once, in
+    place; (-1)^(m-|S|) prod R = (-1)^m prod -R, so the sign comes last."""
+    terms = [1]
+    for i in range(1, m + 1):
+        r = -v(n, i)
+        terms += [t * r for t in terms]
+    return -sum(terms) if m % 2 else sum(terms)
+
+
 _register(
     "row_sum",
     "sum_{k=0..n} R(n,k) = C(n+1,3) + n + 1",
@@ -314,7 +324,7 @@ _register(
     "subset_ie",
     "sum_{S subset of {1..m}} (-1)^(m-|S|) * prod_{i in S} R(n,i) = m! * ff(n-1, m)",
     {"n": (None, None), "m": (1, "n")},
-    lambda v, n, m: _subset_ie_lhs(v, n, m),
+    _subset_ie_lhs,
     lambda n, m: factorial(m) * perm(n - 1, m),
     cost=lambda n, m: 2**m,
     note="cost grows as 2^m",
@@ -364,16 +374,6 @@ _register(
     lambda v, n, j: _alt_sum(v.row(n, j)),
     lambda n, j: _gen_alt_rhs(n, j),
 )
-
-
-def _subset_ie_lhs(v, n: int, m: int) -> int:
-    # signed products over the subsets of {1..i}, doubled once per i:
-    # a subset without i flips sign, a subset with i takes the factor R(n, i)
-    terms = [1]
-    for i in range(1, m + 1):
-        r = v(n, i)
-        terms = [-t for t in terms] + [t * r for t in terms]
-    return sum(terms)
 
 
 def _gen_alt_rhs(n: int, j: int) -> int:
@@ -517,7 +517,7 @@ def verify_range(
 def default_grids() -> dict[str, dict[str, tuple[int, int]]]:
     """The pinned desk-scale grids used by `verify all` (shipped as a
     versioned data file so CI runs are reproducible)."""
-    raw = json.loads(resources.files("rascal").joinpath("default_grids.json").read_text())
+    raw = json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "default_grids.json")))
     return {
         name: {p: (lo, hi) for p, (lo, hi) in spec.items()} for name, spec in raw.items()
     }

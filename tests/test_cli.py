@@ -678,17 +678,17 @@ STARTUP_CASES = [
 ]
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The rascal.*, dataclasses and inspect modules a fresh interpreter
+def loaded_modules(code: str, *flags: str, watch=HEAVY) -> set[str]:
+    """The rascal.* and `watch` modules a fresh interpreter, given `flags`,
     has loaded after running `code`, started as the `rascal` script is."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": "1"}
     env.pop("RASCAL_MAX_CELLS", None)
     report = (
         "\nprint(*sorted(m for m in sys.modules"
-        " if m.startswith('rascal.') or m in ('dataclasses', 'inspect')), file=sys.__stdout__)"
+        f" if m.startswith('rascal.') or m in {watch!r}), file=sys.__stdout__)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", "import os, sys\n" + code + report],
+        [sys.executable, *flags, "-c", "import os, sys\n" + code + report],
         capture_output=True, env=env, timeout=60, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -707,6 +707,13 @@ class TestStartup:
 
     def test_import_rascal_loads_no_submodule(self):
         assert loaded_modules("import rascal") == set()
+
+    def test_verify_without_site_loads_no_file_machinery(self):
+        # under -S no .pth file preloads importlib.resources, so whatever
+        # verify imports to read default_grids.json shows here
+        code = "sys.stdout = open(os.devnull, 'w')\nfrom rascal.cli import main\nmain(['verify', 'row_sum', '--n-max', '10'])"
+        machinery = ("pathlib", "tempfile", "zipfile", "typing")
+        assert not loaded_modules(code, "-S", watch=machinery) & set(machinery)
 
 
 # every name `rascal` exported when its __init__ imported them eagerly,

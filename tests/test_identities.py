@@ -3,8 +3,8 @@ disagreement between the stated weighted row sum and enumeration."""
 
 import json
 import tracemalloc
-from itertools import groupby, product, repeat
-from math import comb
+from itertools import combinations, groupby, product, repeat
+from math import comb, prod
 from unittest.mock import patch
 
 import pytest
@@ -321,6 +321,34 @@ class TestInternalEquality:
                 lhs_prod, rhs2 = evaluate("product_formula", {"n": n, "m": m})
                 assert lhs_sum == lhs_prod
                 assert rhs == rhs2
+
+    @pytest.mark.parametrize("source, hi", [(ClosedValues, 60), (EnumerationCounts, 14)])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_subset_ie_lhs_is_the_stated_sum(self, source, hi, data):
+        n = data.draw(st.integers(1, hi))
+        m = data.draw(st.integers(1, min(n, 10)))
+        # the statement read literally: each subset S of {1..m}, its sign (-1)^(m-|S|)
+        v = source()
+        stated = sum(
+            (-1) ** (m - size) * prod(v(n, i) for i in subset)
+            for size in range(m + 1)
+            for subset in combinations(range(1, m + 1), size)
+        )
+        assert get_identity("subset_ie").lhs(source(), n, m) == stated
+
+    def test_subset_ie_reads_each_factor_once_in_order(self):
+        calls = []
+
+        class Recording(ClosedValues):
+            def __call__(self, *key):
+                calls.append(key)
+                return super().__call__(*key)
+
+        for n, m in ((1, 1), (9, 6), (12, 12)):
+            calls.clear()
+            get_identity("subset_ie").lhs(Recording(), n, m)
+            assert calls == [(n, i) for i in range(1, m + 1)]
 
     def test_binom_corollary_consistent(self):
         from math import factorial
