@@ -45,13 +45,12 @@ import json
 import os
 import time
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import add, mul
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
-from .generate import ProfileTable, _count_by_profiles
 from . import limits
 from .numbers import _choose, _closed_row, closed_value
 
@@ -59,13 +58,15 @@ from .numbers import _choose, _closed_row, closed_value
 class ClosedValues:
     """Closed-form value source.  `_served` keeps what it served, in
     order: each cell under (n, k, j), each row once under (n, None, j).
-    Subclasses change only `count`, which fills a cell, and `_row`."""
+    Subclasses change only `count`, which fills a cell, and `_row`.  Rows
+    are priced against one cap, `max_cells` else RASCAL_MAX_CELLS."""
 
     count = staticmethod(closed_value)
 
-    def __init__(self) -> None:
+    def __init__(self, max_cells: int | None = None) -> None:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
         self._cols: dict[int, list[int]] = {}
+        self._cap = limits.max_cells(max_cells)
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
@@ -95,7 +96,11 @@ class ClosedValues:
 
     def _row(self, n: int, j: int) -> list[int]:
         """The row (n, j) from the cached row (n, j-1) by its one new term
-        column, if that row was built, else from scratch; columns from `_cols`."""
+        column, if that row was built, else from scratch; columns from `_cols`
+        (keys 1 up).  Priced first: n + 1 cells, and n + 1 per column new to
+        `_cols`; a column it holds grows only as far as the row reads."""
+        new = max(0, min(j, n // 2) - len(self._cols))
+        limits.check_cells((new + 1) * (n + 1), "closed-form row", self._cap)
         return _closed_row(n, j, self._cols, self._served.get((n, None, j - 1)))
 
 
@@ -104,14 +109,15 @@ class EnumerationCounts(ClosedValues):
     rule over one table of run-length profile counts (`generate.ProfileTable`),
     rows from its columns.  The table's growth and each row's new term
     columns and own n + 1 cells join one running total, priced first; past
-    the cell cap (`max_cells`, else RASCAL_MAX_CELLS) it raises ResourceLimit."""
+    the cell cap (`max_cells`, else RASCAL_MAX_CELLS) it raises ResourceLimit.
+    Only this source loads `generate` (and with it `words`)."""
 
     def __init__(self, max_cells: int | None = None) -> None:
-        super().__init__()
-        self._table = ProfileTable(max_cells)
+        from .generate import ProfileTable, _count_by_profiles
 
-    def count(self, n: int, k: int, j: int = 1) -> int:
-        return _count_by_profiles(self._table, n, k, j)
+        super().__init__(max_cells)
+        self._table = ProfileTable(self._cap)
+        self.count = partial(_count_by_profiles, self._table)
 
     def _row(self, n: int, j: int) -> list[int]:
         """sum_r P(k, r) * P(n-k, r) over r <= min(j, n // 2) for k = 0..n,
@@ -298,7 +304,7 @@ _register(
     "alt_binomial",
     "sum_{t=0..r} (-1)^(r-t)*C(r,t)*R(n+t,k) = 0",
     {"r": (2, None), "n": (None, None), "k": (0, "n")},
-    lambda v, r, n, k: sum(map(mul, _signed_binomials(r), [v(n + t, k) for t in range(r + 1)])),
+    lambda v, r, n, k: sum(map(mul, _signed_binomials(r), map(v, range(n, n + r + 1), repeat(k)))),
     lambda r, n, k: 0,
 )
 
@@ -496,9 +502,10 @@ def verify_range(
     failures, corrected_failures = [], []
     start = time.perf_counter()
     for head, axis in _runs(ident, grid) if cells else ():
+        first, last = axis.start, axis.stop - 1
         for x in axis:
-            lhs = step(v, lhs, *head, x) if step and x > axis.start else left(v, *head, x)
-            rhs = rstep(rhs, *head, x) if rstep and axis.start < x < axis.stop - 1 else right(*head, x)
+            lhs = step(v, lhs, *head, x) if step and x > first else left(v, *head, x)
+            rhs = rstep(rhs, *head, x) if rstep and first < x < last else right(*head, x)
             if lhs != rhs:
                 failures.append((tuple(zip(ident.params, (*head, x))), lhs, rhs))
             if fixed is not None and lhs != (corrected := fixed(*head, x)):

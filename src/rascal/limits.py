@@ -4,8 +4,9 @@ against RASCAL_MAX_CELLS (else 2^20), by the library call that builds it.
 Binary-word enumeration costs 2^n, a walk of every ascent sequence the
 Fishburn number, the pruned {001, 210}-avoider tree its nodes, a
 closed-form value (and an E-table defect) its terms times their bits, a
-closed-form row a triangle up to it per term column plus its own cells,
-a recurrence table its cells in every layer it grows, a restricted-subset
+closed-form row a triangle up to it per term column plus its own cells
+(in an identity's value source, n + 1 per column new to its store), a
+recurrence table its cells in every layer it grows, a restricted-subset
 listing R(n, k; j), the profile oracle each growth of its profile table
 plus each row's new term columns and own cells, a pattern search
 (contains_pattern) the partial embeddings it can try, sum_{d <= min(m, n)}

@@ -8,8 +8,9 @@ sum_{i=0..j} C(k, i) * C(n-k, i).
 Four routes are implemented and cross-checked by the test suite:
 
 * closed         -- the binomial closed form above: `closed_value` sums
-                    one cell's terms, `_closed_row`, the one row builder,
-                    adds one term column per i, kept in a shared store, to a half row
+                    one cell's terms, 1 + k(n-k) for i <= 1 and binomials
+                    from i = 2; `_closed_row`, the one row builder, adds
+                    one term column per i, kept in a shared store, to a half row
 * linear         -- additive recurrence
                     R(n,k) = R(n-1,k) + R(n-1,k-1) - R(n-2,k-1) + 1
                     (generalized: the final +1 becomes a j-1 layer term)
@@ -231,12 +232,15 @@ def _closed_row(n: int, j: int, cols: dict, below: list[int] | None = None) -> l
 def closed_value(n: int, k: int, j: int = 1) -> int:
     """R(n, k; j) for j >= 0 by the closed form, unchecked: 0 outside
     the triangle, else the terms C(k, i) * C(n-k, i) for i <= min(j, k,
-    n-k) (the rest vanish).  `rascal_gen_value` is its validating edge."""
+    n-k) (the rest vanish), the first two as 1 + k(n-k), so binomials
+    start at i = 2.  `rascal_gen_value` is its validating edge."""
     if not 0 <= k <= n:
         return 0
     m = n - k
-    total = 1  # the term i = 0
-    for i in range(1, min(j, k, m) + 1):
+    total = 1 + k * m  # the terms i = 0 and i = 1: C(k, 1) * C(m, 1) = k * m
+    if j < 2:
+        return total if j == 1 else 1
+    for i in range(2, min(j, k, m) + 1):
         total += math.comb(k, i) * math.comb(m, i)
     return total
 

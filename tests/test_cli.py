@@ -530,6 +530,15 @@ class TestBudget:
         monkeypatch.setenv("RASCAL_MAX_CELLS", "11")
         assert run(capsys, "verify", "row_sum", "--n-max", "10")[0] == 0
 
+    def test_evaluate_prices_its_rows(self, monkeypatch):
+        # 1,500 term columns of 3,001 cells each, and the row: the unpriced
+        # build was still running after 30 s
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(rascal.ResourceLimit, match="closed-form row needs 4504501 cells"):
+            rascal.evaluate("gen_row_sum", {"n": 3000, "j": 1500})
+        assert time.perf_counter() - start < 1.0
+
     def test_evaluate_priced_by_its_terms(self, monkeypatch):
         # one cell of 2^60 signed products
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
@@ -673,7 +682,8 @@ STARTUP_CASES = [
     (("etable", "6", "2"), LEAN),
     (("enumerate", "words", "--n", "6"), ("rascal.identities", "rascal.maps")),
     (("enumerate", "subsets", "--n", "6", "--k", "3"), ("rascal.identities", "rascal.maps")),
-    (("verify", "row_sum", "--n-max", "10"), ("rascal.maps",)),
+    (("verify", "row_sum", "--n-max", "10"), ("rascal.maps", "rascal.generate", "rascal.words")),
+    (("verify", "row_sum", "--n-max", "10", "--oracle"), ("rascal.maps",)),
     (("bijection", "subset"), ("rascal.identities",)),
 ]
 

@@ -350,6 +350,19 @@ class TestInternalEquality:
             get_identity("subset_ie").lhs(Recording(), n, m)
             assert calls == [(n, i) for i in range(1, m + 1)]
 
+    def test_alt_binomial_reads_each_cell_once_in_order(self):
+        calls = []
+
+        class Recording(ClosedValues):
+            def __call__(self, *key):
+                calls.append(key)
+                return super().__call__(*key)
+
+        for r, n, k in ((2, 0, 0), (3, 7, 4), (5, 40, 40)):
+            calls.clear()
+            assert get_identity("alt_binomial").lhs(Recording(), r, n, k) == 0
+            assert calls == [(n + t, k) for t in range(r + 1)]
+
     def test_binom_corollary_consistent(self):
         from math import factorial
 
@@ -729,6 +742,18 @@ class TestRows:
         # the top row comes first and builds every column to its full length
         assert sorted(cache._cols) == list(range(1, min(j, n_max // 2) + 1))
         assert all(col == [comb(k, i) for k in range(n_max + 1)] for i, col in cache._cols.items())
+
+    def test_rows_priced_by_new_columns_and_cells(self):
+        # row 10 at j = 2 adds term columns 1 and 2 to the store: 3 x 11 cells
+        with pytest.raises(ResourceLimit, match="closed-form row needs 33 cells, over the cap 32"):
+            ClosedValues(32).row(10, 2)
+        v = ClosedValues(33)
+        assert v.row(10, 2) == closed_row(10, 2)
+        assert v._cols.keys() == {1, 2}
+        # then row 11 adds no column (12 cells) and row 12 at j = 3 one (2 x 13)
+        assert (v.row(11, 2), v.row(12, 3)) == (closed_row(11, 2), closed_row(12, 3))
+        with pytest.raises(ResourceLimit, match="closed-form row needs 41 cells, over the cap 33"):
+            v.row(40, 1)
 
     def test_row_grid_stores_rows_once(self):
         tracemalloc.start()

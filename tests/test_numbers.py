@@ -198,7 +198,29 @@ class TestChoose:
             choose(n, k)
 
 
+def literal_closed_value(n, k, j):
+    """sum_{i <= min(j, k, n-k)} C(k, i) * C(n-k, i), every term a binomial."""
+    if not 0 <= k <= n:
+        return 0
+    return sum(comb(k, i) * comb(n - k, i) for i in range(min(j, k, n - k) + 1))
+
+
 class TestClosedValue:
+    def test_exhaustive_against_literal_sum(self):
+        # j = 0 and 1, k or n - k below 2, and cells outside the triangle
+        for n in range(-3, 41):
+            for k in range(-3, n + 4):
+                for j in range(9):
+                    assert closed_value(n, k, j) == literal_closed_value(n, k, j), (n, k, j)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.data())
+    def test_random_large_against_literal_sum(self, data):
+        n = data.draw(st.integers(0, 5000))
+        k = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, 3) | st.integers(0, 60))
+        assert closed_value(n, k, j) == literal_closed_value(n, k, j)
+
     @settings(max_examples=300, derandomize=True)
     @given(st.integers(-3, 300), st.integers(-3, 303), st.integers(0, 8))
     def test_matches_edge_and_row(self, n, k, j):
