@@ -59,14 +59,14 @@ class ClosedValues:
     """Closed-form value source.  `_served` keeps what it served, in
     order: each cell under (n, k, j), each row once under (n, None, j).
     Subclasses change only `count`, which fills a cell, and `_row`.  Rows
-    are priced against one cap, `max_cells` else RASCAL_MAX_CELLS."""
+    are priced against `_cap`, RASCAL_MAX_CELLS when the source is made."""
 
     count = staticmethod(closed_value)
 
-    def __init__(self, max_cells: int | None = None) -> None:
+    def __init__(self) -> None:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
         self._cols: dict[int, list[int]] = {}
-        self._cap = limits.max_cells(max_cells)
+        self._cap = limits.max_cells()
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
@@ -115,8 +115,8 @@ class EnumerationCounts(ClosedValues):
     def __init__(self, max_cells: int | None = None) -> None:
         from .generate import ProfileTable, _count_by_profiles
 
-        super().__init__(max_cells)
-        self._table = ProfileTable(self._cap)
+        super().__init__()
+        self._table = ProfileTable(max_cells)
         self.count = partial(_count_by_profiles, self._table)
 
     def _row(self, n: int, j: int) -> list[int]:
@@ -498,6 +498,7 @@ def verify_range(
     if cells and ident.cost:  # the terms its cells build, summed lazily
         limits.check_sum((ident.cost(*h, x) for h, axis in _runs(ident, grid) for x in axis), name, cap)
     v = EnumerationCounts(cap) if oracle else ClosedValues()
+    v._cap = cap  # set, not passed: the perfbench `layers` probe's subclass takes no argument
     left, step, right, rstep, fixed = ident.lhs, ident.step, ident.rhs, ident.rhs_step, ident.corrected_rhs
     failures, corrected_failures = [], []
     start = time.perf_counter()

@@ -277,6 +277,18 @@ class TestVerifyRange:
         with pytest.raises(ResourceLimit):
             verify_range("row_sum", {"n": (0, 50)}, max_cells=10)
 
+    def test_rows_priced_by_the_callers_cap(self, monkeypatch):
+        # one cell whose row adds 50 term columns: 51 x 301 cells, over RASCAL_MAX_CELLS
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "1000")
+        grid = {"n": (300, 300), "j": (50, 50)}
+        assert verify_range("gen_row_sum", grid, max_cells=15351).passed
+        with pytest.raises(ResourceLimit, match="closed-form row needs 15351 cells, over the cap 15350"):
+            verify_range("gen_row_sum", grid, max_cells=15350)
+        # a cap over 2^20 binds the rows too: 601 x 2001 cells
+        monkeypatch.delenv("RASCAL_MAX_CELLS")
+        with pytest.raises(ResourceLimit, match="closed-form row needs 1202601 cells, over the cap 1202600"):
+            verify_range("gen_row_sum", {"n": (2000, 2000), "j": (600, 600)}, max_cells=1202600)
+
     def test_subset_ie_priced_by_its_terms(self, monkeypatch):
         # cells (n, m) with 1 <= m <= n <= 3 build 2 + (2 + 4) + (2 + 4 + 8) terms
         grid = {"n": (1, 3), "m": (1, 3)}
@@ -743,15 +755,18 @@ class TestRows:
         assert sorted(cache._cols) == list(range(1, min(j, n_max // 2) + 1))
         assert all(col == [comb(k, i) for k in range(n_max + 1)] for i, col in cache._cols.items())
 
-    def test_rows_priced_by_new_columns_and_cells(self):
+    def test_rows_priced_by_new_columns_and_cells(self, monkeypatch):
+        expected = {(n, j): closed_row(n, j) for n, j in ((10, 2), (11, 2), (12, 3))}
         # row 10 at j = 2 adds term columns 1 and 2 to the store: 3 x 11 cells
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "32")
         with pytest.raises(ResourceLimit, match="closed-form row needs 33 cells, over the cap 32"):
-            ClosedValues(32).row(10, 2)
-        v = ClosedValues(33)
-        assert v.row(10, 2) == closed_row(10, 2)
+            ClosedValues().row(10, 2)
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "33")
+        v = ClosedValues()
+        assert v.row(10, 2) == expected[10, 2]
         assert v._cols.keys() == {1, 2}
         # then row 11 adds no column (12 cells) and row 12 at j = 3 one (2 x 13)
-        assert (v.row(11, 2), v.row(12, 3)) == (closed_row(11, 2), closed_row(12, 3))
+        assert (v.row(11, 2), v.row(12, 3)) == (expected[11, 2], expected[12, 3])
         with pytest.raises(ResourceLimit, match="closed-form row needs 41 cells, over the cap 33"):
             v.row(40, 1)
 
