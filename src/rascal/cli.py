@@ -20,7 +20,7 @@ from functools import partial
 from operator import mul, sub
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
-from .limits import check_cells, check_sum, max_cells, require_sizes
+from .limits import check_cells, check_sum, max_cells, require_sizes, run_capped
 from .numbers import METHODS, _choose, _table_cells, rascal_gen_value, triangle_rows
 
 FORMATS = ("table", "json", "csv", "bfile")
@@ -323,13 +323,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_cells()  # reject a malformed RASCAL_MAX_CELLS on every command
+        cap = max_cells()  # read once; a malformed RASCAL_MAX_CELLS is refused on every command
         # an option that one format reads is refused under the others
         if getattr(args, "offset", None) is not None and args.format != "bfile":
             raise DomainViolation("--offset applies to --format bfile only")
         if getattr(args, "timing", False) and args.format != "json":
             raise DomainViolation("--timing applies to --format json only")
-        return args.func(args)
+        return run_capped(cap, args.func, args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -73,17 +73,15 @@ class ProfileTable:
     grown in place by running sums, with no binomial: a longer column
     extends by P(t, r) = P(t-1, r) + P(t-1, r-1), a new column is the
     running sum of the one below it.  Each growth, and each cell a caller
-    charges, joins a running total before it is allocated; past the cell
-    cap that raises ResourceLimit."""
+    charges, joins a running total, priced before it is allocated."""
 
-    def __init__(self, cap: int | None = None) -> None:
+    def __init__(self) -> None:
         self.columns: list[list[int]] = []
         self.filled = 0
-        self._cap = max_cells(cap)
 
     def charge(self, cells: int) -> None:
         self.filled += cells
-        check_cells(self.filled, "counting oracle profiles", self._cap)
+        check_cells(self.filled, "counting oracle profiles")
 
     def grow(self, t: int, r: int) -> list[list[int]]:
         """The columns, grown in place to hold at least P(0..t, 0..r)."""

@@ -58,15 +58,13 @@ from .numbers import _choose, _closed_row, closed_value
 class ClosedValues:
     """Closed-form value source.  `_served` keeps what it served, in
     order: each cell under (n, k, j), each row once under (n, None, j).
-    Subclasses change only `count`, which fills a cell, and `_row`.  Rows
-    are priced against `_cap`, RASCAL_MAX_CELLS when the source is made."""
+    Subclasses change only `count`, which fills a cell, and `_row`."""
 
     count = staticmethod(closed_value)
 
     def __init__(self) -> None:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
         self._cols: dict[int, list[int]] = {}
-        self._cap = limits.max_cells()
 
     def __call__(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
@@ -100,7 +98,7 @@ class ClosedValues:
         (keys 1 up).  Priced first: n + 1 cells, and n + 1 per column new to
         `_cols`; a column it holds grows only as far as the row reads."""
         new = max(0, min(j, n // 2) - len(self._cols))
-        limits.check_cells((new + 1) * (n + 1), "closed-form row", self._cap)
+        limits.check_cells((new + 1) * (n + 1), "closed-form row")
         return _closed_row(n, j, self._cols, self._served.get((n, None, j - 1)))
 
 
@@ -108,15 +106,14 @@ class EnumerationCounts(ClosedValues):
     """Value source backed by enumeration (the oracle): cells by the product
     rule over one table of run-length profile counts (`generate.ProfileTable`),
     rows from its columns.  The table's growth and each row's new term
-    columns and own n + 1 cells join one running total, priced first; past
-    the cell cap (`max_cells`, else RASCAL_MAX_CELLS) it raises ResourceLimit.
+    columns and own n + 1 cells join one running total, priced first.
     Only this source loads `generate` (and with it `words`)."""
 
-    def __init__(self, max_cells: int | None = None) -> None:
+    def __init__(self) -> None:
         from .generate import ProfileTable, _count_by_profiles
 
         super().__init__()
-        self._table = ProfileTable(max_cells)
+        self._table = ProfileTable()
         self.count = partial(_count_by_profiles, self._table)
 
     def _row(self, n: int, j: int) -> list[int]:
@@ -489,16 +486,19 @@ def verify_range(
     of each run of the last axis is summed from scratch; every later
     cell folds the one before with the entry's `step`, and every inner
     cell its right side with `rhs_step`, where the entry has them.
+    Every price inside the call is against `max_cells`, else the current cap.
     """
     ident = get_identity(name)
     _require_params(ident, grid, "grid ranges")
-    cap = limits.max_cells(max_cells)
-    cells = _grid_size(ident, grid, cap)
+    return limits.run_capped(max_cells, _verify_grid, ident, grid, oracle)
+
+
+def _verify_grid(ident: Identity, grid, oracle: bool) -> IdentityReport:
+    cells = _grid_size(ident, grid, limits.max_cells())
     # _runs's product lists its axes up front, so walk only a grid with cells: each is then <= cap
     if cells and ident.cost:  # the terms its cells build, summed lazily
-        limits.check_sum((ident.cost(*h, x) for h, axis in _runs(ident, grid) for x in axis), name, cap)
-    v = EnumerationCounts(cap) if oracle else ClosedValues()
-    v._cap = cap  # set, not passed: the perfbench `layers` probe's subclass takes no argument
+        limits.check_sum((ident.cost(*h, x) for h, axis in _runs(ident, grid) for x in axis), ident.name)
+    v = EnumerationCounts() if oracle else ClosedValues()
     left, step, right, rstep, fixed = ident.lhs, ident.step, ident.rhs, ident.rhs_step, ident.corrected_rhs
     failures, corrected_failures = [], []
     start = time.perf_counter()
@@ -513,7 +513,7 @@ def verify_range(
                 corrected_failures.append((tuple(zip(ident.params, (*head, x))), lhs, corrected))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return IdentityReport(
-        identity=name,
+        identity=ident.name,
         grid=", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params),
         cells=cells,
         failures=tuple(sorted(failures)),

@@ -1,19 +1,20 @@
 """One resource budget: every path that builds values or objects is priced
-in cells from exact counts of its inputs, before anything is built,
-against RASCAL_MAX_CELLS (else 2^20), by the library call that builds it.
-Binary-word enumeration costs 2^n, a walk of every ascent sequence the
-Fishburn number, the pruned {001, 210}-avoider tree its nodes, a
-closed-form value (and an E-table defect) its terms times their bits, a
-closed-form row a triangle up to it per term column plus its own cells
-(in an identity's value source, n + 1 per column new to its store), a
-recurrence table its cells in every layer it grows, a restricted-subset
-listing R(n, k; j), the profile oracle each growth of its profile table
-plus each row's new term columns and own cells, a pattern search
-(contains_pattern) the partial embeddings it can try, sum_{d <= min(m, n)}
-C(n, d) for m pattern letters in n word letters.
+in cells from exact counts of its inputs, before anything is built, by the
+library call that builds it, against one cap: the one `run_capped` set, else
+RASCAL_MAX_CELLS, else 2^20.  Binary-word enumeration costs 2^n, a walk of
+every ascent sequence the Fishburn number, the pruned {001, 210}-avoider
+tree its nodes, a closed-form value (and an E-table defect) its terms times
+their bits, a closed-form row a triangle up to it per term column plus its
+own cells (in an identity's value source, n + 1 per column new to its
+store), a recurrence table its cells in every layer it grows, a
+restricted-subset listing R(n, k; j), the profile oracle each growth of its
+profile table plus each row's new term columns and own cells, a pattern
+search (contains_pattern) the partial embeddings it can try, sum_{d <=
+min(m, n)} C(n, d) for m pattern letters in n word letters.
 """
 
 import os
+from contextvars import ContextVar, copy_context
 
 from .errors import DomainViolation, ResourceLimit
 
@@ -21,17 +22,28 @@ DEFAULT_MAX_CELLS = 1 << 20
 
 ENV_MAX_CELLS = "RASCAL_MAX_CELLS"
 
+_scoped_cap: ContextVar[int | None] = ContextVar("rascal_max_cells", default=None)
 
-def max_cells(override: int | None = None) -> int:
-    """Current cell cap: explicit override, else env var, else default."""
-    if override is not None:
-        return override
+
+def max_cells() -> int:
+    """Current cell cap: the scoped cap, else env var, else default."""
+    cap = _scoped_cap.get()
+    if cap is not None:
+        return cap
     raw = os.environ.get(ENV_MAX_CELLS)
     if not raw:
         return DEFAULT_MAX_CELLS
     if not raw.strip().isdecimal():
         raise DomainViolation(f"{ENV_MAX_CELLS}={raw!r} is not a non-negative integer")
     return int(raw)
+
+
+def run_capped(cap: int | None, fn, /, *args):
+    """The one place a cap is chosen: fn(*args) with every price inside it
+    against `cap`, else the current cap, until the call returns or raises."""
+    scope = copy_context()
+    scope.run(_scoped_cap.set, max_cells() if cap is None else cap)
+    return scope.run(fn, *args)
 
 
 def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
@@ -44,18 +56,18 @@ def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
             raise DomainViolation(f"{name} must be >= 0, got {value}")
 
 
-def check_cells(count: int, what: str, override: int | None = None) -> None:
+def check_cells(count: int, what: str) -> None:
     """Raise ResourceLimit if `count` exceeds the active cell cap."""
-    cap = max_cells(override)
+    cap = max_cells()
     if count > cap:
         raise ResourceLimit(f"{what} needs {count} cells, over the cap {cap}")
 
 
-def check_sum(terms, what: str, override: int | None = None) -> None:
+def check_sum(terms, what: str) -> None:
     """Raise ResourceLimit once the running total of `terms` passes the
     cap.  Terms are drawn lazily, so an absurd size is refused after the
     few terms it takes to pass the cap."""
-    cap = max_cells(override)
+    cap = max_cells()
     total = 0
     for term in terms:
         total += term

@@ -547,6 +547,42 @@ class TestBudget:
             rascal.evaluate("subset_ie", {"n": 100, "m": 60})
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "300", "--format", "bfile"),
+            ("verify", "all"),
+            ("verify", "all", "--oracle"),
+            ("bijection", "subset"),
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("raw", [None, "1048576"])
+    def test_one_env_read_per_command(self, capsys, monkeypatch, argv, raw):
+        # every price inside a command reads the cap main read once
+        env = EnvReads(os.environ)
+        env.pop("RASCAL_MAX_CELLS", None)
+        if raw is not None:
+            env["RASCAL_MAX_CELLS"] = raw
+        monkeypatch.setattr(os, "environ", env)
+        code, out, _ = run(capsys, *argv)
+        assert (code, env.reads) == (1 if argv[0] == "verify" else 0, 1)
+        assert out
+
+    def test_cap_scope_ends_with_its_call(self, capsys, monkeypatch):
+        # a cap that a call set does not outlive it, returned or raised:
+        # rascal_gen_value(6, 3) prices 14 cells
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        with pytest.raises(rascal.ResourceLimit, match="over the cap 15350"):
+            rascal.verify_range("gen_row_sum", {"n": (300, 300), "j": (50, 50)}, max_cells=15350)
+        assert run(capsys, "triangle", "3")[0] == 0
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "7")
+        with pytest.raises(rascal.ResourceLimit, match="14 cells, over the cap 7"):
+            rascal.rascal_gen_value(6, 3)
+        assert run(capsys, "value", "6", "3")[0] == 3
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "14")
+        assert rascal.rascal_gen_value(6, 3) == 10
+
 
 class TestEtable:
     def test_j1_interior_ones(self, capsys):
@@ -808,9 +844,40 @@ class TestLazyPackage:
         assert {"identities._grid_size", "identities._memo", "maps._ratio"} <= defined
         assert sorted(d for d in defined if d.split(".")[1] not in used) == []
 
+    def test_limits_alone_owns_the_cap(self):
+        # only limits reads the environment, a price never names its cap,
+        # and no object carries one: run_capped is the one place a cap is set
+        readers, capped_calls, cap_attributes = set(), [], []
+        arity = {"max_cells": 0, "check_cells": 2, "check_sum": 2}
+        for path in sorted((SRC / "rascal").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                    readers.add(path.stem)
+                elif isinstance(node, ast.Attribute) and node.attr == "_cap":
+                    cap_attributes.append(f"{path.stem}:{node.lineno}")
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in arity and len(node.args) + len(node.keywords) != arity[name]:
+                        capped_calls.append(f"{path.stem}:{node.lineno}")
+        assert (readers, capped_calls, cap_attributes) == ({"limits"}, [], [])
+
     def test_version_and_submodules(self):
         assert rascal.__version__ == "0.1.0"
         assert rascal.maps is importlib.import_module("rascal.maps")
+
+
+class EnvReads(dict):
+    """A copy of the environment that counts the reads of RASCAL_MAX_CELLS."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "RASCAL_MAX_CELLS"
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == "RASCAL_MAX_CELLS"
+        return super().__getitem__(key)
 
 
 class CountingStdout(io.StringIO):

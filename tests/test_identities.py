@@ -289,6 +289,15 @@ class TestVerifyRange:
         with pytest.raises(ResourceLimit, match="closed-form row needs 1202601 cells, over the cap 1202600"):
             verify_range("gen_row_sum", {"n": (2000, 2000), "j": (600, 600)}, max_cells=1202600)
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_explicit_cap_never_reads_the_environment(self, monkeypatch, oracle):
+        # max_cells binds every price inside the call, so a malformed
+        # RASCAL_MAX_CELLS is not read at all
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "abc")
+        assert verify_range("row_sum", {"n": (0, 10)}, oracle=oracle, max_cells=1000).passed
+        with pytest.raises(DomainViolation, match="RASCAL_MAX_CELLS='abc'"):
+            verify_range("row_sum", {"n": (0, 10)}, oracle=oracle)
+
     def test_subset_ie_priced_by_its_terms(self, monkeypatch):
         # cells (n, m) with 1 <= m <= n <= 3 build 2 + (2 + 4) + (2 + 4 + 8) terms
         grid = {"n": (1, 3), "m": (1, 3)}
