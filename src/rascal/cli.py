@@ -101,10 +101,10 @@ def _enumerate_items(args):
     require_sizes(n=args.n, k=args.k or 0)
     if args.family in ("words", "subsets"):
         require_sizes(j=args.j)
-        if args.family == "subsets":  # priced where it is built
-            return _restricted_elements(args.n, args.k, args.j), _spaced
-        if args.k is not None:
-            _check_restricted(args.n, args.k, args.j, "words listing")
+        if args.k is not None:  # subsets requires --k
+            _check_restricted(args.n, args.k, args.j, f"{args.family} listing")
+            if args.family == "subsets":
+                return _restricted_elements(args.n, args.k, args.j), _spaced
             return words_with_ascents(args.n, args.k, args.j), word_lines
         # every k: sum_k R(n, k; j) = sum_{t <= 2j+1} C(n, t), as in
         # gen_row_sum.  Up to 64 binomials are summed outright, so the

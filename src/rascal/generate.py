@@ -17,21 +17,20 @@ the table cells they fill, ascent sequences by the Fishburn numbers, the
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import accumulate, combinations, islice, product, repeat
+from itertools import accumulate, chain, combinations, islice, pairwise, product, repeat
 from math import comb
 from collections.abc import Iterator
 
-from .errors import DomainViolation, ResourceLimit
-from .limits import check_cells, check_sum, max_cells, require_sizes
+from .errors import DomainViolation
+from .limits import check_cells, check_sum, require_sizes
 from .words import Word, _contains, as_word, is_pattern, word_str
 
 
 def all_binary_words(n: int) -> Iterator[Word]:
     """All 2^n binary words of length n, lexicographic with 0 < 1."""
     require_sizes(n=n)
-    cap = max_cells()
-    if n >= cap.bit_length():  # 2^n > cap, without building 2^n
-        raise ResourceLimit(f"2^{n} binary words exceed the cap {cap}")
+    # 2^n = 1 + 1 + 2 + ... + 2^(n-1), drawn only until the total passes the cap
+    check_sum(chain((1,), (1 << i for i in range(n))), f"listing 2^{n} binary words")
     return product((0, 1), repeat=n)
 
 
@@ -139,11 +138,10 @@ def fishburn_numbers() -> Iterator[int]:
 
 
 def _check_fishburn(n: int) -> None:
-    """Refuse a walk of every ascent sequence of length up to n once
-    some length has more than the cap."""
-    cap = max_cells()
-    if any(count > cap for count in islice(fishburn_numbers(), n + 1)):
-        raise ResourceLimit(f"ascent sequences of length {n} number more than the cap {cap}")
+    """Price a walk of every ascent sequence of length up to n by the Fishburn
+    numbers, charged by their steps: they never decrease, so the total is each in turn."""
+    counts = chain((0,), islice(fishburn_numbers(), n + 1))
+    check_sum((b - a for a, b in pairwise(counts)), f"walking the ascent sequences of length {n}")
 
 
 def ascent_sequences(n: int) -> Iterator[Word]:
@@ -285,13 +283,12 @@ def _restricted_elements(n: int, k: int, j: int) -> list[tuple[int, ...]]:
     """The sorted element tuples of restricted_subsets(n, k, j), correct
     by construction and so not checked one by one.
 
-    Priced by `_check_restricted`, then built as a low part (t <= j
-    elements of {1..n-k}) times a high part (k-t elements of
-    {n-k+1..n}), so the cost follows the output.
+    Unpriced: its callers price it by `_check_restricted` first.  Built
+    as a low part (t <= j elements of {1..n-k}) times a high part (k-t
+    elements of {n-k+1..n}), so the cost follows the output.
     """
     if n < 0 or k < 0 or k > n:
         return []
-    _check_restricted(n, k, j, "subsets listing")
     low, high = range(1, n - k + 1), range(n - k + 1, n + 1)
     return sorted(
         lo + hi
@@ -306,5 +303,6 @@ def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:
     most j elements, in lexicographic order of the sorted element lists."""
     require_sizes(negative_ok=True, n=n, k=k)
     require_sizes(j=j)
+    _check_restricted(n, k, j, "subsets listing")
     for elements in _restricted_elements(n, k, j):
         yield RestrictedSubset._make((elements, n, k, j))

@@ -50,7 +50,7 @@ from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import add, mul
 
-from .errors import DomainViolation, ResourceLimit, UnknownIdentity
+from .errors import DomainViolation, UnknownIdentity
 from . import limits
 from .numbers import _choose, _closed_row, closed_value
 
@@ -397,7 +397,7 @@ def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tupl
     ident = get_identity(name)
     grid = {p: (x, x) for p, x in params.items()}
     _require_params(ident, grid, "values")
-    if _grid_size(ident, grid, 1) != 1:
+    if _grid_size(ident, grid)[0] != 1:
         raise DomainViolation(f"{params} is outside the domain ({ident.domain_desc})")
     if variant not in ("stated", "corrected"):
         raise DomainViolation(f"unknown variant {variant!r}")
@@ -441,14 +441,14 @@ def _tied_cells(t: int, lo: int, hi: int) -> int:
     return u * (u + 1) // 2 + max(0, t - 1 - hi) * width
 
 
-def _grid_size(ident: Identity, grid, cap: int) -> int:
-    """The number of grid cells inside the domain, in closed form: the
-    values of the leading axes times the cells of the last axis summed
-    over the runs of the axis before it.  Every run and every value of
-    the leading axes is charged at least one unit against `cap`, so a
-    grid of empty or one-cell runs is refused without walking it; past
-    `cap` it raises ResourceLimit.  A one-value axis 0..0 goes first, so
-    even a one-axis grid has an axis before its last."""
+def _grid_size(ident: Identity, grid) -> tuple[int, int]:
+    """The grid cells inside the domain and the units the grid is charged,
+    in closed form: the values of the leading axes times the cells of the
+    last axis summed over the runs of the axis before it.  Every run and
+    every value of the leading axes costs at least one unit, so the units
+    count the empty runs too, and a grid of empty or one-cell runs is
+    priced without walking it.  A one-value axis 0..0 goes first, so even
+    a one-axis grid has an axis before its last."""
     *lead, (start, stop, _), (lo, hi, tie) = [(0, 0, None), *_axes(ident, grid)]
     copies = prod(max(0, b - a + 1) for a, b, _ in lead)
     runs, width = max(0, stop - start + 1), max(0, hi - lo + 1)
@@ -457,9 +457,7 @@ def _grid_size(ident: Identity, grid, cap: int) -> int:
         empty = runs if hi < lo else min(max(lo - start, 0), runs)
     else:
         cells, empty = runs * width, 0 if width else runs
-    if copies * max(1, cells + empty) > cap:
-        raise ResourceLimit(f"grid for identity {ident.name} needs more than {cap} cells")
-    return copies * cells
+    return copies * cells, copies * max(1, cells + empty)
 
 
 def _runs(ident: Identity, grid):
@@ -494,7 +492,8 @@ def verify_range(
 
 
 def _verify_grid(ident: Identity, grid, oracle: bool) -> IdentityReport:
-    cells = _grid_size(ident, grid, limits.max_cells())
+    cells, units = _grid_size(ident, grid)
+    limits.check_cells(units, f"grid for identity {ident.name}")
     # _runs's product lists its axes up front, so walk only a grid with cells: each is then <= cap
     if cells and ident.cost:  # the terms its cells build, summed lazily
         limits.check_sum((ident.cost(*h, x) for h, axis in _runs(ident, grid) for x in axis), ident.name)

@@ -1,7 +1,9 @@
 """One resource budget: every path that builds values or objects is priced
 in cells from exact counts of its inputs, before anything is built, by the
 library call that builds it, against one cap: the one `run_capped` set, else
-RASCAL_MAX_CELLS, else 2^20.  Binary-word enumeration costs 2^n, a walk of
+RASCAL_MAX_CELLS, else 2^20.  Only this module compares a price with the
+cap and words the refusal: `check_cells` one count, `check_sum` a lazy
+total.  Binary-word enumeration costs 2^n, a walk of
 every ascent sequence the Fishburn number, the pruned {001, 210}-avoider
 tree its nodes, a closed-form value (and an E-table defect) its terms times
 their bits, a closed-form row a triangle up to it per term column plus its
@@ -48,9 +50,9 @@ def run_capped(cap: int | None, fn, /, *args):
 
 def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
     """Raise DomainViolation naming the first size that is not an
-    integer or (unless `negative_ok`) is negative."""
+    integer (a bool is not) or (unless `negative_ok`) is negative."""
     for name, value in sizes.items():
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise DomainViolation(f"{name} must be an integer, got {value!r}")
         if value < 0 and not negative_ok:
             raise DomainViolation(f"{name} must be >= 0, got {value}")

@@ -526,7 +526,7 @@ class TestBudget:
         start = time.perf_counter()
         code, _, err = run(capsys, "verify", "row_sum", "--n-max", "100000000")
         assert (code, time.perf_counter() - start < 1.0) == (3, True)
-        assert "more than 10 cells" in err
+        assert "grid for identity row_sum needs 100000001 cells, over the cap 10" in err
         monkeypatch.setenv("RASCAL_MAX_CELLS", "11")
         assert run(capsys, "verify", "row_sum", "--n-max", "10")[0] == 0
 
@@ -569,6 +569,27 @@ class TestBudget:
         assert (code, env.reads) == (1 if argv[0] == "verify" else 0, 1)
         assert out
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rascal.maps.verify_subset(10, 3),
+            lambda: list(rascal.restricted_subsets(10, 5, 2)),
+            lambda: list(rascal.all_binary_words(8)),
+            lambda: list(rascal.ascent_sequences(6)),
+        ],
+        ids=["verify_subset(10, 3)", "restricted_subsets(10, 5, 2)", "all_binary_words(8)", "ascent_sequences(6)"],
+    )
+    @pytest.mark.parametrize("raw", [None, "1048576"])
+    def test_one_env_read_per_library_call(self, monkeypatch, call, raw):
+        # outside a command a library call reads the variable at each price;
+        # these price once, at their edge
+        env = EnvReads(os.environ)
+        env.pop("RASCAL_MAX_CELLS", None)
+        if raw is not None:
+            env["RASCAL_MAX_CELLS"] = raw
+        monkeypatch.setattr(os, "environ", env)
+        assert call() and env.reads == 1
+
     def test_cap_scope_ends_with_its_call(self, capsys, monkeypatch):
         # a cap that a call set does not outlive it, returned or raised:
         # rascal_gen_value(6, 3) prices 14 cells
@@ -605,6 +626,21 @@ class TestEtable:
             v for line in out.splitlines() if not line.startswith("#") for v in line.split()
         }
         assert values == {"0"}
+
+    def test_negative_entries_reported(self, capsys, monkeypatch):
+        # a triangle whose R(2, 1) reads 0: E(2, 1, 0) = 0 * R(0, 0) - R(1, 1) * R(1, 0) = -1
+        rows = rascal.cli.triangle_rows
+
+        def dented(n_max, j):
+            got = rows(n_max, j)
+            got[2][1] = 0
+            return got
+
+        monkeypatch.setattr(rascal.cli, "triangle_rows", dented)
+        code, out, err = run(capsys, "etable", "3", "0")
+        assert (code, out.splitlines()[-1], err) == (0, "NEGATIVE: E(2,1,0) = -1", "")
+        code, out, err = run(capsys, "etable", "3", "0", "--format", "csv")
+        assert (code, "2,1,0,-1" in out.splitlines(), err) == (0, True, "negative entries: 1\n")
 
     def test_no_negative_flagging_when_clean(self, capsys):
         code, out, _ = run(capsys, "etable", "8", "2")
@@ -846,11 +882,16 @@ class TestLazyPackage:
 
     def test_limits_alone_owns_the_cap(self):
         # only limits reads the environment, a price never names its cap,
-        # and no object carries one: run_capped is the one place a cap is set
+        # and no object carries one: run_capped is the one place a cap is set.
+        # Outside limits no code words a refusal (constructs ResourceLimit),
+        # no function takes a cap and only cli.main reads it, once
         readers, capped_calls, cap_attributes = set(), [], []
+        refusals, cap_params, cap_reads = [], [], []
         arity = {"max_cells": 0, "check_cells": 2, "check_sum": 2}
         for path in sorted((SRC / "rascal").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                     readers.add(path.stem)
                 elif isinstance(node, ast.Attribute) and node.attr == "_cap":
@@ -859,7 +900,18 @@ class TestLazyPackage:
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     if name in arity and len(node.args) + len(node.keywords) != arity[name]:
                         capped_calls.append(f"{path.stem}:{node.lineno}")
+                    if path.stem != "limits" and name == "ResourceLimit":
+                        refusals.append(f"{path.stem}:{node.lineno}")
+                    if path.stem != "limits" and name == "max_cells":
+                        # named by the innermost function around the call
+                        around = [f.name for f in functions if node in ast.walk(f)]
+                        cap_reads.append(".".join([path.stem, *around[-1:]]))
+                elif isinstance(node, ast.FunctionDef | ast.Lambda) and getattr(node, "name", "") != "run_capped":
+                    params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+                    if "cap" in [a.arg for a in params]:
+                        cap_params.append(f"{path.stem}:{node.lineno}")
         assert (readers, capped_calls, cap_attributes) == ({"limits"}, [], [])
+        assert (refusals, cap_params, cap_reads) == ([], [], ["cli.main"])
 
     def test_version_and_submodules(self):
         assert rascal.__version__ == "0.1.0"

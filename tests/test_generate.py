@@ -474,7 +474,7 @@ class TestRestrictedSubsets:
 
 
 # every public edge of generate and numbers checks its sizes with
-# limits.require_sizes before it reads them
+# limits.require_sizes before it reads them, and a bool is not a size
 SIZE_EDGES = {
     "restricted_subsets(6.0, 3, 1)":
         (lambda: list(restricted_subsets(6.0, 3, 1)), "n must be an integer, got 6.0"),
@@ -495,6 +495,19 @@ SIZE_EDGES = {
         (lambda: count_words_with_ascents(5, 2, -1), "j must be >= 0, got -1"),
     "restricted_subsets(6, 3, -1)":
         (lambda: list(restricted_subsets(6, 3, -1)), "j must be >= 0, got -1"),
+    "triangle_rows(True)": (lambda: triangle_rows(True), "n_max must be an integer, got True"),
+    "all_binary_words(False)": (lambda: all_binary_words(False), "n must be an integer, got False"),
+    "restricted_subsets(6, True, 1)":
+        (lambda: list(restricted_subsets(6, True, 1)), "k must be an integer, got True"),
+    # and a subset names its elements when they are out of order or repeated
+    "RestrictedSubset((3, 1), 4, 2, 1)": (
+        lambda: RestrictedSubset((3, 1), 4, 2, 1),
+        r"subset elements must be sorted and distinct: \(3, 1\)",
+    ),
+    "RestrictedSubset((2, 2), 4, 2, 1)": (
+        lambda: RestrictedSubset((2, 2), 4, 2, 1),
+        r"subset elements must be sorted and distinct: \(2, 2\)",
+    ),
 }
 
 

@@ -67,7 +67,7 @@ def eager_fill(source):
 def in_domain(ident, point):
     """Whether `point` lies in the identity's domain: its one-cell grid
     keeps that cell after clipping to the bounds."""
-    return identities._grid_size(ident, {p: (x, x) for p, x in point.items()}, 1) == 1
+    return identities._grid_size(ident, {p: (x, x) for p, x in point.items()})[0] == 1
 
 
 SMALLEST_POINT = {
@@ -254,8 +254,11 @@ class TestVerifyRange:
             (lambda: verify_range("row_sum", {"n": (0, 1, 2)}), r"range for n, not \(0, 1, 2\)"),
             (lambda: evaluate("row_sum", {"n": 2.0}), "n must be an integer, got 2.0"),
             (lambda: evaluate("col_sum", {"k": 1, "r": "2"}), "r must be an integer, got '2'"),
+            (lambda: evaluate("row_sum", {"n": True}), "n must be an integer, got True"),
+            (lambda: verify_range("row_sum", {"n": (0, True)}), "n must be an integer, got True"),
+            (lambda: evaluate("row_sum", {"n": 3}, variant="x"), "unknown variant 'x'"),
         ],
-        ids=["float bound", "not a pair", "triple", "float value", "str value"],
+        ids=["float bound", "not a pair", "triple", "float value", "str value", "bool value", "bool bound", "variant"],
     )
     def test_non_integer_input_named(self, call, message):
         with pytest.raises(DomainViolation, match=message):
@@ -276,6 +279,20 @@ class TestVerifyRange:
     def test_cell_cap(self):
         with pytest.raises(ResourceLimit):
             verify_range("row_sum", {"n": (0, 50)}, max_cells=10)
+
+    @pytest.mark.parametrize(
+        "name, grid, units",
+        [
+            # the run n = 0 of m = 1..min(3, n) is empty: 6 cells and 1 empty run
+            ("product_formula", {"n": (0, 3), "m": (1, 3)}, 7),
+            # the runs n = -2, -1 of k = 0..min(2, n) are empty: 6 cells and 2 empty runs
+            ("alt_binomial", {"r": (2, 2), "n": (-2, 2), "k": (0, 2)}, 8),
+        ],
+    )
+    def test_grid_priced_with_its_empty_runs(self, name, grid, units):
+        assert verify_range(name, grid, max_cells=units).to_dict(timing=False)["cells"] == 6
+        with pytest.raises(ResourceLimit, match=f"grid for identity {name} needs"):
+            verify_range(name, grid, max_cells=units - 1)
 
     def test_rows_priced_by_the_callers_cap(self, monkeypatch):
         # one cell whose row adds 50 term columns: 51 x 301 cells, over RASCAL_MAX_CELLS

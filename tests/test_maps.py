@@ -756,7 +756,26 @@ class TestValueTypes:
         assert pair == same and hash(pair) == hash(same)
 
 
+# refusals at the public edge of the alternating-binomial maps: (call, message)
+EDGE_REFUSALS = {
+    "signed_pair, too few trailing zeros":
+        (lambda: signed_pair({1}, "0001", 2), "0001 ends in fewer than 1 zeros"),
+    "altbin_involution, stage 3":
+        (lambda: altbin_involution(3, signed_pair({1}, "1000", 2), 2, 2, 1), "stage must be 1 or 2"),
+    "altbin_involution, wrong length":
+        (lambda: altbin_involution(1, signed_pair({1}, "10000", 2), 2, 2, 1), "10000 is not a length-4 word with 1 ones"),
+    "altbin_involution, wrong number of ones":
+        (lambda: altbin_involution(1, signed_pair({1}, "1100", 2), 2, 2, 1), "1100 is not a length-4 word with 1 ones"),
+}
+
+
 class TestPublicEdge:
+    @pytest.mark.parametrize("edge", sorted(EDGE_REFUSALS))
+    def test_refusal_named(self, edge):
+        call, message = EDGE_REFUSALS[edge]
+        with pytest.raises(DomainViolation, match=message):
+            call()
+
     def test_mis_signed_pair_rejected(self):
         # the true sign of ({2}, 1000) at r = 2 is (-1)^(2-1) = -1
         pair = SignedPair(frozenset({2}), (1, 0, 0, 0), 1)
@@ -853,6 +872,70 @@ class TestVerifierStructure:
         "genalt": (6, 2),
     }
     GENERATORS = ("words_with_ascents", "avoiders", "canonical_avoiders")
+
+    # (verifier call, name in maps of a core or generator the check trusts,
+    # the fault made from it, one detail line the fault must cause)
+    FAULTS = {
+        "strip count": (
+            lambda: verify_strip(1), "closed_value",
+            lambda core: lambda n, k, j=1: core(n, k, j) + ((n, k) == (1, 0)),
+            "strip: count 1 != R = 2 at (n=1, k=0, lead=0, trail=0)",
+        ),
+        "ascseq canonical family": (
+            lambda: verify_ascseq(2), "canonical_avoiders",
+            lambda core: lambda n, k: list(core(n, k))[1:] if (n, k) == (3, 1) else core(n, k),
+            "ascseq: canonical family differs at n=3, k=1",
+        ),
+        "subset family sizes": (
+            lambda: verify_subset(2, 1), "_restricted_elements",
+            lambda core: lambda n, k, j: core(n, k, j)[1:] if (n, k, j) == (2, 1, 1) else core(n, k, j),
+            "subset: family sizes differ at (n=2, k=1, j=1)",
+        ),
+        "ratio image outside": (
+            lambda: verify_ratio(3, 2), "_ratio",
+            lambda core: lambda w, mark: (w, 1) if w[0] == 0 else core(w, mark),
+            "ratio: image of (011 mark 3) is outside the target set",
+        ),
+        "ratio not injective": (
+            lambda: verify_ratio(3, 2), "_ratio", lambda core: lambda w, mark: ((1, 1, 0), 2),
+            "ratio: map is not injective",
+        ),
+        "ratio missed count": (
+            lambda: verify_ratio(3, 2), "_ratio", lambda core: lambda w, mark: ((1, 1, 0), 2),
+            "ratio: expected exactly one missed element, got 3",
+        ),
+        "ratio missed element": (
+            lambda: verify_ratio(3, 2), "_ratio",
+            lambda core: lambda w, mark: ((1, 1, 0), 1) if w == (0, 1, 1) else core(w, mark),
+            "ratio: missed element is 101 mark 1, not the expected one",
+        ),
+        "ratio sizes": (
+            lambda: verify_ratio(3, 2), "rascal_value",
+            lambda core: lambda n, k: core(n, k) + ((n, k) == (3, 2)),
+            "ratio: source/target sizes disagree with the counting identity",
+        ),
+        "altbin binomial sum": (
+            lambda: verify_altbin(2, 2, 1), "rascal_value",
+            lambda core: lambda n, k: core(n, k) + ((n, k) == (4, 1)),
+            "altbin: signed sum 0 != binomial sum 1",
+        ),
+        "altbin signed sum": (
+            lambda: verify_altbin(2, 2, 1), "_altbin_space", lambda core: lambda r, n, k: core(r, n, k)[1:],
+            "altbin: signed sum is -1, expected 0",
+        ),
+        "genalt odd length": (
+            lambda: verify_genalt(3, 1), "_genalt", lambda core: lambda d, w: w,
+            "genalt: odd length should leave no fixed points",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_every_failure_line_fires(self, monkeypatch, fault):
+        # a cross-check that cannot fail checks nothing
+        call, name, make_fault, line = self.FAULTS[fault]
+        monkeypatch.setattr(maps, name, make_fault(getattr(maps, name)))
+        report = call()
+        assert not report["ok"] and line in report["details"]
 
     @pytest.mark.parametrize("name", sorted(cli.BIJECTIONS))
     def test_words_checked_per_family_not_per_object(self, monkeypatch, name):
