@@ -20,10 +20,11 @@ from collections import Counter, namedtuple
 from itertools import accumulate, chain, combinations, islice, pairwise, product, repeat
 from math import comb
 from collections.abc import Iterator
+from operator import add, mul
 
 from .errors import DomainViolation
 from .limits import check_cells, check_sum, require_sizes
-from .words import Word, _contains, as_word, is_pattern, word_str
+from .words import Word, _as_pattern, _contains
 
 
 def all_binary_words(n: int) -> Iterator[Word]:
@@ -99,17 +100,28 @@ class ProfileTable:
             cols.append([0, *accumulate(cols[-1][:-1])] if cols else [1] * new_height)
         return cols
 
+    def count(self, n: int, k: int, j: int) -> int:
+        """|B_k^(j)(n)| by the product rule: a word with exactly r ascents is
+        1^x0 0^y1 1^x1 ... 0^yr 1^xr 0^y0, the x's summing to k and the y's
+        to n-k (outer runs may be empty, inner runs may not), a free pair of
+        an r-part profile of its ones and one of its zeros, so it sums
+        P(k, r) * P(n-k, r) over r, read from the table."""
+        if n < 0 or k < 0 or k > n:
+            return 0
+        r = min(j, k, n - k)
+        return sum(col[k] * col[n - k] for col in self.grow(max(k, n - k), r)[: r + 1])
 
-def _count_by_profiles(table: ProfileTable, n: int, k: int, j: int) -> int:
-    """|B_k^(j)(n)| by the product rule: a word with exactly r ascents is
-    1^x0 0^y1 1^x1 ... 0^yr 1^xr 0^y0, the x's summing to k and the y's
-    to n-k (outer runs may be empty, inner runs may not), a free pair of
-    an r-part profile of its ones and one of its zeros, so it sums
-    P(k, r) * P(n-k, r) over r, read from the table."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    r = min(j, k, n - k)
-    return sum(col[k] * col[n - k] for col in table.grow(max(k, n - k), r)[: r + 1])
+    def row(self, n: int, j: int, below: list[int] | None = None) -> list[int]:
+        """[count(n, k, j) for k = 0..n], each column read forwards and reversed:
+        `below`, the row (n, j-1), plus its one new column (none once j > n // 2),
+        else every column; its new columns and own n + 1 cells charged first."""
+        terms = range(0 if below is None else j, min(j, n // 2) + 1)
+        self.charge((len(terms) + 1) * (n + 1))
+        row = below or [0] * (n + 1)
+        for col in self.grow(n, terms.stop - 1)[terms.start : terms.stop]:
+            head = col[: n + 1]
+            row = list(map(add, row, map(mul, head, reversed(head))))
+        return row
 
 
 def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
@@ -120,7 +132,7 @@ def count_words_with_ascents(n: int, k: int, j: int = 1) -> int:
     (max(k, n-k) + 1) * (min(j, k, n-k) + 1)."""
     require_sizes(negative_ok=True, n=n, k=k)
     require_sizes(j=j)
-    return _count_by_profiles(ProfileTable(), n, k, j)
+    return ProfileTable().count(n, k, j)
 
 
 def fishburn_numbers() -> Iterator[int]:
@@ -189,10 +201,7 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     Priced before the first yield: by the tree's avoider_nodes(n) when
     001 and 210 are both avoided, else by the Fishburn numbers.
     """
-    pats = tuple(as_word(p) for p in patterns)
-    for p in pats:
-        if not is_pattern(p):
-            raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
+    pats = tuple(map(_as_pattern, patterns))
     require_sizes(n=n)
     require_sizes(negative_ok=True, k=0 if k is None else k)
     no001, no210 = (0, 0, 1) in pats, (2, 1, 0) in pats

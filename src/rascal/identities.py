@@ -45,10 +45,10 @@ import json
 import os
 import time
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
-from operator import add, mul
+from operator import mul
 
 from .errors import DomainViolation, UnknownIdentity
 from . import limits
@@ -103,31 +103,21 @@ class ClosedValues:
 
 
 class EnumerationCounts(ClosedValues):
-    """Value source backed by enumeration (the oracle): cells by the product
-    rule over one table of run-length profile counts (`generate.ProfileTable`),
-    rows from its columns.  The table's growth and each row's new term
-    columns and own n + 1 cells join one running total, priced first.
-    Only this source loads `generate` (and with it `words`)."""
+    """Value source backed by enumeration (the oracle): cells and rows by the
+    product rule over one `generate.ProfileTable` of run-length profile
+    counts (its `count` and `row`, a row grown from a built row (n, j-1)),
+    priced first by the table's one running total.  Only this source
+    loads `generate` (and with it `words`)."""
 
     def __init__(self) -> None:
-        from .generate import ProfileTable, _count_by_profiles
+        from .generate import ProfileTable
 
         super().__init__()
         self._table = ProfileTable()
-        self.count = partial(_count_by_profiles, self._table)
+        self.count = self._table.count
 
     def _row(self, n: int, j: int) -> list[int]:
-        """sum_r P(k, r) * P(n-k, r) over r <= min(j, n // 2) for k = 0..n,
-        each column read forwards and reversed: grown from the built row
-        (n, j-1) by its one new column (none once j > n // 2), else whole."""
-        row = self._served.get((n, None, j - 1))
-        terms = range(0 if row is None else j, min(j, n // 2) + 1)
-        self._table.charge((len(terms) + 1) * (n + 1))
-        row = row or [0] * (n + 1)
-        for col in self._table.grow(n, terms.stop - 1)[terms.start : terms.stop]:
-            head = col[: n + 1]
-            row = list(map(add, row, map(mul, head, reversed(head))))
-        return row
+        return self._table.row(n, j, self._served.get((n, None, j - 1)))
 
 
 class Identity(

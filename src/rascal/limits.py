@@ -3,16 +3,17 @@ in cells from exact counts of its inputs, before anything is built, by the
 library call that builds it, against one cap: the one `run_capped` set, else
 RASCAL_MAX_CELLS, else 2^20.  Only this module compares a price with the
 cap and words the refusal: `check_cells` one count, `check_sum` a lazy
-total.  Binary-word enumeration costs 2^n, a walk of
-every ascent sequence the Fishburn number, the pruned {001, 210}-avoider
-tree its nodes, a closed-form value (and an E-table defect) its terms times
-their bits, a closed-form row a triangle up to it per term column plus its
-own cells (in an identity's value source, n + 1 per column new to its
-store), a recurrence table its cells in every layer it grows, a
-restricted-subset listing R(n, k; j), the profile oracle each growth of its
-profile table plus each row's new term columns and own cells, a pattern
-search (contains_pattern) the partial embeddings it can try, sum_{d <=
-min(m, n)} C(n, d) for m pattern letters in n word letters.
+total.  Binary-word enumeration costs 2^n, a walk of every ascent sequence
+the Fishburn number, the pruned {001, 210}-avoider tree its nodes, a
+closed-form value (and an E-table defect) its binomial terms from i = 2
+times their bits (none at j <= 1: `rascal_value` is `rascal_gen_value` at
+j = 1), a closed-form row a triangle up to it per term column plus its own
+cells (in an identity's value source, n + 1 per column new to its store),
+a recurrence table its cells in every layer it grows, a restricted-subset
+listing R(n, k; j), the profile oracle each growth of its profile table
+plus each row's new term columns and own cells, a pattern search
+(contains_pattern) the partial embeddings it can try, sum_{d <= min(m,
+n)} C(n, d) for m pattern letters in n word letters.
 """
 
 import os
@@ -59,9 +60,9 @@ def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
 
 
 def check_cells(count: int, what: str) -> None:
-    """Raise ResourceLimit if `count` exceeds the active cell cap."""
-    cap = max_cells()
-    if count > cap:
+    """Raise ResourceLimit if `count` exceeds the active cell cap; a count
+    of 0 fits any cap, so the cap is not read for it."""
+    if count and count > (cap := max_cells()):
         raise ResourceLimit(f"{what} needs {count} cells, over the cap {cap}")
 
 

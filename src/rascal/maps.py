@@ -48,7 +48,7 @@ from .generate import (
     words_with_ascents,
 )
 from .limits import check_sum, require_sizes
-from .numbers import _choose, closed_value, rascal_value
+from .numbers import _choose, closed_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
 
@@ -522,7 +522,7 @@ def verify_sym(n_max: int) -> dict:
     """sym_map is a bijection from the k-ones family onto the (n-k)-ones
     family and squares to the identity."""
     require_sizes(n_max=n_max)
-    check_sum((rascal_value(n, k) for n in range(n_max + 1) for k in range(n + 1)), "sym check")
+    check_sum((closed_value(n, k) for n in range(n_max + 1) for k in range(n + 1)), "sym check")
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
@@ -647,9 +647,10 @@ def verify_divider(n_max: int, j_max: int) -> dict:
 def verify_ratio(n: int, k: int) -> dict:
     """ratio_map is injective from the non-first-circled set into the
     starts-with-1 set and misses exactly one element."""
+    require_sizes(negative_ok=True, n=n, k=k)
     if not 0 < k < n:
         raise DomainViolation(f"the ratio construction needs 0 < k < n, got n={n}, k={k}")
-    expected = ((k - 1) * rascal_value(n, k), k * rascal_value(n - 1, k - 1))  # source, target
+    expected = ((k - 1) * closed_value(n, k), k * closed_value(n - 1, k - 1))  # source, target
     check_sum(expected, "ratio check")
     details: list[str] = []
     family = list(words_with_ascents(n, k, 1))
@@ -689,12 +690,12 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     points, so the signed sum collapses to zero."""
     _require_altbin_sizes(r, n, k)
     # 2^r * R(n+r, k) pairs scanned, summed by subset size
-    check_sum((_choose(r, t) * rascal_value(n + r, k) for t in range(r + 1)), "altbin check")
+    check_sum((_choose(r, t) * closed_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
     space = _altbin_space(r, n, k)
     members = set(space)
     signed_sum = sum((-1) ** (r - len(s)) for s, _w in space)
-    formula = sum((-1) ** (r - t) * _choose(r, t) * rascal_value(n + t, k) for t in range(r + 1))
+    formula = sum((-1) ** (r - t) * _choose(r, t) * closed_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
     fixed = space  # the grade is |S|; stage 2 acts on stage 1's fixed points and has none

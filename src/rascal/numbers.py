@@ -21,10 +21,12 @@ Four routes are implemented and cross-checked by the test suite:
 
 Both recurrences apply to interior cells 1 <= k <= n-1 only; boundary
 columns k = 0 and k = n are the base value 1; the product recurrence is
-defined for j = 1 only.  `_route_row` dispatches over the routes once
-`_check_route` has passed; each route prices what it builds (closed
-values and rows in `rascal_gen_value` and `closed_row`, every recurrence
-layer in `TriangleCache`).  Python ints make all arithmetic exact.
+defined for j = 1 only.  `rascal_value` is `rascal_gen_value` at j = 1.
+`_route_row` dispatches over the routes once `_check_route` has passed;
+each route prices what it builds: a closed value its binomial terms from
+i = 2 (none at j <= 1, so `rascal_gen_value(2000000, 5)` and
+`e_defect(10**6, 5, 1)` pass any cap), closed rows in `closed_row`, every
+recurrence layer in `TriangleCache`.  Python ints make all arithmetic exact.
 """
 
 from __future__ import annotations
@@ -126,27 +128,20 @@ def _table_cells(n: int, layers: int = 1) -> int:
 def _enum_row_counts(n: int, j: int) -> list[int]:
     """Counts per ones-count k of length-n binary words with <= j ascents,
     by filtering all 2^n words."""
-    from .generate import all_binary_words  # only this route loads generate
+    from .generate import all_binary_words  # only this route loads generate and words
+    from .words import _asc
 
     words = all_binary_words(n)  # priced at 2^n before the counts exist
     counts = [0] * (n + 1)
     for bits in words:
-        ascents = 0
-        for i in range(1, n):
-            if bits[i - 1] < bits[i]:
-                ascents += 1
-                if ascents > j:
-                    break
-        else:
+        if _asc(bits) <= j:
             counts[sum(bits)] += 1
     return counts
 
 
 def _check_route(method: str, j: int) -> None:
-    """Refuse a bad route before anything is priced: j >= 0, a known
-    method, and j = 1 on the multiplicative route."""
-    if j < 0:
-        raise ValueError("ascent bound j must be >= 0")
+    """Refuse a bad route before anything is priced: a known method, and
+    j = 1 on the multiplicative route (the caller has checked j >= 0)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "multiplicative" and j != 1:
@@ -174,15 +169,12 @@ def rascal_value(
     *,
     cache: TriangleCache | None = None,
 ) -> int:
-    """R(n, k) by the chosen route; 0 outside the triangle.
+    """R(n, k) = R(n, k; 1) by the chosen route; 0 outside the triangle.
 
     `cache` lets callers reuse recurrence tables across calls; when
     omitted, a throwaway one is built.
     """
-    require_sizes(negative_ok=True, n=n, k=k)
-    if method != "closed":
-        return rascal_gen_value(n, k, 1, method, cache=cache)
-    return k * (n - k) + 1 if 0 <= k <= n else 0
+    return rascal_gen_value(n, k, 1, method, cache=cache)
 
 
 def rascal_gen_value(
@@ -194,12 +186,13 @@ def rascal_gen_value(
     cache: TriangleCache | None = None,
 ) -> int:
     """R(n, k; j): binary words of length n, k ones, at most j ascents."""
-    require_sizes(negative_ok=True, n=n, k=k, j=j)
+    require_sizes(negative_ok=True, n=n, k=k)
+    require_sizes(j=j)
     _check_route(method, j)
     if not 0 <= k <= n:
         return 0
-    if method == "closed":  # min(j, k, n-k) + 1 terms of up to n + 1 bits each
-        check_cells((min(j, k, n - k) + 1) * (n + 1), "closed-form value")
+    if method == "closed":  # binomial terms i = 2..min(j, k, n-k), up to n + 1 bits each
+        check_cells(max(0, min(j, k, n - k) - 1) * (n + 1), "closed-form value")
         return closed_value(n, k, j)
     return _route_row(method, n, j, cache or TriangleCache())[k]
 
@@ -267,7 +260,8 @@ def triangle_rows(
 ) -> list[list[int]]:
     """Rows 0..n_max of the triangle for ascent bound j, built top row
     first so that a route prices its whole work before it builds any."""
-    require_sizes(negative_ok=True, n_max=n_max, j=j)
+    require_sizes(negative_ok=True, n_max=n_max)
+    require_sizes(j=j)
     _check_route(method, j)
     if n_max < 0:
         return []

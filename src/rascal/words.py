@@ -81,6 +81,13 @@ def is_pattern(w) -> bool:
     return reduce_word(w) == w
 
 
+def _as_pattern(p) -> Word:
+    """as_word(p), refused unless p is self-reduced."""
+    if is_pattern(p := as_word(p)):
+        return p
+    raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
+
+
 def contains_pattern(w, p) -> bool:
     """True iff some subsequence of w reduces to the pattern p.
 
@@ -92,9 +99,7 @@ def contains_pattern(w, p) -> bool:
     contains_001 / contains_210 for the linear-time special cases.
     """
     w = as_word(w)
-    p = as_word(p)
-    if not is_pattern(p):
-        raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")
+    p = _as_pattern(p)
     if 0 < len(p) <= len(w):
         check_sum((comb(len(w), d) for d in range(len(p) + 1)), "pattern search")
     return _contains(w, p)

@@ -85,12 +85,17 @@ class TestValue:
 
     @pytest.mark.parametrize("n, k, j", [(10000, 5000, 5000), (20000, 10000, 10000)])
     def test_closed_route_priced(self, capsys, monkeypatch, n, k, j):
-        # (min(j, k, n-k)+1) terms times n+1 bits each
+        # the binomial terms i = 2..min(j, k, n-k) times n+1 bits each
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         start = time.perf_counter()
         code, out, err = run(capsys, "value", str(n), str(k), "--j", str(j))
         assert (code, out, time.perf_counter() - start < 1.0) == (3, "", True)
-        assert f"needs {(j + 1) * (n + 1)} cells" in err
+        assert f"needs {(j - 1) * (n + 1)} cells" in err
+
+    def test_j1_not_priced(self, capsys, monkeypatch):
+        # one multiply, whatever n: 5 * 1999995 + 1
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        assert run(capsys, "value", "2000000", "5") == (0, "9999976\n", "")
 
     def test_closed_route_under_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
@@ -275,6 +280,18 @@ class TestVerify:
         head = out.splitlines()[0]
         assert "FAIL" in head and "corrected=PASS" in head
         assert "  stated fails at n=2: lhs=6 rhs=5" in out.splitlines()[1]
+
+    def test_corrected_failure_reported(self, capsys, monkeypatch):
+        # a corrected variant that fails is shown, not hidden behind the stated one
+        ident = rascal.identities.get_identity("weighted_row_sum")
+        wrong = ident._replace(corrected_rhs=lambda n: ident.corrected_rhs(n) + (n == 3))
+        monkeypatch.setitem(rascal.identities._REGISTRY, "weighted_row_sum", wrong)
+        report = rascal.verify_range("weighted_row_sum", {"n": (0, 8)})
+        assert report.corrected_passed is False
+        assert report.corrected_failures == (((("n", 3),), 20, 21),)
+        code, out, _ = run(capsys, "verify", "weighted_row_sum", "--n-max", "8")
+        assert code == 1 and "corrected=FAIL" in out.splitlines()[0]
+        assert "  corrected fails at n=3: lhs=20 rhs=21" in out.splitlines()
 
     def test_all_runs_registry(self, capsys):
         code, out, _ = run(
@@ -592,17 +609,17 @@ class TestBudget:
 
     def test_cap_scope_ends_with_its_call(self, capsys, monkeypatch):
         # a cap that a call set does not outlive it, returned or raised:
-        # rascal_gen_value(6, 3) prices 14 cells
+        # rascal_gen_value(6, 3, 3) prices 14 cells
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         with pytest.raises(rascal.ResourceLimit, match="over the cap 15350"):
             rascal.verify_range("gen_row_sum", {"n": (300, 300), "j": (50, 50)}, max_cells=15350)
         assert run(capsys, "triangle", "3")[0] == 0
         monkeypatch.setenv("RASCAL_MAX_CELLS", "7")
         with pytest.raises(rascal.ResourceLimit, match="14 cells, over the cap 7"):
-            rascal.rascal_gen_value(6, 3)
-        assert run(capsys, "value", "6", "3")[0] == 3
+            rascal.rascal_gen_value(6, 3, 3)
+        assert run(capsys, "value", "6", "3", "--j", "3")[0] == 3
         monkeypatch.setenv("RASCAL_MAX_CELLS", "14")
-        assert rascal.rascal_gen_value(6, 3) == 10
+        assert rascal.rascal_gen_value(6, 3, 3) == 20
 
 
 class TestEtable:
@@ -732,7 +749,7 @@ class TestNegativeSizes:
              "the multiplicative route is defined for j = 1 only"),
             (("value", "100000", "5", "--method", "multiplicative", "--j", "2"),
              "the multiplicative route is defined for j = 1 only"),
-            (("triangle", "100000", "--j", "-1"), "ascent bound j must be >= 0"),
+            (("triangle", "100000", "--j", "-1"), "j must be >= 0, got -1"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )

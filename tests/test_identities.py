@@ -120,6 +120,12 @@ class TestRegistry:
             identities._register(name, "0 = 0", bounds, lambda v, a, b, c: 0, lambda a, b, c: 0)
         assert identities._REGISTRY == before
 
+    def test_register_refuses_duplicate_name(self):
+        before = dict(identities._REGISTRY)
+        with pytest.raises(ValueError, match="duplicate identity name 'row_sum'"):
+            identities._register("row_sum", "0 = 0", {"n": (0, None)}, lambda v, n: 0, lambda n: 0)
+        assert identities._REGISTRY == before and identities._REGISTRY["row_sum"] is before["row_sum"]
+
     @pytest.mark.parametrize(
         "sides, message",
         [

@@ -910,13 +910,13 @@ class TestVerifierStructure:
             "ratio: missed element is 101 mark 1, not the expected one",
         ),
         "ratio sizes": (
-            lambda: verify_ratio(3, 2), "rascal_value",
-            lambda core: lambda n, k: core(n, k) + ((n, k) == (3, 2)),
+            lambda: verify_ratio(3, 2), "closed_value",
+            lambda core: lambda n, k, j=1: core(n, k, j) + ((n, k) == (3, 2)),
             "ratio: source/target sizes disagree with the counting identity",
         ),
         "altbin binomial sum": (
-            lambda: verify_altbin(2, 2, 1), "rascal_value",
-            lambda core: lambda n, k: core(n, k) + ((n, k) == (4, 1)),
+            lambda: verify_altbin(2, 2, 1), "closed_value",
+            lambda core: lambda n, k, j=1: core(n, k, j) + ((n, k) == (4, 1)),
             "altbin: signed sum 0 != binomial sum 1",
         ),
         "altbin signed sum": (

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rascal.errors import DomainViolation, ResourceLimit
+from rascal.errors import DomainViolation, InexactDivision, ResourceLimit
+from rascal.limits import run_capped
 from rascal.numbers import (
     TriangleCache,
     choose,
@@ -155,11 +156,31 @@ class TestRascalGenValue:
         assert rascal_gen_value(60, 30, 10**12) == comb(60, 30)
         assert time.perf_counter() - start < 1.0
 
+    @settings(max_examples=200, derandomize=True)
+    @given(st.data())
+    def test_j1_free_at_any_cap(self, data):
+        # R(n, k) = k(n-k) + 1 is one multiply: no binomial term to price
+        n = data.draw(st.integers(-2, 10**30))
+        k = data.draw(st.integers(-2, max(n, 0) + 2))
+        with mock.patch.dict(os.environ, {"RASCAL_MAX_CELLS": "0"}):
+            assert rascal_gen_value(n, k) == rascal_value(n, k) == (k * (n - k) + 1 if 0 <= k <= n else 0)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.data())
+    def test_closed_price_is_its_binomial_terms(self, data):
+        # t = min(j, k, n-k) >= 2: the terms i = 2..t, each of up to n + 1 bits
+        n = data.draw(st.integers(4, 400))
+        k, j = data.draw(st.integers(2, n - 2)), data.draw(st.integers(2, n))
+        cells = (min(j, k, n - k) - 1) * (n + 1)
+        assert run_capped(cells, rascal_gen_value, n, k, j) == literal_closed_value(n, k, j)
+        with pytest.raises(ResourceLimit, match=f"needs {cells} cells, over the cap {cells - 1}"):
+            run_capped(cells - 1, rascal_gen_value, n, k, j)
+
     def test_closed_route_priced(self, monkeypatch):
-        # 100,001 terms of up to 200,001 bits each
+        # the 99,999 binomial terms i = 2..100,000 of up to 200,001 bits each
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         start = time.perf_counter()
-        with pytest.raises(ResourceLimit, match=f"needs {100001 * 200001} cells"):
+        with pytest.raises(ResourceLimit, match=f"needs {99999 * 200001} cells"):
             rascal_gen_value(200000, 100000, 100000)
         assert time.perf_counter() - start < 1.0
 
@@ -168,7 +189,7 @@ class TestRascalGenValue:
 # each call is far over the default budget
 BAD_ROUTES = [
     ({"method": "magic"}, "unknown method 'magic'"),
-    ({"j": -1}, "ascent bound j must be >= 0"),
+    ({"j": -1}, "j must be >= 0, got -1"),
     ({"j": 2, "method": "multiplicative"}, "the multiplicative route is defined for j = 1 only"),
 ]
 
@@ -335,6 +356,11 @@ class TestEDefect:
     def test_j1_example(self):
         assert e_defect(6, 3, 1) == 1
 
+    def test_j1_not_priced(self, monkeypatch):
+        # all four j = 1 cells are one multiply each, at any n
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        assert e_defect(10**6, 5, 1) == 1
+
     def test_k0_column(self):
         for n in range(2, 10):
             for j in range(4):
@@ -452,6 +478,13 @@ class TestRecurrences:
                             + u * lead
                         )
                         assert lhs == rhs
+
+    def test_inexact_division_named(self):
+        # a wrong row 0 leaves 2 / 3 at the first interior cell
+        cache = TriangleCache()
+        cache._product = [[3], [1, 1]]
+        with pytest.raises(InexactDivision, match="not divisible at n=2, k=1: 2 / 3"):
+            cache.product_row(2)
 
     def test_shift_recurrence(self):
         for n in range(61):
