@@ -20,8 +20,8 @@ from functools import partial
 from operator import mul, sub
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
-from .limits import check_cells, check_sum, max_cells, require_sizes, run_capped
-from .numbers import METHODS, _choose, _table_cells, rascal_gen_value, triangle_rows
+from .limits import check_cells, max_cells, require_sizes, run_capped
+from .numbers import METHODS, _table_cells, rascal_gen_value, triangle_rows
 
 FORMATS = ("table", "json", "csv", "bfile")
 
@@ -94,31 +94,20 @@ def _cmd_triangle(args) -> int:
 def _enumerate_items(args):
     """The listed objects, lazily and in order, and the function that
     turns them into lines."""
-    from .generate import _check_restricted, _restricted_elements, avoiders, words_with_ascents
+    from .generate import _check_restricted, avoiders, restricted_subsets, words_with_ascents
     from .words import word_str
 
     word_lines = partial(map, word_str)
     require_sizes(n=args.n, k=args.k or 0)
-    if args.family in ("words", "subsets"):
+    if args.family == "subsets":  # subsets requires --k
+        return (s.elements for s in restricted_subsets(args.n, args.k, args.j)), _spaced
+    if args.family == "words":  # one k, or every k merged
         require_sizes(j=args.j)
-        if args.k is not None:  # subsets requires --k
-            _check_restricted(args.n, args.k, args.j, f"{args.family} listing")
-            if args.family == "subsets":
-                return _restricted_elements(args.n, args.k, args.j), _spaced
-            return words_with_ascents(args.n, args.k, args.j), word_lines
-        # every k: sum_k R(n, k; j) = sum_{t <= 2j+1} C(n, t), as in
-        # gen_row_sum.  Up to 64 binomials are summed outright, so the
-        # message gives the total; more are drawn only until past the cap.
-        t_max = min(2 * args.j + 1, args.n)
-        terms = (_choose(args.n, t) for t in range(t_max + 1))
-        if t_max < 64:
-            check_cells(sum(terms), "words listing")
-        else:
-            check_sum(terms, "words listing")
+        _check_restricted(args.n, args.k, args.j, "words listing")
         from heapq import merge
 
-        streams = (words_with_ascents(args.n, k, args.j) for k in range(args.n + 1))
-        return merge(*streams), word_lines
+        ks = range(args.n + 1) if args.k is None else (args.k,)
+        return merge(*(words_with_ascents(args.n, k, args.j) for k in ks)), word_lines
     # ascseq lists the avoiders of no pattern; avoiders checks each pattern before pricing
     text = getattr(args, "patterns", None)
     patterns = [p.strip() for p in (text or "").split(",") if p.strip()]

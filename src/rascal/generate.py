@@ -8,10 +8,10 @@ lazily, while count_words_with_ascents counts run-length profiles in a
 ProfileTable of running sums and all_binary_words lists all 2^n words;
 avoiders walks a pruned tree of ascent-sequence prefixes, while
 ascent_sequences walks the whole tree unpruned.  Each generator is priced
-against the cell budget before its first object: words by closed forms
-at the call sites, restricted subsets by R(n, k; j), profile counts by
-the table cells they fill, ascent sequences by the Fishburn numbers, the
-{001, 210}-avoider tree by its nodes.
+against the cell budget before its first object: a word or subset listing
+by `_check_restricted`, R(n, k; j) or for every k its row total, profile
+counts by the table cells they fill, ascent sequences by the Fishburn
+numbers, the {001, 210}-avoider tree by its nodes.
 """
 
 from __future__ import annotations
@@ -79,19 +79,19 @@ class ProfileTable:
         self.columns: list[list[int]] = []
         self.filled = 0
 
-    def charge(self, cells: int) -> None:
-        self.filled += cells
-        check_cells(self.filled, "counting oracle profiles")
-
-    def grow(self, t: int, r: int) -> list[list[int]]:
-        """The columns, grown in place to hold at least P(0..t, 0..r)."""
+    def grow(self, t: int, r: int, cells: int = 0) -> list[list[int]]:
+        """The columns, grown in place to hold at least P(0..t, 0..r).  The
+        growth and the caller's own `cells` are priced as one total before
+        either joins `filled`, so a refused call leaves the table as it was."""
         cols = self.columns
         height, width = len(cols[0]) if cols else 0, len(cols)
-        if t < height and r < width:
+        if t < height and r < width and not cells:
             return cols
         new_height, new_width = max(t + 1, height), max(r + 1, width)
-        self.charge(new_height * new_width - height * width)
-        if cols:
+        filled = self.filled + cells + new_height * new_width - height * width
+        check_cells(filled, "counting oracle profiles")
+        self.filled = filled
+        if cols and new_height > height:
             cols[0].extend(repeat(1, new_height - height))
             for below, col in zip(cols, cols[1:]):
                 # accumulate yields its initial first, so the popped last cell goes back
@@ -114,11 +114,11 @@ class ProfileTable:
     def row(self, n: int, j: int, below: list[int] | None = None) -> list[int]:
         """[count(n, k, j) for k = 0..n], each column read forwards and reversed:
         `below`, the row (n, j-1), plus its one new column (none once j > n // 2),
-        else every column; its new columns and own n + 1 cells charged first."""
+        else every column; its columns read and own n + 1 cells charged first."""
         terms = range(0 if below is None else j, min(j, n // 2) + 1)
-        self.charge((len(terms) + 1) * (n + 1))
+        cols = self.grow(n, terms.stop - 1, (len(terms) + 1) * (n + 1))
         row = below or [0] * (n + 1)
-        for col in self.grow(n, terms.stop - 1)[terms.start : terms.stop]:
+        for col in cols[terms.start : terms.stop]:
             head = col[: n + 1]
             row = list(map(add, row, map(mul, head, reversed(head))))
         return row
@@ -282,9 +282,13 @@ class RestrictedSubset(namedtuple("RestrictedSubset", "elements n k j")):
         return super().__new__(cls, elems, n, k, j)
 
 
-def _check_restricted(n: int, k: int, j: int, what: str) -> None:
-    """Price R(n, k; j) objects term by term, C(k, i) * C(n-k, i) for
-    i <= min(j, k, n-k), only until past the cap."""
+def _check_restricted(n: int, k: int | None, j: int, what: str) -> None:
+    """The one listing price, drawn term by term only until past the cap:
+    R(n, k; j) objects as C(k, i) * C(n-k, i) for i <= min(j, k, n-k), or
+    with k None those of every k, sum_k R(n, k; j), as C(n, t) for
+    t <= min(2j+1, n) (the gen_row_sum identity)."""
+    if k is None:
+        return check_sum((comb(n, t) for t in range(min(2 * j + 1, n) + 1)), what)
     check_sum((comb(k, i) * comb(n - k, i) for i in range(min(j, k, n - k) + 1)), what)
 
 

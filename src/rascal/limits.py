@@ -9,11 +9,12 @@ closed-form value (and an E-table defect) its binomial terms from i = 2
 times their bits (none at j <= 1: `rascal_value` is `rascal_gen_value` at
 j = 1), a closed-form row a triangle up to it per term column plus its own
 cells (in an identity's value source, n + 1 per column new to its store),
-a recurrence table its cells in every layer it grows, a restricted-subset
-listing R(n, k; j), the profile oracle each growth of its profile table
-plus each row's new term columns and own cells, a pattern search
-(contains_pattern) the partial embeddings it can try, sum_{d <= min(m,
-n)} C(n, d) for m pattern letters in n word letters.
+a recurrence table its cells in every layer it grows, a word or subset
+listing R(n, k; j) and one of every k sum_{t <= 2j+1} C(n, t), the profile
+oracle each growth of its profile table plus each row's new term columns
+and own cells, a pattern search (contains_pattern) the partial embeddings
+it can try, sum_{d <= min(m, n)} C(n, d) for m pattern letters in n word
+letters.
 """
 
 import os
@@ -50,10 +51,10 @@ def run_capped(cap: int | None, fn, /, *args):
 
 
 def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
-    """Raise DomainViolation naming the first size that is not an
-    integer (a bool is not) or (unless `negative_ok`) is negative."""
+    """Raise DomainViolation naming the first size that is not an int (a
+    bool or other int subclass is not) or (unless `negative_ok`) is negative."""
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:
             raise DomainViolation(f"{name} must be an integer, got {value!r}")
         if value < 0 and not negative_ok:
             raise DomainViolation(f"{name} must be >= 0, got {value}")

@@ -170,11 +170,14 @@ class TestEnumerate:
         assert out == "4\n"  # every 2-letter word has at most one ascent
 
     def test_words_all_k_cap(self, capsys, monkeypatch):
-        # the closed-form total over every k is checked before listing
-        monkeypatch.setenv("RASCAL_MAX_CELLS", "100")
-        code, out, err = run(capsys, "enumerate", "words", "--n", "10", "--j", "4", "--count-only")
-        assert (code, out) == (3, "")
-        assert "1023 cells" in err
+        # the closed-form total over every k, sum_{t <= 9} C(10, t) = 1023,
+        # is checked before listing: admitted at a cap of 1023 only
+        argv = ("enumerate", "words", "--n", "10", "--j", "4", "--count-only")
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "1022")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "words listing needs more than 1022 cells" in err
+        monkeypatch.setenv("RASCAL_MAX_CELLS", "1023")
+        assert run(capsys, *argv)[:2] == (0, "1023\n")
 
     def test_avoiders(self, capsys):
         code, out, _ = run(capsys, "enumerate", "avoiders", "--n", "4", "--patterns", "001,210")
@@ -503,6 +506,14 @@ class TestBudget:
             assert (code, out) == (3, "") and "more than 125 cells" in err
             monkeypatch.setenv("RASCAL_MAX_CELLS", "126")
             assert run(capsys, *argv)[:2] == (0, "126\n")
+
+    def test_words_all_k_priced_by_row_total(self, capsys, monkeypatch):
+        # every k at j = 0 is 1 + C(n, 1) words: two terms pass the default
+        # cap, where the per-k terms R(n, k; 0) = 1 would take 2^20 draws
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "enumerate", "words", "--n", "10000000", "--j", "0", "--count-only")
+        assert (code, out, time.perf_counter() - start < 0.25) == (3, "", True)
 
     def test_bijection_ascseq_tree_boundary(self, capsys, monkeypatch):
         # lengths 1..9 of the {001,210} tree: C(11, 5) + C(11, 3) = 627 nodes
@@ -929,6 +940,14 @@ class TestLazyPackage:
                         cap_params.append(f"{path.stem}:{node.lineno}")
         assert (readers, capped_calls, cap_attributes) == ({"limits"}, [], [])
         assert (refusals, cap_params, cap_reads) == ([], [], ["cli.main"])
+
+    def test_enumerate_keeps_no_price(self):
+        # generate._check_restricted and the generators price every listing
+        tree = ast.parse((SRC / "rascal" / "cli.py").read_text())
+        [items] = [f for f in ast.walk(tree) if getattr(f, "name", "") == "_enumerate_items"]
+        calls = [n.func for n in ast.walk(items) if isinstance(n, ast.Call)]
+        called = {getattr(f, "id", getattr(f, "attr", None)) for f in calls}
+        assert "_check_restricted" in called and not called & {"check_cells", "check_sum"}
 
     def test_version_and_submodules(self):
         assert rascal.__version__ == "0.1.0"

@@ -23,6 +23,7 @@ from rascal.generate import (
     restricted_subsets,
     words_with_ascents,
 )
+from rascal.limits import run_capped
 from rascal.numbers import TriangleCache, choose, rascal_gen_value, rascal_value, triangle_rows
 from rascal.words import _asc, asc, contains_pattern, is_ascent_sequence, is_rgf, word_str
 
@@ -159,6 +160,16 @@ class TestWordsWithAscents:
         for t in range(17):
             for r in range(9):
                 assert columns[r][t] == walked_profile_count(t, r), (t, r)
+
+    def test_refused_count_leaves_table_as_it_was(self):
+        # the 51 x 3 cells refused at a cap of 30 do not join the running
+        # total, so the 6 x 3 that a fresh table needs still fit
+        table = ProfileTable()
+        with pytest.raises(ResourceLimit, match="needs 153 cells, over the cap 30"):
+            run_capped(30, table.count, 100, 50, 2)
+        assert (table.columns, table.filled) == ([], 0)
+        assert run_capped(30, table.count, 10, 5, 2) == rascal_gen_value(10, 5, 2)
+        assert table.filled == 18
 
     def test_stream_strictly_increasing(self):
         assert lex_increasing(list(words_with_ascents(9, 4, 3)))
@@ -473,6 +484,11 @@ class TestRestrictedSubsets:
             RestrictedSubset((1, 3), 3, 2, 1.5)
 
 
+class Size(int):
+    def __repr__(self) -> str:
+        return f"Size({int(self)})"
+
+
 # every public edge of generate and numbers checks its sizes with
 # limits.require_sizes before it reads them, and a bool is not a size
 SIZE_EDGES = {
@@ -499,6 +515,9 @@ SIZE_EDGES = {
     "all_binary_words(False)": (lambda: all_binary_words(False), "n must be an integer, got False"),
     "restricted_subsets(6, True, 1)":
         (lambda: list(restricted_subsets(6, True, 1)), "k must be an integer, got True"),
+    # nor is any other int subclass
+    "words_with_ascents(6, 3, Size(1))":
+        (lambda: list(words_with_ascents(6, 3, Size(1))), "j must be an integer, got Size\\(1\\)"),
     # and a subset names its elements when they are out of order or repeated
     "RestrictedSubset((3, 1), 4, 2, 1)": (
         lambda: RestrictedSubset((3, 1), 4, 2, 1),

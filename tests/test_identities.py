@@ -25,6 +25,7 @@ from rascal.identities import (
     list_identities,
     verify_range,
 )
+from rascal.limits import run_capped
 from rascal.numbers import (
     TriangleCache,
     _enum_row_counts,
@@ -501,6 +502,17 @@ class TestEnumerationSource:
         with pytest.raises(ResourceLimit, match="over the cap 5419"):
             verify_range("forward_diff", grid, oracle=True, max_cells=5419)
         assert verify_range("forward_diff", grid, oracle=True, max_cells=5420).passed
+
+    def test_refused_row_leaves_table_as_it_was(self):
+        # row (40, 2) charges 4 x 41 cells of its own and 41 x 3 of profile
+        # table, 287 > 200, and keeps none of them: row (10, 2) then needs
+        # 4 x 11 + 11 x 3 = 77, as on a fresh table
+        v = EnumerationCounts()
+        with pytest.raises(ResourceLimit, match="needs 287 cells, over the cap 200"):
+            run_capped(200, v.row, 40, 2)
+        assert (v._served, v._table.columns, v._table.filled) == ({}, [], 0)
+        assert run_capped(200, v.row, 10, 2) == closed_row(10, 2)
+        assert v._table.filled == 77
 
     def test_default_grids_cover_registry(self):
         grids = default_grids()
