@@ -8,15 +8,17 @@ reports carry wall-clock timings and are the one exception).
 Start-up is lean: only errors, limits and numbers load with this
 module, and each command imports the layers it runs (generate, words,
 identities, maps, json) when it runs, so `rascal value` never compiles
-the maps.  Output is built as text and written whole, or one write per
-triangle row for csv, never one write per line.
+the maps.  Output is never built whole: every command streams its lines
+through `_write`, the one writer to stdout, 1,024 lines per write.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
+from itertools import chain, islice
 from operator import mul, sub
 
 from .errors import DomainViolation, ResourceLimit, UnknownIdentity
@@ -43,8 +45,14 @@ BIJECTIONS = {
 
 
 def _write(lines) -> None:
-    """Write the lines to stdout in one piece."""
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    """Write the str lines to stdout, 1,024 per write; once the reader closes
+    it, point it at os.devnull, so the flush at exit cannot fail, and stop."""
+    lines = iter(lines)
+    try:
+        while chunk := list(islice(lines, 1024)):
+            sys.stdout.write("\n".join(chunk + [""]))
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _spaced(rows):
@@ -52,16 +60,12 @@ def _spaced(rows):
     return (" ".join(map(str, row)) for row in rows)
 
 
-def _flatten_bfile(values, offset: int) -> str:
-    return "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
-
-
 # ---------------------------------------------------------------------------
 # value
 
 
 def _cmd_value(args) -> int:
-    _write([rascal_gen_value(args.n, args.k, args.j, args.method)])
+    _write([str(rascal_gen_value(args.n, args.k, args.j, args.method))])
     return 0
 
 
@@ -79,11 +83,10 @@ def _cmd_triangle(args) -> int:
 
         _write([json.dumps({"j": args.j, "n_max": args.n_max, "rows": rows})])
     elif args.format == "csv":
-        _write(["n,k,value"])
-        for n, row in enumerate(rows):
-            sys.stdout.write("".join([f"{n},{k},{v}\n" for k, v in enumerate(row)]))
+        cells = (f"{n},{k},{v}" for n, row in enumerate(rows) for k, v in enumerate(row))
+        _write(chain(["n,k,value"], cells))
     else:
-        sys.stdout.write(_flatten_bfile((v for row in rows for v in row), args.offset or 0))
+        _write(f"{i} {v}" for i, v in enumerate(chain.from_iterable(rows), args.offset or 0))
     return 0
 
 
@@ -118,7 +121,7 @@ def _enumerate_items(args):
 
 def _cmd_enumerate(args) -> int:
     items, lines = _enumerate_items(args)
-    _write([sum(1 for _ in items)] if args.count_only else lines(items))
+    _write([str(sum(1 for _ in items))] if args.count_only else lines(items))
     return 0
 
 
@@ -228,13 +231,11 @@ def _cmd_etable(args) -> int:
         }
         _write([json.dumps(payload)])
     elif args.format == "csv":
-        _write(["n,k,j,value"])
-        for j, rows in tables.items():
-            for n, row in enumerate(rows):
-                _write(f"{n},{k},{j},{v}" for k, v in enumerate(row))
+        numbered = ((n, j, row) for j, rows in tables.items() for n, row in enumerate(rows))
+        _write(chain(["n,k,j,value"], (f"{n},{k},{j},{v}" for n, j, row in numbered for k, v in enumerate(row))))
     else:
-        values = [v for rows in tables.values() for row in rows for v in row]
-        sys.stdout.write(_flatten_bfile(values, args.offset or 0))
+        values = (v for rows in tables.values() for row in rows for v in row)
+        _write(f"{i} {v}" for i, v in enumerate(values, args.offset or 0))
     if negatives and args.format != "table":
         print(f"negative entries: {len(negatives)}", file=sys.stderr)
     return 0

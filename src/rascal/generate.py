@@ -7,11 +7,11 @@ checks each generator against its oracle: words_with_ascents walks runs
 lazily, while count_words_with_ascents counts run-length profiles in a
 ProfileTable of running sums and all_binary_words lists all 2^n words;
 avoiders walks a pruned tree of ascent-sequence prefixes, while
-ascent_sequences walks the whole tree unpruned.  Each generator is priced
-against the cell budget before its first object: a word or subset listing
-by `_check_restricted`, R(n, k; j) or for every k its row total, profile
-counts by the table cells they fill, ascent sequences by the Fishburn
-numbers, the {001, 210}-avoider tree by its nodes.
+ascent_sequences walks the whole tree unpruned.  None sorts its stream or
+builds it whole.  Each is priced against the cell budget before its first
+object: a word or subset listing by `_check_restricted`, R(n, k; j) or for
+every k its row total, profile counts by the table cells they fill, ascent
+sequences by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
 """
 
 from __future__ import annotations
@@ -292,23 +292,22 @@ def _check_restricted(n: int, k: int | None, j: int, what: str) -> None:
     check_sum((comb(k, i) * comb(n - k, i) for i in range(min(j, k, n - k) + 1)), what)
 
 
-def _restricted_elements(n: int, k: int, j: int) -> list[tuple[int, ...]]:
-    """The sorted element tuples of restricted_subsets(n, k, j), correct
-    by construction and so not checked one by one.
+def _restricted_elements(n: int, k: int, j: int, head=(), start: int = 1) -> Iterator[tuple[int, ...]]:
+    """The element tuples of restricted_subsets(n, k, j), lazily and in
+    lexicographic order, correct by construction and so not checked one by
+    one.  Unpriced: its callers price it by `_check_restricted` first.
 
-    Unpriced: its callers price it by `_check_restricted` first.  Built
-    as a low part (t <= j elements of {1..n-k}) times a high part (k-t
-    elements of {n-k+1..n}), so the cost follows the output.
-    """
-    if n < 0 or k < 0 or k > n:
-        return []
-    low, high = range(1, n - k + 1), range(n - k + 1, n + 1)
-    return sorted(
-        lo + hi
-        for t in range(min(j, k) + 1)
-        for lo in combinations(low, t)
-        for hi in combinations(high, k - t)
-    )
+    Every low element ({1..n-k}, at most j of them) is below every high one,
+    so after `head` it takes each low element from `start` in turn, with j
+    one less, then every combination of the high block: nothing to sort,
+    and the recursion is at most min(j, k, n-k) deep."""
+    if not 0 <= k <= n:
+        return
+    left = k - len(head)
+    for low in range(start, n - k + 1) if j and left else ():
+        yield from _restricted_elements(n, k, j - 1, head + (low,), low + 1)
+    for high in combinations(range(n - k + 1, n + 1), left):
+        yield head + high
 
 
 def restricted_subsets(n: int, k: int, j: int) -> Iterator[RestrictedSubset]:

@@ -354,8 +354,8 @@ _register(
     "forward_diff",
     "(2j+1)-th forward difference in n of sum_k R(n,k;j) = 1",
     {"n": (0, None), "j": (0, None)},
-    lambda v, n, j: sum(
-        map(mul, _signed_binomials(2 * j + 1), [sum(v.row(n + t, j)) for t in range(2 * j + 2)])
+    lambda v, n, j: sum(  # the rows first: a refused row leaves _signed_binomials as it was
+        map(mul, [sum(v.row(n + t, j)) for t in range(2 * j + 2)], _signed_binomials(2 * j + 1))
     ),
     lambda n, j: 1,
 )
@@ -505,8 +505,8 @@ def _verify_grid(ident: Identity, grid, oracle: bool) -> IdentityReport:
         identity=ident.name,
         grid=", ".join(f"{p}={grid[p][0]}..{grid[p][1]}" for p in ident.params),
         cells=cells,
-        failures=tuple(sorted(failures)),
-        corrected_failures=None if fixed is None else tuple(sorted(corrected_failures)),
+        failures=tuple(failures),
+        corrected_failures=None if fixed is None else tuple(corrected_failures),
         elapsed_ms=elapsed_ms,
     )
 

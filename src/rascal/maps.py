@@ -608,7 +608,7 @@ def verify_subset(n_max: int, j_max: int) -> dict:
             for j in range(j_max + 1):
                 where = f"n={n}, k={k}, j={j}"
                 family = list(words_with_ascents(n, k, j))
-                subsets = _restricted_elements(n, k, j)
+                subsets = list(_restricted_elements(n, k, j))
                 if len(family) != len(subsets):
                     details.append(f"subset: family sizes differ at ({where})")
                 checked += _check_bijection(

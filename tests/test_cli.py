@@ -978,6 +978,21 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
+class SizedStdout:
+    """A stdout that keeps the size and the line count of each write, not its text."""
+
+    def __init__(self) -> None:
+        self.sizes, self.lines = [], []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        self.lines.append(text.count("\n"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 # exit code and sha256 of stdout, each recorded at the default budget
 # before a change that had to keep it byte for byte
 OUTPUT_SHA256 = {
@@ -1034,7 +1049,6 @@ class TestWholeOutput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("enumerate", "words", "--n", "12", "--j", "2"),
             ("enumerate", "subsets", "--n", "10", "--k", "5", "--j", "2"),
             ("enumerate", "avoiders", "--n", "6", "--patterns", "001,210"),
             ("enumerate", "ascseq", "--n", "5", "--count-only"),
@@ -1050,8 +1064,96 @@ class TestWholeOutput:
         code, out, writes = self.counted(monkeypatch, *argv)
         assert out and writes == 1
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            # every word of length 10: exactly one write's worth
+            pytest.param(("enumerate", "words", "--n", "10", "--j", "5"), [1024], id="enumerate words --n 10 --j 5"),
+            # sum_{t <= 5} C(12, t) = 1,586 words
+            pytest.param(("enumerate", "words", "--n", "12", "--j", "2"), [1024, 562], id="enumerate words --n 12 --j 2"),
+            # a header and 1,891 cells
+            pytest.param(("triangle", "60", "--format", "csv"), [1024, 868], id="triangle 60 --format csv"),
+        ],
+    )
+    def test_writes_of_1024_lines(self, monkeypatch, argv, lines):
+        stdout = SizedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert (main(list(argv)), stdout.lines) == (0, lines)
+
     @pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=" ".join)
     def test_bytes_unchanged(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
         code, out, _ = run(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_SHA256[argv]
+
+
+# a child's cli.main call with a SizedStdout, that reports its writes and how far
+# its peak RSS (ru_maxrss, in KiB on Linux) rose during the call
+SIZED_RUN = """
+import json, resource, sys
+from rascal import generate, words
+from test_cli import SizedStdout, main
+stdout = sys.stdout = SizedStdout()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(sys.argv[1:])
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps([code, stdout.sizes, stdout.lines, grown]), file=sys.__stdout__)
+"""
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("family", ["words", "subsets"])
+    def test_listing_memory_does_not_grow(self, family):
+        # R(400, 200; 1) = 40,001 lines of 400 or 800 bytes, 16 or 32 MB in all.
+        # Read from ru_maxrss in a child: tracemalloc makes these listings 7-10 times slower
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+        env.pop("RASCAL_MAX_CELLS", None)
+        argv = ["enumerate", family, "--n", "400", "--k", "200", "--j", "1"]
+        done = subprocess.run(
+            [sys.executable, "-c", SIZED_RUN, *argv], capture_output=True, env=env, timeout=120, text=True
+        )
+        code, sizes, lines, grown_kib = json.loads(done.stdout)
+        assert (code, sum(lines), done.stderr) == (0, 40_001, "")
+        assert len(sizes) >= 40 and max(sizes) < 1 << 20
+        assert grown_kib < 8 << 10
+
+    def test_only_write_writes_stdout(self):
+        # cli._write is the one writer: no other code names sys.stdout, and every print names its file
+        outside, prints = [], []
+        for path in sorted((SRC / "rascal").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            writers = [f for f in ast.walk(tree) if getattr(f, "name", "") == "_write"]
+            inside = {id(node) for f in writers if path.stem == "cli" for node in ast.walk(f)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr == "stdout" and getattr(node.value, "id", "") == "sys":
+                    if id(node) not in inside:
+                        outside.append(f"{path.stem}:{node.lineno}")
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "print":
+                    if "file" not in [k.arg for k in node.keywords]:
+                        prints.append(f"{path.stem}:{node.lineno}")
+        assert (outside, prints) == ([], [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "1000", "--format", "csv"),
+            ("triangle", "1000", "--format", "bfile"),
+            ("enumerate", "words", "--n", "22", "--k", "11", "--j", "3"),
+        ],
+        ids=" ".join,
+    )
+    def test_reader_closing_early_ends_quietly(self, argv):
+        # a reader that takes one line and closes the pipe, as `| head -1` does
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("RASCAL_MAX_CELLS", None)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "rascal.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=60), err, first.endswith(b"\n")) == (0, b"", True)

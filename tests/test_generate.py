@@ -13,6 +13,7 @@ from rascal.errors import DomainViolation, ResourceLimit
 from rascal.generate import (
     ProfileTable,
     RestrictedSubset,
+    _restricted_elements,
     all_binary_words,
     ascent_sequences,
     avoider_nodes,
@@ -24,7 +25,7 @@ from rascal.generate import (
     words_with_ascents,
 )
 from rascal.limits import run_capped
-from rascal.numbers import TriangleCache, choose, rascal_gen_value, rascal_value, triangle_rows
+from rascal.numbers import TriangleCache, choose, closed_value, rascal_gen_value, rascal_value, triangle_rows
 from rascal.words import _asc, asc, contains_pattern, is_ascent_sequence, is_rgf, word_str
 
 PATTERNS = ("001", "210")
@@ -432,6 +433,28 @@ class TestRestrictedSubsets:
                         if sum(1 for e in c if e <= n - k) <= j
                     ]
                     assert [s.elements for s in restricted_subsets(n, k, j)] == oracle
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 60), data=st.data())
+    def test_walk_in_order(self, n, data):
+        # the walk yields its subsets in order by construction, with no sort to fall back on
+        k = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, max(j for j in range(n + 1) if closed_value(n, k, j) <= 5000)))
+        walked = list(_restricted_elements(n, k, j))
+        assert lex_increasing(walked) and len(walked) == closed_value(n, k, j)
+        for elements in walked:
+            assert len(elements) == k and set(elements) <= set(range(1, n + 1))
+            assert sum(1 for e in elements if e <= n - k) <= j
+
+    def test_streams_in_constant_memory(self):
+        # R(400, 200; 1) = 40,001 subsets of 200 elements, walked one at a time
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in restricted_subsets(400, 200, 1)) == 40_001
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_cost_follows_output(self):
         start = time.perf_counter()

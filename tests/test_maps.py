@@ -888,7 +888,7 @@ class TestVerifierStructure:
         ),
         "subset family sizes": (
             lambda: verify_subset(2, 1), "_restricted_elements",
-            lambda core: lambda n, k, j: core(n, k, j)[1:] if (n, k, j) == (2, 1, 1) else core(n, k, j),
+            lambda core: lambda n, k, j: list(core(n, k, j))[1:] if (n, k, j) == (2, 1, 1) else core(n, k, j),
             "subset: family sizes differ at (n=2, k=1, j=1)",
         ),
         "ratio image outside": (

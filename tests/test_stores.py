@@ -1,16 +1,18 @@
 """A model-based test of the value stores: a recurrence TriangleCache shared
-by every route, the ClosedValues and EnumerationCounts value sources and a
-ProfileTable, called under small drawn caps, sometimes nested."""
+by every route, the ClosedValues and EnumerationCounts value sources, a
+ProfileTable and the identities' signed-binomial cache, called under small
+drawn caps, sometimes nested."""
 
 import copy
+import math
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from rascal.errors import ResourceLimit
 from rascal.generate import ProfileTable
-from rascal.identities import ClosedValues, EnumerationCounts
+from rascal.identities import ClosedValues, EnumerationCounts, _signed_binomials, evaluate
 from rascal.limits import max_cells, run_capped
 from rascal.numbers import METHODS, TriangleCache, closed_value, rascal_gen_value, triangle_rows
 
@@ -49,6 +51,8 @@ class Stores(RuleBasedStateMachine):
         self.closed = ClosedValues()
         self.counts = EnumerationCounts()
         self.table = ProfileTable()
+        _signed_binomials.cache_clear()  # a process-wide lru_cache: start it empty
+        self.signed = set()  # the r of every row a returned evaluate call read
 
     def held(self):
         """What every store holds, and its tables' running totals."""
@@ -58,7 +62,8 @@ class Stores(RuleBasedStateMachine):
             "counts": (self.counts._served, self.counts._cols, self.counts._table.columns),
             "table": self.table.columns,
         }
-        return copy.deepcopy(held), (self.counts._table.filled, self.table.filled)
+        filled = (self.counts._table.filled, self.table.filled, _signed_binomials.cache_info().currsize)
+        return copy.deepcopy(held), filled
 
     def call(self, scopes, fn, *args):
         """fn(*args) under the caps: a refusal leaves every store as it was,
@@ -106,6 +111,28 @@ class Stores(RuleBasedStateMachine):
     def table_row(self, scopes, n, j, grown):
         below = fresh_row(n, j - 1) if grown and j else None
         assert self.call(scopes, self.table.row, n, j, below) in (None, fresh_row(n, j))
+
+    @rule(scopes=caps, r=st.integers(2, 5), n=sizes, k=sizes)
+    def alt_binomial(self, scopes, r, n, k):
+        got = self.call(scopes, evaluate, "alt_binomial", {"r": r, "n": n, "k": min(k, n)})
+        assert got in (None, (0, 0))
+        if got:
+            self.signed.add(r)
+
+    @rule(scopes=caps, n=sizes, j=bounds)
+    def forward_diff(self, scopes, n, j):
+        got = self.call(scopes, evaluate, "forward_diff", {"n": n, "j": j})
+        assert got in (None, (1, 1))
+        if got:
+            self.signed.add(2 * j + 1)
+
+    @invariant()
+    def signed_rows(self):
+        """The signed-binomial cache holds the rows of the returned calls, each
+        (-1)^(r-t) * C(r, t); a refused call added none (checked in `call`)."""
+        assert _signed_binomials.cache_info().currsize == len(self.signed)
+        for r in self.signed:
+            assert _signed_binomials(r) == tuple((-1) ** (r - t) * math.comb(r, t) for t in range(r + 1))
 
 
 Stores.TestCase.settings = settings(
