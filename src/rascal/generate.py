@@ -8,10 +8,14 @@ lazily, while count_words_with_ascents counts run-length profiles in a
 ProfileTable of running sums and all_binary_words lists all 2^n words;
 avoiders walks a pruned tree of ascent-sequence prefixes, while
 ascent_sequences walks the whole tree unpruned.  None sorts its stream or
-builds it whole.  Each is priced against the cell budget before its first
-object: a word or subset listing by `_check_restricted`, R(n, k; j) or for
-every k its row total, profile counts by the table cells they fill, ascent
-sequences by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
+builds it whole.  The word and subset walks recurse only while ascents or
+low elements are left to place: a word (or subset) is yielded by the
+frame that places its last ascent (or low element), with no generator of
+its own, and each word is one slice of a run template after its head.
+Each is priced against the cell budget before its first object: a word
+or subset listing by `_check_restricted`, R(n, k; j) or for every k its
+row total, profile counts by the table cells they fill, ascent sequences
+by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
 """
 
 from __future__ import annotations
@@ -58,12 +62,20 @@ def words_with_ascents(n: int, k: int, j: int = 1) -> Iterator[Word]:
 def _one_runs(prefix: Word, zeros: int, ones: int, left: int) -> Iterator[Word]:
     """prefix (empty or ending in 0) then a 1-run, followed by the
     `zeros` zeros and the rest of the `ones` ones with at most `left`
-    more ascents, in lexicographic order."""
+    more ascents, in lexicographic order.  A word whose last 1-run this
+    call places is yielded here, one slice of a run template after its
+    head, so only a prefix with ascents still to place opens a generator."""
     if left and zeros:
         for x in range(1, ones):
             head = prefix + (1,) * x
-            for y in range(zeros, 0, -1):
-                yield from _one_runs(head + (0,) * y, zeros - y, ones - x, left - 1)
+            rest = zeros + ones - x
+            # 0^y 1^(ones-x) 0^(zeros-y), the rest of the word, starts at cut = zeros - y
+            runs = (0,) * zeros + (1,) * (ones - x) + (0,) * zeros
+            for cut in range(zeros):  # y = zeros, ..., 1
+                if cut and left > 1 and x < ones - 1:
+                    yield from _one_runs(head + runs[cut:zeros], cut, ones - x, left - 1)
+                else:
+                    yield head + runs[cut : cut + rest]
     yield prefix + (1,) * ones + (0,) * zeros
 
 
@@ -195,9 +207,10 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     prefix containing a pattern.  Each node carries its ascents, its
     largest letter, the least letter seen twice (a later larger letter
     completes 001) and the largest letter with a larger one before it
-    (a later smaller letter completes 210); any other pattern is tested
-    on the new prefix, whose occurrences can only end at its new last
-    letter.  With k, prefixes that cannot end with k ascents are cut.
+    (a later smaller letter completes 210); any other pattern is searched
+    for only where it ends at the new last letter, its other letters in
+    the parent prefix, which avoids it.  With k, prefixes that cannot end
+    with k ascents are cut.
     Priced before the first yield: by the tree's avoider_nodes(n) when
     001 and 210 are both avoided, else by the Fishburn numbers.
     """
@@ -230,9 +243,9 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
             up = ascents + (x > last)
             if k is not None and not up <= k <= up + left:
                 continue
-            child = prefix + (x,)
-            if others and any(_contains(child, p) for p in others):
+            if others and any(_contains(prefix, p, x) for p in others):
                 continue
+            child = prefix + (x,)
             if left:
                 children.append(
                     (child, up, max(top, x), x if x <= top else low, x if x < top else high)
@@ -257,8 +270,9 @@ def canonical_avoiders(n: int, k: int) -> Iterator[Word]:
     staircase = tuple(range(k))
     tail = n - k  # positions left after the staircase; all hold k or k then x
     for y in range(1, tail):
+        head = staircase + (k,) * y
         for x in range(k):
-            yield staircase + (k,) * y + (x,) * (tail - y)
+            yield head + (x,) * (tail - y)
     yield staircase + (k,) * tail
 
 
@@ -300,13 +314,20 @@ def _restricted_elements(n: int, k: int, j: int, head=(), start: int = 1) -> Ite
     Every low element ({1..n-k}, at most j of them) is below every high one,
     so after `head` it takes each low element from `start` in turn, with j
     one less, then every combination of the high block: nothing to sort,
-    and the recursion is at most min(j, k, n-k) deep."""
+    and the recursion is at most min(j, k, n-k) deep.  A subset whose last
+    low element this call places is yielded here, with no generator of its own."""
     if not 0 <= k <= n:
         return
     left = k - len(head)
+    highs = range(n - k + 1, n + 1)
     for low in range(start, n - k + 1) if j and left else ():
-        yield from _restricted_elements(n, k, j - 1, head + (low,), low + 1)
-    for high in combinations(range(n - k + 1, n + 1), left):
+        lower = head + (low,)
+        if j > 1 and left > 1 and low < n - k:
+            yield from _restricted_elements(n, k, j - 1, lower, low + 1)
+        else:
+            for high in combinations(highs, left - 1):
+                yield lower + high
+    for high in combinations(highs, left):
         yield head + high
 
 

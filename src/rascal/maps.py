@@ -346,18 +346,21 @@ def signed_pair(subset, word, r: int) -> SignedPair:
     return SignedPair._make((s, w, (-1) ** (r - len(s))))
 
 
-def _require_signed(s: frozenset[int], w: Word, r: int) -> None:
-    """S must lie in {1..r} and w must end in at least r - |S| zeros."""
+def _require_signed(s: frozenset[int], w: Word, r: int) -> int:
+    """S must lie in {1..r} and w must end in at least r - |S| zeros;
+    returns how many it ends in."""
     if any(not isinstance(e, int) or not 1 <= e <= r for e in s):
         raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
-    if _trailing_zeros(w) < r - len(s):
+    zeros = _trailing_zeros(w)
+    if zeros < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
+    return zeros
 
 
-def _altbin_fixed(s: frozenset[int], w: Word, r: int) -> bool:
+def _altbin_fixed(s: frozenset[int], zeros: int, r: int) -> bool:
     """Fixed points of the first involution: the word ends in exactly
-    r - |S| zeros and r is in S."""
-    return r in s and _trailing_zeros(w) == r - len(s)
+    r - |S| zeros (`zeros` of them) and r is in S."""
+    return r in s and zeros == r - len(s)
 
 
 def _require_altbin_sizes(r: int, n: int, k: int) -> None:
@@ -382,26 +385,27 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     if len(w) != n + r or sum(w) != k:
         raise DomainViolation(f"{word_str(w)} is not a length-{n + r} word with {k} ones")
     _require_family(w, 1, "altbin_involution")
-    _require_signed(s, w, r)
+    zeros = _require_signed(s, w, r)
     if pair.weight != (-1) ** (r - len(s)):
         raise DomainViolation(
             f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"
             f" not (-1)^(r-|S|) = {(-1) ** (r - len(s))}"
         )
-    if stage == 2 and not _altbin_fixed(s, w, r):
+    if stage == 2 and not _altbin_fixed(s, zeros, r):
         raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
-    t, moved = _altbin(stage, s, w, r)
+    t, moved = _altbin(stage, s, w, r, zeros)
     return SignedPair._make((t, moved, (-1) ** (r - len(t))))
 
 
-def _altbin(stage: int, s: frozenset[int], w: Word, r: int) -> tuple[frozenset[int], Word]:
+def _altbin(stage: int, s: frozenset[int], w: Word, r: int, zeros: int) -> tuple[frozenset[int], Word]:
     """Stage 1 toggles r whenever the toggled pair keeps its r - |S|
-    trailing zeros.  Stage 2 takes a stage-1 fixed point, which has the
-    one-ascent shape 1^x0 0^mid 1^x 0^y0 with mid >= 2 when 1 is in S
-    and y0 >= 1 when it is not."""
+    trailing zeros (w ends in `zeros` zeros, which only stage 1 reads).
+    Stage 2 takes a stage-1 fixed point, which has the one-ascent shape
+    1^x0 0^mid 1^x 0^y0 with mid >= 2 when 1 is in S and y0 >= 1 when it
+    is not."""
     if stage == 1:
         t = s - {r} if r in s else s | {r}
-        return (t, w) if _trailing_zeros(w) >= r - len(t) else (s, w)
+        return (t, w) if zeros >= r - len(t) else (s, w)
     x0 = _leading_ones(w)
     if 1 in s:  # a zero of the inner run moves to the trailing run
         return s - {1}, w[:x0] + w[x0 + 1 :] + (0,)
@@ -678,11 +682,11 @@ def verify_ratio(n: int, k: int) -> dict:
     return _report(len(source) + len(target), details, **sizes)
 
 
-def _altbin_space(r: int, n: int, k: int) -> list[tuple[frozenset[int], Word]]:
-    """The (S, w) pairs of the signed set, from one listing of the words."""
-    words = [(w, _trailing_zeros(w)) for w in words_with_ascents(n + r, k, 1)]
+def _altbin_space(r: int, zeros: dict[Word, int]) -> list[tuple[frozenset[int], Word]]:
+    """The (S, w) pairs of the signed set, for the words that key `zeros`,
+    each with the trailing zeros it ends in."""
     subsets = [frozenset(c) for size in range(r + 1) for c in combinations(range(1, r + 1), size)]
-    return [(s, w) for s in subsets for w, zeros in words if zeros >= r - len(s)]
+    return [(s, w) for s in subsets for w, ends in zeros.items() if ends >= r - len(s)]
 
 
 def verify_altbin(r: int, n: int, k: int) -> dict:
@@ -692,17 +696,20 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     # 2^r * R(n+r, k) pairs scanned, summed by subset size
     check_sum((_choose(r, t) * closed_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
-    space = _altbin_space(r, n, k)
+    # one listing of the words, each with its trailing zeros, read by the
+    # space, the core and the fixed-set description alike
+    zeros = {w: _trailing_zeros(w) for w in words_with_ascents(n + r, k, 1)}
+    space = _altbin_space(r, zeros)
     members = set(space)
     signed_sum = sum((-1) ** (r - len(s)) for s, _w in space)
     formula = sum((-1) ** (r - t) * _choose(r, t) * closed_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
     fixed = space  # the grade is |S|; stage 2 acts on stage 1's fixed points and has none
-    for stage, is_fixed in ((1, lambda p: _altbin_fixed(*p, r)), (2, lambda p: False)):
+    for stage, is_fixed in ((1, lambda p: _altbin_fixed(p[0], zeros[p[1]], r)), (2, lambda p: False)):
         fixed = _check_involution(
             f"altbin: stage {stage}", "signed space", fixed, members,
-            lambda p: _altbin(stage, *p, r), lambda p: len(p[0]), is_fixed, details,
+            lambda p: _altbin(stage, *p, r, zeros[p[1]]), lambda p: len(p[0]), is_fixed, details,
         )
     if signed_sum != 0:
         details.append(f"altbin: signed sum is {signed_sum}, expected 0")

@@ -186,13 +186,15 @@ def rascal_gen_value(
     cache: TriangleCache | None = None,
 ) -> int:
     """R(n, k; j): binary words of length n, k ones, at most j ascents."""
-    require_sizes(negative_ok=True, n=n, k=k)
-    require_sizes(j=j)
+    if not (type(n) is type(k) is type(j) is int and j >= 0):  # else these refuse a size
+        require_sizes(negative_ok=True, n=n, k=k)
+        require_sizes(j=j)
     _check_route(method, j)
     if not 0 <= k <= n:
         return 0
-    if method == "closed":  # binomial terms i = 2..min(j, k, n-k), up to n + 1 bits each
-        check_cells(max(0, min(j, k, n - k) - 1) * (n + 1), "closed-form value")
+    if method == "closed":
+        if j > 1:  # binomial terms i = 2..min(j, k, n-k), up to n + 1 bits each; none below
+            check_cells(max(0, min(j, k, n - k) - 1) * (n + 1), "closed-form value")
         return closed_value(n, k, j)
     return _route_row(method, n, j, cache or TriangleCache())[k]
 

@@ -3,6 +3,12 @@ ascent-sequence and restricted-growth predicates.
 
 A word is a tuple of nonnegative integers.  Every public function also
 accepts a compact digit string ("2051159858") or any iterable of ints.
+The letter contract: exact ints 0..2^16 are accepted, bools and other int
+subclasses come back as ints, and anything else is refused with a
+ValueError naming the letter.  A tuple of letters up to 255, or a string
+of ASCII digits, is checked in one C-level pass through bytes, and
+word_str prints letters below 10 from the same bytes; any other word is
+checked letter by letter, with the same values and messages.
 """
 
 from __future__ import annotations
@@ -21,11 +27,36 @@ Word = tuple[int, ...]
 # bounded by word length, so a huge letter is a caller bug.
 MAX_LETTER = 1 << 16
 
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+# letters 0..9 as ASCII digits, every larger letter as a non-digit
+_TO_DIGITS = bytes(range(48, 58)).ljust(256, b"-")
+
 
 def as_word(w) -> Word:
     """Coerce a digit string or an iterable of ints or bools into a word tuple."""
-    if isinstance(w, tuple) and (not w or {int}.issuperset(map(type, w)) and 0 <= min(w) and max(w) <= MAX_LETTER):
-        return w  # bools fall through, to come back as ints
+    letters = _letter_bytes(w)
+    return _checked_word(w) if letters is None else tuple(letters)
+
+
+def _letter_bytes(w) -> bytes | None:
+    """The letters of a tuple of ints 0..255, or of a string of ASCII
+    digits, as bytes, each read in one C-level pass; else None, for the
+    letter-by-letter check.  bytes() also takes an object that only has
+    __index__, which is no int, so sum() must come out an int first."""
+    if type(w) is tuple:
+        try:
+            if type(sum(w)) is int:
+                return bytes(w)
+        except (TypeError, ValueError):
+            pass
+    elif type(w) is str and w.isascii() and w.isdigit():
+        return w.encode().translate(_FROM_DIGITS)
+    return None
+
+
+def _checked_word(w) -> Word:
+    """as_word letter by letter: digits of any script, any iterable, letters
+    up to MAX_LETTER, and the message that names the first bad letter."""
     if isinstance(w, str):
         if w and not w.isdecimal():
             raise ValueError(f"{w!r} is not a word of decimal digits")
@@ -41,7 +72,12 @@ def as_word(w) -> Word:
 
 def word_str(w) -> str:
     """Compact display form: letters concatenated as digits."""
-    return "".join([str(x) for x in as_word(w)])  # str(x) calls are specialized, map(str) is not
+    letters = _letter_bytes(w)
+    if letters is None:
+        letters = _checked_word(w)
+    elif (digits := letters.translate(_TO_DIGITS)).isdigit():
+        return digits.decode()
+    return "".join([str(x) for x in letters])  # str(x) calls are specialized, map(str) is not
 
 
 def binary_word(w) -> Word:
@@ -105,11 +141,17 @@ def contains_pattern(w, p) -> bool:
     return _contains(w, p)
 
 
-def _contains(w: Word, p: Word) -> bool:
-    """contains_pattern on a checked word and pattern, unpriced."""
+def _contains(w: Word, p: Word, last: int | None = None) -> bool:
+    """contains_pattern on a checked word and pattern, unpriced.  With
+    `last`, only the occurrences in w + (last,) that end at `last`: the
+    pattern's last letter is walked first, pinned to `last`, and the
+    other m - 1 are searched in w."""
     m, n = len(p), len(w)
-    bounds = _bounds(p)
+    first = 1 if last is not None and m else 0
+    bounds = _bounds((p[-1], *p[:-1]) if first else p)
     chosen = [0] * m + [-1, MAX_LETTER + 1]  # the sentinels, at depths -2 and -1
+    if first:
+        chosen[0] = last
 
     def extend(start: int, d: int) -> bool:
         if d == m:
@@ -123,7 +165,7 @@ def _contains(w: Word, p: Word) -> bool:
                     return True
         return False
 
-    return extend(0, 0)
+    return extend(0, first)
 
 
 @lru_cache(maxsize=256)

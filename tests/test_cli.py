@@ -191,6 +191,14 @@ class TestEnumerate:
         )
         assert out == "0100\n0110\n0111\n"
 
+    def test_avoiders_with_two_digit_letters(self, capsys):
+        # letters past 9 print in decimal, one after another
+        argv = ("enumerate", "avoiders", "--n", "12", "--patterns", "001,210", "--k", "10")
+        code, out, _ = run(capsys, *argv)
+        staircase = "0123456789"
+        assert (code, out) == (0, "".join(f"{staircase}10{x}\n" for x in range(11)))
+        assert out.splitlines()[-1] == "01234567891010"
+
     def test_subsets(self, capsys):
         code, out, _ = run(capsys, "enumerate", "subsets", "--n", "4", "--k", "2", "--j", "0")
         assert (code, out) == (0, "3 4\n")

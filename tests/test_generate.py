@@ -84,6 +84,27 @@ def walked_profile_count(total, parts):
     return sum(1 for _ in positive_compositions(total + 1, parts + 1))
 
 
+class TestWalksEqualFilters:
+    """Each walk lists exactly its brute-force filter, in order, for every
+    n <= 14, every k (and one each side of 0..n) and every j <= 4."""
+
+    def test_words_with_ascents(self):
+        for n in range(15):
+            # every word of length n in lexicographic order, with its ones and ascents
+            words = [(w, sum(w), sum(a < b for a, b in zip(w, w[1:]))) for w in product((0, 1), repeat=n)]
+            for k in range(-1, n + 2):
+                family = [(w, ascents) for w, ones, ascents in words if ones == k]
+                for j in range(5):
+                    assert list(words_with_ascents(n, k, j)) == [w for w, a in family if a <= j], (n, k, j)
+
+    def test_restricted_elements(self):
+        for n in range(15):
+            for k in range(-1, n + 2):
+                subsets = [(c, sum(e <= n - k for e in c)) for c in combinations(range(1, n + 1), k)] if k >= 0 else []
+                for j in range(5):
+                    assert list(_restricted_elements(n, k, j)) == [c for c, low in subsets if low <= j], (n, k, j)
+
+
 class TestAllBinaryWords:
     def test_n2(self):
         assert [word_str(w) for w in all_binary_words(2)] == ["00", "01", "10", "11"]
@@ -344,6 +365,18 @@ class TestAvoiders:
                 expected = [w for w in kept if k is None or _asc(w) == k]
                 assert list(avoiders(n, patterns, k)) == expected, (n, k)
 
+    @pytest.mark.parametrize("third", ["0102", "0120", "1012", "0011", "0123", "1000"])
+    def test_third_pattern_on_the_tree(self, third):
+        # a child is searched only for the occurrences that end at its new
+        # letter, against the filter of whole sequences
+        for n in range(17):
+            kept = [w for w in avoiders(n, PATTERNS) if not contains_pattern(w, third)]
+            assert list(avoiders(n, (*PATTERNS, third))) == kept, n
+
+    def test_third_pattern_count(self):
+        # what `rascal enumerate avoiders --n 30 --patterns 001,210,0102 --count-only` prints
+        assert sum(1 for _ in avoiders(30, (*PATTERNS, "0102"))) == 4090
+
     def test_node_count_closed_form(self):
         # prefixes counted by a walk over (ascents, last letter, largest
         # letter, least repeated letter, largest dominated letter), with
@@ -541,6 +574,17 @@ SIZE_EDGES = {
     # nor is any other int subclass
     "words_with_ascents(6, 3, Size(1))":
         (lambda: list(words_with_ascents(6, 3, Size(1))), "j must be an integer, got Size\\(1\\)"),
+    # rascal_gen_value takes exact ints with j >= 0 at a glance, and hands
+    # anything else to the same checks, so its refusals read the same
+    "rascal_gen_value(True, 1, 1)":
+        (lambda: rascal_gen_value(True, 1, 1), "n must be an integer, got True"),
+    "rascal_gen_value(6, Size(3), 2)":
+        (lambda: rascal_gen_value(6, Size(3), 2), "k must be an integer, got Size\\(3\\)"),
+    "rascal_gen_value(6, 3, 1.0)": (lambda: rascal_gen_value(6, 3, 1.0), "j must be an integer, got 1.0"),
+    "rascal_gen_value(6, 3, True)": (lambda: rascal_gen_value(6, 3, True), "j must be an integer, got True"),
+    "rascal_gen_value(6, 3, -1)": (lambda: rascal_gen_value(6, 3, -1), "j must be >= 0, got -1"),
+    "rascal_gen_value(6.0, 3, -1)": (lambda: rascal_gen_value(6.0, 3, -1), "n must be an integer, got 6.0"),
+    "rascal_value(6, False)": (lambda: rascal_value(6, False), "k must be an integer, got False"),
     # and a subset names its elements when they are out of order or repeated
     "RestrictedSubset((3, 1), 4, 2, 1)": (
         lambda: RestrictedSubset((3, 1), 4, 2, 1),
@@ -565,3 +609,4 @@ def test_negative_size_still_empty():
     assert list(canonical_avoiders(-1, 0)) == list(canonical_avoiders(3, -1)) == []
     assert list(avoiders(4, PATTERNS, -1)) == list(restricted_subsets(-1, 0, 1)) == []
     assert list(restricted_subsets(3, -1, 1)) == [] and count_words_with_ascents(3, -1, 1) == 0
+    assert rascal_gen_value(-1, 0, 2) == rascal_gen_value(3, -1, 2) == rascal_value(3, 5) == 0

@@ -212,7 +212,7 @@ class TestAltbinInvolution:
         r, n, k = 2, 2, 1
         # word ends in exactly r - |S| = 0 zeros and r is in S
         pair = signed_pair({1, 2}, "0001", r)
-        assert maps._altbin_fixed(pair.subset, pair.word, r)
+        assert maps._altbin_fixed(pair.subset, _trail(pair.word), r)
         assert altbin_involution(1, pair, r, n, k) == pair
 
     def test_many_trailing_zeros_toggles_r(self):
@@ -424,8 +424,8 @@ class TestCheckInvolution:
     def test_altbin_stage2_fixed_point_fails(self, monkeypatch):
         core = maps._altbin
 
-        def fixing(stage, s, w, r):
-            return (s, w) if stage == 2 and 1 in s else core(stage, s, w, r)
+        def fixing(stage, s, w, r, zeros):
+            return (s, w) if stage == 2 and 1 in s else core(stage, s, w, r, zeros)
 
         monkeypatch.setattr(maps, "_altbin", fixing)
         report = verify_altbin(2, 3, 1)
@@ -617,7 +617,7 @@ class TestMapProperties:
         out = altbin_involution(1, pair, r, n, k)
         if out == pair:
             assert r in pair.subset and _trail(pair.word) == r - len(pair.subset)
-            assert maps._altbin_fixed(pair.subset, pair.word, r)
+            assert maps._altbin_fixed(pair.subset, _trail(pair.word), r)
             return
         assert out.word == pair.word and out.subset == pair.subset ^ {r}
         assert out.weight == -pair.weight
@@ -627,10 +627,10 @@ class TestMapProperties:
     @given(altbin_fixed_points())
     def test_altbin_stage2_sign_reversing_involution(self, case):
         pair, r, n, k = case
-        assert maps._altbin_fixed(pair.subset, pair.word, r)
+        assert maps._altbin_fixed(pair.subset, _trail(pair.word), r)
         out = altbin_involution(2, pair, r, n, k)
         assert out != pair and out.weight == -pair.weight
-        assert out.subset == pair.subset ^ {1} and maps._altbin_fixed(out.subset, out.word, r)
+        assert out.subset == pair.subset ^ {1} and maps._altbin_fixed(out.subset, _trail(out.word), r)
         assert altbin_involution(2, out, r, n, k) == pair
 
     @PROPERTY
@@ -920,7 +920,7 @@ class TestVerifierStructure:
             "altbin: signed sum 0 != binomial sum 1",
         ),
         "altbin signed sum": (
-            lambda: verify_altbin(2, 2, 1), "_altbin_space", lambda core: lambda r, n, k: core(r, n, k)[1:],
+            lambda: verify_altbin(2, 2, 1), "_altbin_space", lambda core: lambda r, zeros: core(r, zeros)[1:],
             "altbin: signed sum is -1, expected 0",
         ),
         "genalt odd length": (
@@ -960,8 +960,8 @@ class TestVerifierStructure:
     def test_altbin_image_outside_space_fails(self, monkeypatch):
         core = maps._altbin
 
-        def leaky(stage, s, w, r):
-            t, out = core(stage, s, w, r)
+        def leaky(stage, s, w, r, zeros):
+            t, out = core(stage, s, w, r, zeros)
             return (t, out + (0,)) if stage == 2 else (t, out)
 
         monkeypatch.setattr(maps, "_altbin", leaky)
