@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 resource limit.  All output is deterministic: the
-same invocation always produces byte-identical bytes (JSON verify
-reports carry wall-clock timings and are the one exception).
+same invocation always produces byte-identical bytes (`elapsed_ms` in a
+JSON verify report is 0.0 unless `--timing` asks for wall-clock time).
 
 Start-up is lean: only errors, limits and numbers load with this
 module, and each command imports the layers it runs (generate, words,
@@ -203,18 +203,12 @@ def _cmd_bijection(args) -> int:
 def _cmd_etable(args) -> int:
     require_sizes(n_max=args.n_max, j_max=args.j_max)
     check_cells(_table_cells(args.n_max, args.j_max + 1), "E table")
-    tables = {}
+    tables, negatives = {}, []
     for j in range(args.j_max + 1):  # e_defect at every cell, with R = 0 outside the rows
         pad = [[0, 0], [0, 0], *([0, *row, 0] for row in triangle_rows(args.n_max, j))]
         above = zip(pad, pad[1:], pad[2:])  # padded rows n - 2, n - 1 and n: R(n, k) at k + 1
         tables[j] = [list(map(sub, map(mul, r[1:], a), map(mul, b[1:], b))) for a, b, r in above]
-    negatives = [
-        (n, k, j)
-        for j, rows in tables.items()
-        for n, row in enumerate(rows)
-        for k, v in enumerate(row)
-        if v < 0
-    ]
+        negatives += [(n, k, j) for n, row in enumerate(tables[j]) for k, v in enumerate(row) if v < 0]
     if args.format == "table":
         lines = []
         for j, rows in tables.items():

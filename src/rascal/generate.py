@@ -12,10 +12,10 @@ builds it whole.  The word and subset walks recurse only while ascents or
 low elements are left to place: a word (or subset) is yielded by the
 frame that places its last ascent (or low element), with no generator of
 its own, and each word is one slice of a run template after its head.
-Each is priced against the cell budget before its first object: a word
-or subset listing by `_check_restricted`, R(n, k; j) or for every k its
-row total, profile counts by the table cells they fill, ascent sequences
-by the Fishburn numbers, the {001, 210}-avoider tree by its nodes.
+all_binary_words, ascent_sequences, avoiders and restricted_subsets price
+their edge before the first object (2^n, the Fishburn numbers, the avoider
+tree's nodes, R(n, k; j) by `_check_restricted`), count_words_with_ascents
+its profile cells; words_with_ascents and canonical_avoiders price nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from operator import add, mul
 
 from .errors import DomainViolation
-from .limits import check_cells, check_sum, require_sizes
+from .limits import check_cells, check_sum, require_sizes, require_subset
 from .words import Word, _as_pattern, _contains
 
 
@@ -202,26 +202,29 @@ def avoider_nodes(n: int) -> int:
 def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     """Ascent sequences of length n avoiding every given pattern,
     optionally restricted to exactly k ascents, in lexicographic order.
-
-    A depth-first walk over ascent-sequence prefixes that cuts every
-    prefix containing a pattern.  Each node carries its ascents, its
-    largest letter, the least letter seen twice (a later larger letter
-    completes 001) and the largest letter with a larger one before it
-    (a later smaller letter completes 210); any other pattern is searched
-    for only where it ends at the new last letter, its other letters in
-    the parent prefix, which avoids it.  With k, prefixes that cannot end
-    with k ascents are cut.
     Priced before the first yield: by the tree's avoider_nodes(n) when
     001 and 210 are both avoided, else by the Fishburn numbers.
     """
     pats = tuple(map(_as_pattern, patterns))
     require_sizes(n=n)
     require_sizes(negative_ok=True, k=0 if k is None else k)
-    no001, no210 = (0, 0, 1) in pats, (2, 1, 0) in pats
-    if no001 and no210:
+    if (0, 0, 1) in pats and (2, 1, 0) in pats:
         check_cells(avoider_nodes(n), f"the {{001,210}}-avoider tree to length {n}")
     else:
         _check_fishburn(n)
+    yield from _avoiders(n, pats, k)
+
+
+def _avoiders(n: int, pats: tuple[Word, ...], k: int | None = None) -> Iterator[Word]:
+    """avoiders on checked sizes and patterns, unpriced: a depth-first walk
+    over ascent-sequence prefixes that cuts every prefix containing a
+    pattern.  Each node carries its ascents, its largest letter, the least
+    letter seen twice (a later larger letter completes 001) and the largest
+    letter with a larger one before it (a later smaller letter completes
+    210); any other pattern is searched for only where it ends at the new
+    last letter, its other letters in the parent prefix, which avoids it.
+    With k, prefixes that cannot end with k ascents are cut."""
+    no001, no210 = (0, 0, 1) in pats, (2, 1, 0) in pats
     others = [p for p in pats if p not in ((0, 0, 1), (2, 1, 0))]
     root = (0,) * min(n, 1)  # the one ascent sequence of length <= 1
     if (k is not None and not 0 <= k < max(n, 1)) or any(_contains(root, p) for p in others):
@@ -247,9 +250,7 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
                 continue
             child = prefix + (x,)
             if left:
-                children.append(
-                    (child, up, max(top, x), x if x <= top else low, x if x < top else high)
-                )
+                children.append((child, up, max(top, x), x if x <= top else low, x if x < top else high))
             else:
                 yield child
         stack.extend(reversed(children))
@@ -284,10 +285,12 @@ class RestrictedSubset(namedtuple("RestrictedSubset", "elements n k j")):
     def __new__(cls, elements, n: int, k: int, j: int) -> RestrictedSubset:
         require_sizes(n=n, k=k, j=j)
         elems = tuple(elements)
-        if list(elems) != sorted(set(elems)):
-            raise DomainViolation(f"subset elements must be sorted and distinct: {elems}")
-        if any(not isinstance(e, int) or not 1 <= e <= n for e in elems):
-            raise DomainViolation(f"subset {elems} not within {{1..{n}}}")
+        try:
+            if list(elems) != sorted(set(elems)):
+                raise DomainViolation(f"subset elements must be sorted and distinct: {elems}")
+        except TypeError:  # a mix that does not sort, which require_subset refuses
+            pass
+        require_subset(elems, n)
         if len(elems) != k:
             raise DomainViolation(f"subset {elems} has size {len(elems)}, expected {k}")
         low = sum(1 for e in elems if e <= n - k)

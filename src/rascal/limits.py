@@ -60,6 +60,17 @@ def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
             raise DomainViolation(f"{name} must be >= 0, got {value}")
 
 
+def require_subset(elements, n: int) -> None:
+    """Raise DomainViolation unless each element is exactly an int within
+    1..n, the rule of require_sizes (no bool, other int subclass or float)."""
+    if not all(type(e) is int and 1 <= e <= n for e in elements):
+        try:  # a tuple as given, any other collection sorted, if it sorts
+            elements = elements if type(elements) is tuple else sorted(elements)
+        except TypeError:
+            elements = list(elements)
+        raise DomainViolation(f"subset {elements} not within {{1..{n}}}")
+
+
 def check_cells(count: int, what: str) -> None:
     """Raise ResourceLimit if `count` exceeds the active cell cap; a count
     of 0 fits any cap, so the cap is not read for it."""

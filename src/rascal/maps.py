@@ -24,7 +24,8 @@ sign flips) and comes back, and the fixed points are exactly those of
 a separate description (_altbin_fixed, _genalt_fixed), which the next
 stage then acts on.  The ratio verifier checks its injection directly.
 Before building anything, every verifier prices the objects it will
-check from closed forms against the one cell budget (limits.check_sum).
+check from closed forms, once (limits.check_sum), then lists them with
+unpriced walks (generate._avoiders, not the public avoiders).
 Each core runs once per distinct object: _check_involution skips the
 partner of an object that passed, whose checks are the same, and
 verify_subset (per (n, k)) and verify_divider (per n) keep one
@@ -41,13 +42,13 @@ from itertools import accumulate, combinations, product
 from .errors import DomainViolation
 from .generate import (
     RestrictedSubset,
+    _avoiders,
     _restricted_elements,
     avoider_nodes,
-    avoiders,
     canonical_avoiders,
     words_with_ascents,
 )
-from .limits import check_sum, require_sizes
+from .limits import check_sum, require_sizes, require_subset
 from .numbers import _choose, closed_value
 from .words import Word, _asc, as_word, binary_word, word_str
 
@@ -249,10 +250,8 @@ def divider_encode(subset, n: int) -> Word:
     the sections 0..|S| left to right, fill even sections with 1's and
     odd sections with 0's."""
     require_sizes(n=n)
-    s = sorted(set(subset))
-    if any(not isinstance(e, int) or not 1 <= e <= n for e in s):
-        raise DomainViolation(f"subset {s} not within {{1..{n}}}")
-    return _divider_encode(s, n)
+    require_subset(s := set(subset), n)
+    return _divider_encode(sorted(s), n)
 
 
 def _divider_encode(s, n: int) -> Word:
@@ -286,7 +285,7 @@ class MarkedWord(namedtuple("MarkedWord", "word mark")):
 
     def __new__(cls, word, mark: int) -> MarkedWord:
         w = binary_word(word)
-        if not isinstance(mark, int) or not 1 <= mark <= len(w) or w[mark - 1] != 1:
+        if type(mark) is not int or not 1 <= mark <= len(w) or w[mark - 1] != 1:
             raise DomainViolation(f"mark {mark} is not the position of a 1 in {word_str(w)}")
         return super().__new__(cls, w, mark)
 
@@ -331,7 +330,7 @@ class SignedPair(namedtuple("SignedPair", "subset word weight")):
 
     def __new__(cls, subset, word, weight: int) -> SignedPair:
         s, w = frozenset(subset), binary_word(word)
-        if weight not in (1, -1):
+        if type(weight) is not int or weight not in (1, -1):
             raise DomainViolation("weight must be +1 or -1")
         return super().__new__(cls, s, w, weight)
 
@@ -349,8 +348,7 @@ def signed_pair(subset, word, r: int) -> SignedPair:
 def _require_signed(s: frozenset[int], w: Word, r: int) -> int:
     """S must lie in {1..r} and w must end in at least r - |S| zeros;
     returns how many it ends in."""
-    if any(not isinstance(e, int) or not 1 <= e <= r for e in s):
-        raise DomainViolation(f"subset {sorted(s)} not within {{1..{r}}}")
+    require_subset(s, r)
     zeros = _trailing_zeros(w)
     if zeros < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
@@ -379,7 +377,7 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     between the trailing run and the inner run; it has no fixed points.
     """
     _require_altbin_sizes(r, n, k)
-    if stage not in (1, 2):
+    if type(stage) is not int or stage not in (1, 2):
         raise DomainViolation("stage must be 1 or 2")
     s, w = pair.subset, pair.word
     if len(w) != n + r or sum(w) != k:
@@ -580,7 +578,7 @@ def verify_ascseq(n_max: int) -> dict:
     checked = 0
     for n in range(n_max + 1):
         targets: dict[int, set[Word]] = {}
-        for w in avoiders(n + 1, ((0, 0, 1), (2, 1, 0))):
+        for w in _avoiders(n + 1, ((0, 0, 1), (2, 1, 0))):
             targets.setdefault(_asc(w), set()).add(w)
         for k in range(n + 1):
             target = targets.get(k, set())

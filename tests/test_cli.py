@@ -608,17 +608,29 @@ class TestBudget:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda: rascal.maps.verify_sym(6),
+            lambda: rascal.maps.verify_strip(6),
+            lambda: rascal.maps.verify_ascseq(8),
             lambda: rascal.maps.verify_subset(10, 3),
+            lambda: rascal.maps.verify_divider(6, 2),
+            lambda: rascal.maps.verify_ratio(6, 3),
+            lambda: rascal.maps.verify_altbin(3, 5, 2),
+            lambda: rascal.maps.verify_genalt(6, 2),
             lambda: list(rascal.restricted_subsets(10, 5, 2)),
             lambda: list(rascal.all_binary_words(8)),
             lambda: list(rascal.ascent_sequences(6)),
         ],
-        ids=["verify_subset(10, 3)", "restricted_subsets(10, 5, 2)", "all_binary_words(8)", "ascent_sequences(6)"],
+        ids=[
+            "verify_sym(6)", "verify_strip(6)", "verify_ascseq(8)", "verify_subset(10, 3)",
+            "verify_divider(6, 2)", "verify_ratio(6, 3)", "verify_altbin(3, 5, 2)", "verify_genalt(6, 2)",
+            "restricted_subsets(10, 5, 2)", "all_binary_words(8)", "ascent_sequences(6)",
+        ],
     )
     @pytest.mark.parametrize("raw", [None, "1048576"])
     def test_one_env_read_per_library_call(self, monkeypatch, call, raw):
         # outside a command a library call reads the variable at each price;
-        # these price once, at their edge
+        # these price once, at their edge: verify_ascseq walks its trees
+        # unpriced, where each public avoiders call priced its tree again
         env = EnvReads(os.environ)
         env.pop("RASCAL_MAX_CELLS", None)
         if raw is not None:

@@ -1,7 +1,10 @@
 """Pointwise behaviour of every constructive map, plus the exhaustive
 verifiers at small sizes."""
 
+import ast
+from enum import IntEnum
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -857,6 +860,111 @@ class TestPublicEdge:
             verify_altbin(2.0, 3, 1)
 
 
+class Level(IntEnum):
+    LOW = -1
+    ONE = 1
+    TWO = 2
+
+
+# what an integer input may be handed: exact ints in and out of range, bools,
+# an IntEnum, floats, None and strings; a list of them is often an unsortable mix
+int_inputs = st.one_of(
+    st.integers(-3, 8), st.booleans(), st.sampled_from(Level), st.floats(-3, 8), st.none(), st.text("01a", max_size=2)
+)
+
+
+def _refused_or(call):
+    """call(), or None if it raised DomainViolation; any other error propagates."""
+    try:
+        return call()
+    except DomainViolation:
+        return None
+
+
+def _exact(*values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+class TestIntegerRule:
+    """Subset elements, marks, weights and stages follow the size rule: a
+    value is exactly an int (no bool, other int subclass or float), or the
+    edge raises DomainViolation, never a bare TypeError."""
+
+    @PROPERTY
+    @given(st.lists(int_inputs, max_size=4))
+    def test_restricted_subset_elements(self, elements):
+        s = _refused_or(lambda: RestrictedSubset(elements, 4, len(elements), len(elements)))
+        assert s is None or _exact(*s.elements, s.n, s.k, s.j)
+
+    @PROPERTY
+    @given(st.lists(int_inputs, max_size=4))
+    def test_divider_subset(self, subset):
+        word = _refused_or(lambda: divider_encode(subset, 4))
+        assert word is None or _exact(*subset) and divider_decode(word) == tuple(sorted(set(subset)))
+
+    @PROPERTY
+    @given(st.lists(int_inputs, max_size=4))
+    def test_signed_pair_subset(self, subset):
+        pair = _refused_or(lambda: signed_pair(subset, "00000", 4))
+        assert pair is None or _exact(*pair.subset, *pair.word, pair.weight)
+
+    @PROPERTY
+    @given(int_inputs)
+    def test_mark(self, mark):
+        mw = _refused_or(lambda: MarkedWord("0110", mark))
+        assert mw is None or _exact(*mw.word, mw.mark)
+
+    @PROPERTY
+    @given(int_inputs)
+    def test_weight(self, weight):
+        pair = _refused_or(lambda: SignedPair(frozenset(), "00", weight))
+        assert pair is None or _exact(*pair.word, pair.weight)
+
+    @PROPERTY
+    @given(int_inputs, st.sampled_from([({1}, "1000"), ({1, 2}, "0001")]))
+    def test_stage(self, stage, subset_word):
+        image = _refused_or(lambda: altbin_involution(stage, signed_pair(*subset_word, 2), 2, 2, 1))
+        assert image is None or _exact(stage, *image.subset, *image.word, image.weight)
+
+    def test_reproductions_refused(self):
+        calls = [
+            lambda: RestrictedSubset((True, 3), 3, 2, 1),
+            lambda: RestrictedSubset((Level.ONE, 3), 3, 2, 1),
+            lambda: MarkedWord("1100", True),
+            lambda: SignedPair(frozenset(), "00", 1.0),
+            lambda: altbin_involution(1.0, signed_pair({1}, "1000", 2), 2, 2, 1),
+            lambda: RestrictedSubset((1, "a"), 3, 2, 1),
+            lambda: divider_encode([1, "a"], 3),
+            lambda: signed_pair({1, "a"}, "10", 2),
+        ]
+        for call in calls:
+            with pytest.raises(DomainViolation):
+                call()
+        # the refusals the exact-int inputs already met keep their words
+        with pytest.raises(DomainViolation, match=r"^subset elements must be sorted and distinct: \(5, 1\)$"):
+            RestrictedSubset((5, 1), 3, 2, 1)
+        with pytest.raises(DomainViolation, match=r"^subset \(1, 5\) not within \{1..3\}$"):
+            RestrictedSubset((1, 5), 3, 2, 1)
+        with pytest.raises(DomainViolation, match=r"^subset \[0, 5\] not within \{1..3\}$"):
+            divider_encode({5, 0}, 3)
+        assert (RestrictedSubset((1, 3), 3, 2, 1).elements, MarkedWord("1100", 2).mark) == ((1, 3), 2)
+        assert SignedPair(frozenset(), "00", 1).weight == 1
+
+    def test_one_integer_rule_in_the_source(self):
+        # outside words, whose letters are normalized to ints by design, no
+        # check takes an int subclass, and one function words the subset range
+        sites, ranges = [], []
+        for path in sorted((Path(__file__).resolve().parent.parent / "src" / "rascal").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                    kinds = getattr(node.args[1], "elts", [node.args[1]])
+                    if path.stem != "words" and any(getattr(k, "id", None) == "int" for k in kinds):
+                        sites.append(f"{path.stem}:{node.lineno}")
+                elif isinstance(node, ast.Constant) and " not within " in str(node.value):
+                    ranges.append(path.stem)
+        assert (sites, ranges) == ([], ["limits"])
+
+
 class TestVerifierStructure:
     """The verifiers validate per family and run the map cores on objects
     the generators built; images are still tested against those targets."""
@@ -871,7 +979,7 @@ class TestVerifierStructure:
         "altbin": (3, 5, 2),
         "genalt": (6, 2),
     }
-    GENERATORS = ("words_with_ascents", "avoiders", "canonical_avoiders")
+    GENERATORS = ("words_with_ascents", "_avoiders", "canonical_avoiders")
 
     # (verifier call, name in maps of a core or generator the check trusts,
     # the fault made from it, one detail line the fault must cause)
