@@ -205,6 +205,10 @@ def avoiders(n: int, patterns=(), k: int | None = None) -> Iterator[Word]:
     Priced before the first yield: by the tree's avoider_nodes(n) when
     001 and 210 are both avoided, else by the Fishburn numbers.
     """
+    try:
+        patterns = iter(patterns)
+    except TypeError:
+        raise ValueError(f"{patterns!r} is not a collection of patterns") from None
     pats = tuple(map(_as_pattern, patterns))
     require_sizes(n=n)
     require_sizes(negative_ok=True, k=0 if k is None else k)
@@ -284,13 +288,9 @@ class RestrictedSubset(namedtuple("RestrictedSubset", "elements n k j")):
 
     def __new__(cls, elements, n: int, k: int, j: int) -> RestrictedSubset:
         require_sizes(n=n, k=k, j=j)
-        elems = tuple(elements)
-        try:
-            if list(elems) != sorted(set(elems)):
-                raise DomainViolation(f"subset elements must be sorted and distinct: {elems}")
-        except TypeError:  # a mix that does not sort, which require_subset refuses
-            pass
-        require_subset(elems, n)
+        elems = require_subset(elements, n)
+        if list(elems) != sorted(set(elems)):
+            raise DomainViolation(f"subset elements must be sorted and distinct: {elems}")
         if len(elems) != k:
             raise DomainViolation(f"subset {elems} has size {len(elems)}, expected {k}")
         low = sum(1 for e in elems if e <= n - k)

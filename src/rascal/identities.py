@@ -385,7 +385,7 @@ def _gen_alt_rhs(n: int, j: int) -> int:
 def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tuple[int, int]:
     """Both sides of the named identity at one parameter point."""
     ident = get_identity(name)
-    grid = {p: (x, x) for p, x in params.items()}
+    grid = {p: (x, x) for p, x in params.items()} if isinstance(params, dict) else params
     _require_params(ident, grid, "values")
     if _grid_size(ident, grid)[0] != 1:
         raise DomainViolation(f"{params} is outside the domain ({ident.domain_desc})")
@@ -402,6 +402,8 @@ def evaluate(name: str, params: dict[str, int], variant: str = "stated") -> tupl
 def _require_params(ident: Identity, grid, what: str) -> None:
     """Refuse `grid` unless its keys are exactly the identity's parameters,
     each mapped to a (lo, hi) pair of integers."""
+    if not isinstance(grid, dict):
+        raise DomainViolation(f"{ident.name} needs a dict of {what}, not {grid!r}")
     missing = [p for p in ident.params if p not in grid]
     if missing:
         raise DomainViolation(f"{ident.name} needs {what} for {missing}")

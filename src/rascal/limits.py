@@ -14,7 +14,8 @@ listing R(n, k; j) and one of every k sum_{t <= 2j+1} C(n, t), the profile
 oracle each growth of its profile table plus each row's new term columns
 and own cells, a pattern search (contains_pattern) the partial embeddings
 it can try, sum_{d <= min(m, n)} C(n, d) for m pattern letters in n word
-letters.
+letters.  The shared input rules live here too: require_sizes, and
+require_subset, the one reader of a subset argument.
 """
 
 import os
@@ -60,15 +61,19 @@ def require_sizes(*, negative_ok: bool = False, **sizes: int) -> None:
             raise DomainViolation(f"{name} must be >= 0, got {value}")
 
 
-def require_subset(elements, n: int) -> None:
-    """Raise DomainViolation unless each element is exactly an int within
-    1..n, the rule of require_sizes (no bool, other int subclass or float)."""
-    if not all(type(e) is int and 1 <= e <= n for e in elements):
-        try:  # a tuple as given, any other collection sorted, if it sorts
-            elements = elements if type(elements) is tuple else sorted(elements)
-        except TypeError:
-            elements = list(elements)
-        raise DomainViolation(f"subset {elements} not within {{1..{n}}}")
+def require_subset(subset, n: int) -> tuple[int, ...]:
+    """The elements of any iterable `subset`, read once into a tuple; raise
+    DomainViolation naming the value unless they are exact ints within 1..n,
+    the rule of require_sizes (no bool, other int subclass or float)."""
+    elements = None
+    try:
+        elements = tuple(subset)
+        if all(type(e) is int and 1 <= e <= n for e in elements):
+            return elements
+        shown = subset if type(subset) is tuple else sorted(elements)  # a tuple as given
+    except TypeError:  # no iterable, named as given, or a mix that does not sort
+        shown = subset if elements is None else list(elements)
+    raise DomainViolation(f"subset {shown!r} not within {{1..{n}}}")
 
 
 def check_cells(count: int, what: str) -> None:

@@ -250,8 +250,7 @@ def divider_encode(subset, n: int) -> Word:
     the sections 0..|S| left to right, fill even sections with 1's and
     odd sections with 0's."""
     require_sizes(n=n)
-    require_subset(s := set(subset), n)
-    return _divider_encode(sorted(s), n)
+    return _divider_encode(sorted(set(require_subset(subset, n))), n)
 
 
 def _divider_encode(s, n: int) -> Word:
@@ -339,20 +338,19 @@ def signed_pair(subset, word, r: int) -> SignedPair:
     """Build a SignedPair, checking it lies in the alternating-sum set:
     the word must end in at least r - |S| zeros."""
     require_sizes(r=r)
-    s = frozenset(subset)
     w = binary_word(word)
-    _require_signed(s, w, r)
+    s, _ = _require_signed(subset, w, r)
     return SignedPair._make((s, w, (-1) ** (r - len(s))))
 
 
-def _require_signed(s: frozenset[int], w: Word, r: int) -> int:
-    """S must lie in {1..r} and w must end in at least r - |S| zeros;
-    returns how many it ends in."""
-    require_subset(s, r)
+def _require_signed(subset, w: Word, r: int) -> tuple[frozenset[int], int]:
+    """S, read by require_subset, must lie in {1..r} and w must end in at
+    least r - |S| zeros; returns S and how many zeros w ends in."""
+    s = frozenset(require_subset(subset, r))
     zeros = _trailing_zeros(w)
     if zeros < r - len(s):
         raise DomainViolation(f"{word_str(w)} ends in fewer than {r - len(s)} zeros")
-    return zeros
+    return s, zeros
 
 
 def _altbin_fixed(s: frozenset[int], zeros: int, r: int) -> bool:
@@ -379,11 +377,11 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     _require_altbin_sizes(r, n, k)
     if type(stage) is not int or stage not in (1, 2):
         raise DomainViolation("stage must be 1 or 2")
-    s, w = pair.subset, pair.word
+    w = pair.word
     if len(w) != n + r or sum(w) != k:
         raise DomainViolation(f"{word_str(w)} is not a length-{n + r} word with {k} ones")
     _require_family(w, 1, "altbin_involution")
-    zeros = _require_signed(s, w, r)
+    s, zeros = _require_signed(pair.subset, w, r)
     if pair.weight != (-1) ** (r - len(s)):
         raise DomainViolation(
             f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"

@@ -8,7 +8,9 @@ subclasses come back as ints, and anything else is refused with a
 ValueError naming the letter.  A tuple of letters up to 255, or a string
 of ASCII digits, is checked in one C-level pass through bytes, and
 word_str prints letters below 10 from the same bytes; any other word is
-checked letter by letter, with the same values and messages.
+checked letter by letter, with the same values and messages; a word
+that is not iterable is refused with a ValueError naming it.  A pattern
+is read by as_word once, and is_pattern tests the tuple.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def _checked_word(w) -> Word:
         if w and not w.isdecimal():
             raise ValueError(f"{w!r} is not a word of decimal digits")
         return tuple(map(int, w))  # one letter 0..9 per digit
-    letters = tuple(w)
+    try:
+        letters = tuple(w)
+    except TypeError:
+        raise ValueError(f"{w!r} is not a word") from None
     for x in letters:
         if not isinstance(x, int):
             raise ValueError(f"letter {x!r} is not an integer")
@@ -112,13 +117,13 @@ def reduce_word(w) -> Word:
 
 
 def is_pattern(w) -> bool:
-    """True iff w is its own reduction."""
+    """True iff w is its own reduction: its d distinct letters have maximum d - 1."""
     w = as_word(w)
-    return reduce_word(w) == w
+    return max(w, default=-1) == len({*w}) - 1
 
 
 def _as_pattern(p) -> Word:
-    """as_word(p), refused unless p is self-reduced."""
+    """as_word(p), refused unless is_pattern, which reads only the checked tuple."""
     if is_pattern(p := as_word(p)):
         return p
     raise ValueError(f"{word_str(p)} is not a pattern (not self-reduced)")

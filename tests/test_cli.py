@@ -902,6 +902,9 @@ class TestLazyPackage:
             "is_rgf",
             # the validating constructor of SignedPair
             "signed_pair",
+            # the reduction that defines an occurrence, and the tests'
+            # brute-force reference for contains_pattern
+            "reduce_word",
             # the validating binomial; the library calls its unchecked
             # core numbers._choose on its hot paths
             "choose",

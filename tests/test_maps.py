@@ -940,8 +940,9 @@ class TestIntegerRule:
         for call in calls:
             with pytest.raises(DomainViolation):
                 call()
-        # the refusals the exact-int inputs already met keep their words
-        with pytest.raises(DomainViolation, match=r"^subset elements must be sorted and distinct: \(5, 1\)$"):
+        # the refusals the exact-int inputs already met keep their words; the
+        # subset is read, range first, before its order is checked
+        with pytest.raises(DomainViolation, match=r"^subset \(5, 1\) not within \{1..3\}$"):
             RestrictedSubset((5, 1), 3, 2, 1)
         with pytest.raises(DomainViolation, match=r"^subset \(1, 5\) not within \{1..3\}$"):
             RestrictedSubset((1, 5), 3, 2, 1)
