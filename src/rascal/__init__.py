@@ -22,9 +22,9 @@ _EXPORTS = {
     "maps": "MarkedWord SignedPair altbin_involution ascseq_to_word divider_decode divider_encode"
     " genalt_involution ratio_map signed_pair strip subset_to_word sym_map unstrip"
     " word_to_ascseq word_to_subset",
-    "numbers": "TriangleCache choose closed_row e_defect rascal_gen_value rascal_value triangle_rows",
+    "numbers": "TriangleCache closed_row e_defect rascal_gen_value rascal_value triangle_rows",
     "words": "Word as_word asc contains_001 contains_210 contains_pattern des is_ascent_sequence"
-    " is_pattern is_rgf reduce_word word_str",
+    " is_pattern word_str",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_ORIGIN)

@@ -46,6 +46,8 @@ def max_cells() -> int:
 def run_capped(cap: int | None, fn, /, *args):
     """The one place a cap is chosen: fn(*args) with every price inside it
     against `cap`, else the current cap, until the call returns or raises."""
+    if cap is not None:
+        require_sizes(max_cells=cap)
     scope = copy_context()
     scope.run(_scoped_cap.set, max_cells() if cap is None else cap)
     return scope.run(fn, *args)

@@ -323,12 +323,14 @@ def _ratio(w: Word, mark: int) -> tuple[Word, int]:
 
 
 class SignedPair(namedtuple("SignedPair", "subset word weight")):
-    """A subset of {1..r} with a binary word, carrying sign (-1)^(r-|S|)."""
+    """A subset of {1..r} with a binary word, carrying sign (-1)^(r-|S|);
+    r is not kept, so the subset is read within 1..len(word) (len = n + r)."""
 
     __slots__ = ()
 
     def __new__(cls, subset, word, weight: int) -> SignedPair:
-        s, w = frozenset(subset), binary_word(word)
+        w = binary_word(word)
+        s = frozenset(require_subset(subset, len(w)))
         if type(weight) is not int or weight not in (1, -1):
             raise DomainViolation("weight must be +1 or -1")
         return super().__new__(cls, s, w, weight)

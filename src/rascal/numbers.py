@@ -41,14 +41,8 @@ from .limits import check_cells, require_sizes
 METHODS = ("closed", "multiplicative", "linear", "enumeration")
 
 
-def choose(n: int, k: int) -> int:
-    """Binomial coefficient with C(n, k) = 0 outside 0 <= k <= n."""
-    require_sizes(negative_ok=True, n=n, k=k)
-    return _choose(n, k)
-
-
 def _choose(n: int, k: int) -> int:
-    """choose on integer sizes, unchecked: the library's own calls."""
+    """C(n, k), 0 outside 0 <= k <= n, on integer sizes, unchecked."""
     return math.comb(n, k) if 0 <= k <= n else 0
 
 

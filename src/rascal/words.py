@@ -1,5 +1,4 @@
-"""Word statistics, pattern containment and reduction, and the
-ascent-sequence and restricted-growth predicates.
+"""Word statistics, pattern containment and the ascent-sequence predicate.
 
 A word is a tuple of nonnegative integers.  Every public function also
 accepts a compact digit string ("2051159858") or any iterable of ints.
@@ -107,13 +106,6 @@ def des(w) -> int:
     """Number of descents of w."""
     w = as_word(w)
     return sum(map(gt, w, w[1:]))
-
-
-def reduce_word(w) -> Word:
-    """Relabel letters by rank: the i-th smallest distinct letter becomes i-1."""
-    w = as_word(w)
-    rank = {x: i for i, x in enumerate(sorted({*w}))}
-    return tuple(map(rank.__getitem__, w))
 
 
 def is_pattern(w) -> bool:
@@ -224,10 +216,3 @@ def is_ascent_sequence(w) -> bool:
     # one more than the ascents before each later letter, from 1
     bounds = accumulate(map(lt, w, w[1:]), initial=1)
     return not w or w[0] == 0 and all(map(le, w[1:], bounds))
-
-
-def is_rgf(w) -> bool:
-    """Restricted growth: the first occurrence of each letter x >= 1 is
-    preceded by an occurrence of x - 1."""
-    firsts = tuple(dict.fromkeys(as_word(w)))  # each letter at its first occurrence
-    return firsts == tuple(range(len(firsts)))

@@ -18,7 +18,9 @@ import rascal
 from rascal.cli import BIJECTIONS, main
 from rascal.numbers import e_defect
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from source_index import LIBRARY, ROOT, library_index, names_read
+
+SRC = ROOT / "src"
 
 # full stdout of `rascal bijection <name>` at the default arguments
 BIJECTION_DEFAULTS = {
@@ -848,6 +850,7 @@ class TestStartup:
 
 # every name `rascal` exported when its __init__ imported them eagerly,
 # less the helpers since removed because nothing in the system called them
+# and the references since moved to tests/reference.py
 OLD_EXPORTS = {
     "errors": "DomainViolation InexactDivision RascalError ResourceLimit UnknownIdentity",
     "generate": "RestrictedSubset all_binary_words ascent_sequences avoiders canonical_avoiders"
@@ -856,9 +859,9 @@ OLD_EXPORTS = {
     "maps": "MarkedWord SignedPair altbin_involution ascseq_to_word divider_decode divider_encode"
     " genalt_involution ratio_map signed_pair strip subset_to_word sym_map unstrip"
     " word_to_ascseq word_to_subset",
-    "numbers": "TriangleCache choose closed_row e_defect rascal_gen_value rascal_value triangle_rows",
+    "numbers": "TriangleCache closed_row e_defect rascal_gen_value rascal_value triangle_rows",
     "words": "Word as_word asc contains_001 contains_210 contains_pattern des is_ascent_sequence"
-    " is_pattern is_rgf reduce_word word_str",
+    " is_pattern word_str",
 }
 OLD_NAMES = {name: module for module, names in OLD_EXPORTS.items() for name in names.split()}
 
@@ -884,52 +887,25 @@ class TestLazyPackage:
 
     def test_every_export_is_used(self):
         # names the library, demos and benchmark read, by parsing their source
-        files = [p for p in (SRC / "rascal").glob("*.py") if p.name != "__init__.py"]
+        files = [p for p in LIBRARY.glob("*.py") if p.name != "__init__.py"]
         for folder in ("demos", "perfbench"):
-            files += (SRC.parent / folder).glob("*.py")
-        used = set()
-        for path in files:
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name)
+            files += (ROOT / folder).glob("*.py")
         exempt = {
-            # the tests' reference for the avoider tree's invariant that a
-            # prefix avoiding 001 is restricted growth, which avoiders relies on
-            "is_rgf",
-            # the validating constructor of SignedPair
+            # the one constructor that derives a pair's sign from r and
+            # checks that the word ends in enough zeros
             "signed_pair",
-            # the reduction that defines an occurrence, and the tests'
-            # brute-force reference for contains_pattern
-            "reduce_word",
-            # the validating binomial; the library calls its unchecked
-            # core numbers._choose on its hot paths
-            "choose",
         }
-        assert sorted(set(rascal.__all__) - used) == sorted(exempt)
+        assert sorted(set(rascal.__all__) - names_read(files)) == sorted(exempt)
 
     def test_every_private_definition_is_used(self):
         # a private function, method or class that nothing in the library,
         # demos or benchmark reads is dead (perfbench alone reads _memo)
-        library = sorted((SRC / "rascal").glob("*.py"))
-        files = [*library, *(SRC.parent / "demos").glob("*.py"), *(SRC.parent / "perfbench").glob("*.py")]
-        defined, used = set(), set()
-        for path in files:
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name)
-                elif path in library and isinstance(node, ast.FunctionDef | ast.ClassDef):
-                    if node.name.startswith("_") and not node.name.endswith("__"):
-                        defined.add(f"{path.stem}.{node.name}")
-        assert {"identities._grid_size", "identities._memo", "maps._ratio"} <= defined
-        assert sorted(d for d in defined if d.split(".")[1] not in used) == []
+        files = [*LIBRARY.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+        names = {qual: qual.rsplit(".", 1)[1] for qual in library_index().defs}
+        defined = {qual for qual, name in names.items() if name.startswith("_") and not name.endswith("__")}
+        assert {"identities._grid_size", "identities.ClosedValues._memo", "maps._ratio"} <= defined
+        used = names_read(files)
+        assert sorted(qual for qual in defined if names[qual] not in used) == []
 
     def test_limits_alone_owns_the_cap(self):
         # only limits reads the environment, a price never names its cap,

@@ -1,7 +1,7 @@
 """The structured inputs: every public callable that reads a word, a
-pattern, a subset or a grid refuses a malformed one with DomainViolation
-or ValueError naming it, never a bare TypeError or AttributeError, and
-reads a one-shot iterator as the tuple it yields."""
+pattern, a subset, a grid or a cap refuses a malformed one with
+DomainViolation or ValueError naming it, never a bare TypeError or
+AttributeError, and reads a one-shot iterator as the tuple it yields."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from rascal.generate import RestrictedSubset, avoiders
 from rascal.identities import evaluate, verify_range
 from rascal.maps import (
     MarkedWord,
+    SignedPair,
     altbin_involution,
     ascseq_to_word,
     divider_decode,
@@ -34,26 +35,22 @@ from rascal.words import (
     des,
     is_ascent_sequence,
     is_pattern,
-    is_rgf,
-    reduce_word,
     word_str,
 )
 
 # each public reader with the drawn value in the one structured argument it
-# reads.  Not drawn: SignedPair, subset_to_word, ratio_map and
-# altbin_involution's pair, which take the package's own value types
-# (SignedPair, RestrictedSubset, MarkedWord), not a raw argument.
+# reads.  Not drawn: subset_to_word, ratio_map and altbin_involution's pair,
+# which take the package's own value types (RestrictedSubset, MarkedWord,
+# SignedPair), not a raw argument.
 READERS = {
     "as_word": as_word,
     "word_str": word_str,
     "asc": asc,
     "des": des,
-    "reduce_word": reduce_word,
     "is_pattern": is_pattern,
     "contains_001": contains_001,
     "contains_210": contains_210,
     "is_ascent_sequence": is_ascent_sequence,
-    "is_rgf": is_rgf,
     "contains_pattern(word)": lambda x: contains_pattern(x, "01"),
     "contains_pattern(pattern)": lambda x: contains_pattern("0110", x),
     "avoiders(patterns)": lambda x: list(avoiders(4, x)),
@@ -70,6 +67,7 @@ READERS = {
     "divider_encode": lambda x: divider_encode(x, 3),
     "signed_pair(subset)": lambda x: signed_pair(x, "1000", 2),
     "signed_pair(word)": lambda x: signed_pair({1}, x, 2),
+    "SignedPair(subset)": lambda x: SignedPair(x, "1000", 1),
     "RestrictedSubset": lambda x: RestrictedSubset(x, 3, 2, 1),
     "evaluate": lambda x: evaluate("row_sum", x),
     "verify_range": lambda x: verify_range("row_sum", x),
@@ -129,6 +127,24 @@ REPRODUCTIONS = {
         "^row_sum needs a dict of grid ranges, not 5$",
     ),
     "evaluate('row_sum', 5)": (lambda: evaluate("row_sum", 5), "^row_sum needs a dict of values, not 5$"),
+    "SignedPair([[1]], '00', 1)": (lambda: SignedPair([[1]], "00", 1), r"^subset \[\[1\]\] not within \{1..2\}$"),
+    # a cap follows the size rule
+    "verify_range(max_cells='10')": (
+        lambda: verify_range("row_sum", {"n": (0, 3)}, max_cells="10"),
+        "^max_cells must be an integer, got '10'$",
+    ),
+    "verify_range(max_cells=-1)": (
+        lambda: verify_range("row_sum", {"n": (0, 3)}, max_cells=-1),
+        "^max_cells must be >= 0, got -1$",
+    ),
+    "verify_range(max_cells=True)": (
+        lambda: verify_range("row_sum", {"n": (0, 3)}, max_cells=True),
+        "^max_cells must be an integer, got True$",
+    ),
+    "verify_range(max_cells=2.5)": (
+        lambda: verify_range("row_sum", {"n": (0, 3)}, max_cells=2.5),
+        r"^max_cells must be an integer, got 2\.5$",
+    ),
 }
 
 
@@ -150,6 +166,7 @@ def test_each_call_hands_its_raw_subset_to_the_reader(monkeypatch):
         (divider_encode, (iter([3, 1]), 3), (0, 0, 1)),
         (RestrictedSubset, (iter([1, 3]), 3, 2, 1), RestrictedSubset((1, 3), 3, 2, 1)),
         (signed_pair, ([1, 2], "0001", 2), pair),
+        (SignedPair, (iter([1, 2]), "0001", 1), pair),
         (altbin_involution, (1, pair, 2, 2, 1), pair),
         (altbin_involution, (2, pair, 2, 2, 1), signed_pair([2], "0010", 2)),
     ]
@@ -161,12 +178,12 @@ def test_each_call_hands_its_raw_subset_to_the_reader(monkeypatch):
 
 
 def test_pattern_read_once(monkeypatch):
-    # the raw pattern is read once; is_pattern reads only the checked tuple,
-    # and the reduction is not on the path
+    # the raw pattern is read once and is_pattern reads only the checked
+    # tuple; the package has no reduction to call (it is a test reference)
     seen = []
     read = words.as_word
     monkeypatch.setattr(words, "as_word", lambda w: seen.append(w) or read(w))
-    monkeypatch.setattr(words, "reduce_word", None)
+    assert not hasattr(words, "reduce_word")
     for raw in ("001", "210", [0, 1, 0], iter((1, 0))):
         seen.clear()
         p = _as_pattern(raw)

@@ -905,8 +905,9 @@ class TestIntegerRule:
     @PROPERTY
     @given(st.lists(int_inputs, max_size=4))
     def test_signed_pair_subset(self, subset):
-        pair = _refused_or(lambda: signed_pair(subset, "00000", 4))
-        assert pair is None or _exact(*pair.subset, *pair.word, pair.weight)
+        for build in (lambda: signed_pair(subset, "00000", 4), lambda: SignedPair(subset, "00000", 1)):
+            pair = _refused_or(build)
+            assert pair is None or _exact(*pair.subset, *pair.word, pair.weight)
 
     @PROPERTY
     @given(int_inputs)
@@ -936,6 +937,7 @@ class TestIntegerRule:
             lambda: RestrictedSubset((1, "a"), 3, 2, 1),
             lambda: divider_encode([1, "a"], 3),
             lambda: signed_pair({1, "a"}, "10", 2),
+            lambda: SignedPair({1.5, True, "a"}, "00", 1),
         ]
         for call in calls:
             with pytest.raises(DomainViolation):

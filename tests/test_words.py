@@ -1,4 +1,5 @@
-"""Word statistics, pattern containment and reduction, and the word predicates."""
+"""Word statistics, pattern containment and the word predicates, with the
+references for reduction and restricted growth that the tests read."""
 
 import re
 from enum import IntEnum
@@ -20,10 +21,10 @@ from rascal.words import (
     is_ascent_sequence,
     is_pattern,
     binary_word,
-    is_rgf,
-    reduce_word,
     word_str,
 )
+
+from reference import is_rgf, reduce_word
 
 small_words = st.lists(st.integers(0, 5), max_size=12).map(tuple)
 
