@@ -11,10 +11,10 @@ enumeration contradicts a stated right-hand side, a corrected variant
 is registered alongside it and reports show both, so the discrepancy
 stays visible as a permanent regression check.
 
-Left-hand sides are expressed through a value source `v(n, k, j=1)`,
-which is either the closed form or an enumeration count (the product
-rule over run-length profile counts, never a binomial); that is what
-lets the same registry run against brute-force ground truth.  Row sums
+Left-hand sides read cells of a value source as `v.cell(n, k, j=1)`,
+either the closed form or an enumeration count (the product rule over
+run-length profile counts, never a binomial); that is what lets the
+same registry run against brute-force ground truth.  Row sums
 read a whole row through `v.row(n, j)`, which each source builds once
 per (n, j) and keeps in its one store, `_served`, under (n, None, j)
 (`_memo` is a per-cell view built on read for the perfbench `layers`
@@ -25,9 +25,9 @@ the unchecked `numbers._closed_row` (row (n, j) grown from a built row
 its profile table.
 
 An entry whose sum runs along its last parameter also carries a
-`step(v, prev, *params)`, the left side at `params` from `prev`, the
-left side one less on that parameter, and may carry a `rhs_step(prev,
-*params)`, the same for the right side.  `verify_range` clips each grid
+`step(v, *params, prev)`, the left side at `params` from `prev`, the
+left side one less on that parameter, and may carry a `rhs_step(*params,
+prev)`, the same for the right side.  `verify_range` clips each grid
 axis to its bounds given the earlier values and, before evaluating a
 cell, prices the grid in closed form (`_grid_size`), then lazily the
 terms its cells build where an entry gives a `cost` (2^m for
@@ -36,7 +36,8 @@ is capped, with `itertools.product`, and folds each run of the last
 axis with `step` and `rhs_step`, so each cell costs only its new terms;
 the stated `rhs` is still evaluated at both ends of every run, so it is
 never trusted from its step alone.  Sides are called positionally, in
-`bounds` order, as `_register` checks.
+`bounds` order, as `_register` checks, through `functools.partial`s bound
+once a run and the method `v.cell`: no star-argument or instance call.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import json
 import os
 import time
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import mul
@@ -66,7 +67,7 @@ class ClosedValues:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
         self._cols: dict[int, list[int]] = {}
 
-    def __call__(self, n: int, k: int, j: int = 1) -> int:
+    def cell(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
         got = self._served.get(key)
         if got is None:
@@ -74,7 +75,7 @@ class ClosedValues:
         return got
 
     def row(self, n: int, j: int = 1) -> list[int]:
-        """[v(n, k, j) for k in 0..n], built once per (n, j) and read only."""
+        """[v.cell(n, k, j) for k in 0..n], built once per (n, j) and read only."""
         got = self._served.get((n, None, j))
         if got is None:
             got = self._served[n, None, j] = self._row(n, j)
@@ -190,10 +191,10 @@ def _register(name: str, statement: str, bounds, lhs, rhs, **options) -> None:
         raise ValueError(f"{name}: only the last parameter may be capped, by the one before it")
     sides = {"lhs": lhs, "rhs": rhs, **options}  # verify_range calls each one positionally
     for role, side in sides.items():
-        lead = {"lhs": ("v",), "step": ("v", "prev"), "rhs_step": ("prev",)}.get(role, ())
+        want = ("v",) * (role in ("lhs", "step")) + tuple(bounds) + ("prev",) * (role in ("step", "rhs_step"))
         code = getattr(side, "__code__", None)
-        if code and code.co_varnames[: code.co_argcount] != (*lead, *bounds):
-            raise ValueError(f"{name}: {role} must take {', '.join((*lead, *bounds))}, in that order")
+        if code and code.co_varnames[: code.co_argcount] != want:
+            raise ValueError(f"{name}: {role} must take {', '.join(want)}, in that order")
     _REGISTRY[name] = Identity(name, statement, bounds, lhs, rhs, **options)
 
 
@@ -222,15 +223,16 @@ def _alt_sum(row) -> int:
     return sum(row[::2]) - sum(row[1::2])
 
 
-def _binomial_row(n):
-    """C(n, k) for k = 0..n, each from the one before."""
-    return accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+def _binomial_row(n: int) -> list[int]:
+    """C(n, k) for k = 0..n: each from the one before up to n // 2, then mirrored."""
+    half = list(accumulate(range(n // 2), lambda c, k: c * (n - k) // (k + 1), initial=1))
+    return half + half[: (n + 1) // 2][::-1]
 
 
 def _triangle_row_sum(v, n):
     """sum_{k=1..n-1} R(n,k), cell by cell: the end cells k = 0 and
     k = n are not in the sum, so they are not fetched."""
-    return sum(v(n, k) for k in range(1, n))
+    return sum(v.cell(n, k) for k in range(1, n))
 
 
 @lru_cache(maxsize=64)
@@ -244,7 +246,7 @@ def _subset_ie_lhs(v, n: int, m: int) -> int:
     place; (-1)^(m-|S|) prod R = (-1)^m prod -R, so the sign comes last."""
     terms = [1]
     for i in range(1, m + 1):
-        r = -v(n, i)
+        r = -v.cell(n, i)
         terms += [t * r for t in terms]
     return -sum(terms) if m % 2 else sum(terms)
 
@@ -261,10 +263,10 @@ _register(
     "col_sum",
     "sum_{i=0..r} R(k+i,k) = k*C(r+1,2) + r + 1",
     {"k": (0, None), "r": (0, None)},
-    lambda v, k, r: sum(v(k + i, k) for i in range(r + 1)),
+    lambda v, k, r: sum(v.cell(k + i, k) for i in range(r + 1)),
     lambda k, r: k * _choose(r + 1, 2) + r + 1,
-    step=lambda v, prev, k, r: prev + v(k + r, k),
-    rhs_step=lambda prev, k, r: prev + k * r + 1,
+    step=lambda v, k, r, prev: prev + v.cell(k + r, k),
+    rhs_step=lambda k, r, prev: prev + k * r + 1,
 )
 
 # As stated this fails from n = 2 on (6 vs 5); direct pair counting gives
@@ -284,14 +286,14 @@ _register(
     {"n": (2, None)},
     lambda v, n: sum(_triangle_row_sum(v, i) for i in range(1, n + 1)),
     lambda n: _choose(n + 2, 4) + _choose(n, 2),
-    step=lambda v, prev, n: prev + _triangle_row_sum(v, n),
+    step=lambda v, n, prev: prev + _triangle_row_sum(v, n),
 )
 
 _register(
     "alt_binomial",
     "sum_{t=0..r} (-1)^(r-t)*C(r,t)*R(n+t,k) = 0",
     {"r": (2, None), "n": (None, None), "k": (0, "n")},
-    lambda v, r, n, k: sum(map(mul, _signed_binomials(r), map(v, range(n, n + r + 1), repeat(k)))),
+    lambda v, r, n, k: sum(map(mul, _signed_binomials(r), map(v.cell, range(n, n + r + 1), repeat(k)))),
     lambda r, n, k: 0,
 )
 
@@ -307,10 +309,10 @@ _register(
     "product_formula",
     "prod_{k=1..m} (R(n,k) - 1) = m! * ff(n-1, m)",
     {"n": (None, None), "m": (1, "n")},
-    lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
+    lambda v, n, m: prod(v.cell(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) * perm(n - 1, m),
-    step=lambda v, prev, n, m: prev * (v(n, m) - 1),
-    rhs_step=lambda prev, n, m: prev * m * (n - m),
+    step=lambda v, n, m, prev: prev * (v.cell(n, m) - 1),
+    rhs_step=lambda n, m, prev: prev * m * (n - m),
 )
 
 _register(
@@ -327,10 +329,10 @@ _register(
     "binom_corollary",
     "prod_{k=1..m} (R(n,k) - 1) = (m!)^2 * C(n-1,m)   [cross-multiplied form]",
     {"n": (None, None), "m": (1, "n")},
-    lambda v, n, m: prod(v(n, k) - 1 for k in range(1, m + 1)),
+    lambda v, n, m: prod(v.cell(n, k) - 1 for k in range(1, m + 1)),
     lambda n, m: factorial(m) ** 2 * _choose(n - 1, m),
-    step=lambda v, prev, n, m: prev * (v(n, m) - 1),
-    rhs_step=lambda prev, n, m: prev * m * (n - m),
+    step=lambda v, n, m, prev: prev * (v.cell(n, m) - 1),
+    rhs_step=lambda n, m, prev: prev * m * (n - m),
 )
 
 _register(
@@ -339,7 +341,7 @@ _register(
     {"n": (0, None), "j": (0, None)},
     lambda v, n, j: sum(v.row(n, j)),
     lambda n, j: sum(_choose(n, k) for k in range(2 * j + 2)),
-    rhs_step=lambda prev, n, j: prev + _choose(n, 2 * j) + _choose(n, 2 * j + 1),
+    rhs_step=lambda n, j, prev: prev + _choose(n, 2 * j) + _choose(n, 2 * j + 1),
 )
 
 _register(
@@ -494,13 +496,16 @@ def _verify_grid(ident: Identity, grid, oracle: bool) -> IdentityReport:
     failures, corrected_failures = [], []
     start = time.perf_counter()
     for head, axis in _runs(ident, grid) if cells else ():
+        left_at, step_at = partial(left, v, *head), step and partial(step, v, *head)  # bound once a run
+        right_at, rstep_at = partial(right, *head), rstep and partial(rstep, *head)
+        fixed_at = fixed and partial(fixed, *head)
         first, last = axis.start, axis.stop - 1
         for x in axis:
-            lhs = step(v, lhs, *head, x) if step and x > first else left(v, *head, x)
-            rhs = rstep(rhs, *head, x) if rstep and first < x < last else right(*head, x)
+            lhs = step_at(x, lhs) if step_at and x > first else left_at(x)
+            rhs = rstep_at(x, rhs) if rstep_at and first < x < last else right_at(x)
             if lhs != rhs:
                 failures.append((tuple(zip(ident.params, (*head, x))), lhs, rhs))
-            if fixed is not None and lhs != (corrected := fixed(*head, x)):
+            if fixed_at and lhs != (corrected := fixed_at(x)):
                 corrected_failures.append((tuple(zip(ident.params, (*head, x))), lhs, corrected))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return IdentityReport(

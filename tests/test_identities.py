@@ -48,7 +48,7 @@ def eager_fill(source):
             self.filled = {}
             self.rows = {}
 
-        def __call__(self, n, k, j=1):
+        def cell(self, n, k, j=1):
             key = (n, k, j)
             got = self.filled.get(key)
             if got is None:
@@ -132,12 +132,14 @@ class TestRegistry:
         [
             ({"lhs": lambda v, m, n: 0}, "lhs must take v, n, m, in that order"),
             ({"rhs": lambda m, n: 0}, "rhs must take n, m, in that order"),
-            ({"step": lambda v, n, m, prev: 0}, "step must take v, prev, n, m, in that order"),
+            ({"step": lambda v, m, n, prev: 0}, "step must take v, n, m, prev, in that order"),
+            ({"step": lambda v, prev, n, m: 0}, "step must take v, n, m, prev, in that order"),
             ({"corrected_rhs": lambda n: 0}, "corrected_rhs must take n, m, in that order"),
-            ({"rhs_step": lambda n, prev, m: 0}, "rhs_step must take prev, n, m, in that order"),
+            ({"rhs_step": lambda n, prev, m: 0}, "rhs_step must take n, m, prev, in that order"),
+            ({"rhs_step": lambda prev, n, m: 0}, "rhs_step must take n, m, prev, in that order"),
             ({"cost": lambda m, n: 0}, "cost must take n, m, in that order"),
         ],
-        ids=["lhs", "rhs", "step", "corrected_rhs", "rhs_step", "cost"],
+        ids=["lhs", "rhs", "step", "step_prev_first", "corrected_rhs", "rhs_step", "rhs_step_prev_first", "cost"],
     )
     def test_register_refuses_swapped_parameters(self, sides, message):
         # verify_range calls every side positionally, in bounds order
@@ -376,7 +378,7 @@ class TestInternalEquality:
         # the statement read literally: each subset S of {1..m}, its sign (-1)^(m-|S|)
         v = source()
         stated = sum(
-            (-1) ** (m - size) * prod(v(n, i) for i in subset)
+            (-1) ** (m - size) * prod(v.cell(n, i) for i in subset)
             for size in range(m + 1)
             for subset in combinations(range(1, m + 1), size)
         )
@@ -386,9 +388,9 @@ class TestInternalEquality:
         calls = []
 
         class Recording(ClosedValues):
-            def __call__(self, *key):
+            def cell(self, *key):
                 calls.append(key)
-                return super().__call__(*key)
+                return super().cell(*key)
 
         for n, m in ((1, 1), (9, 6), (12, 12)):
             calls.clear()
@@ -399,9 +401,9 @@ class TestInternalEquality:
         calls = []
 
         class Recording(ClosedValues):
-            def __call__(self, *key):
+            def cell(self, *key):
                 calls.append(key)
-                return super().__call__(*key)
+                return super().cell(*key)
 
         for r, n, k in ((2, 0, 0), (3, 7, 4), (5, 40, 40)):
             calls.clear()
@@ -439,6 +441,11 @@ class TestWeightedRowSumGroundTruth:
             if n >= 2:
                 assert stated != pairs
 
+    def test_binomial_row_mirrors_its_half(self):
+        # the weights: C(n, k) up to k = n // 2, the rest mirrored
+        for n in range(301):
+            assert identities._binomial_row(n) == [comb(n, k) for k in range(n + 1)], n
+
 
 class TestGenAltRowSum:
     def test_odd_lengths_vanish(self):
@@ -465,7 +472,7 @@ class TestEnumerationSource:
                 for j in range(4):
                     from rascal.numbers import rascal_gen_value
 
-                    assert counts(n, k, j) == rascal_gen_value(n, k, j)
+                    assert counts.cell(n, k, j) == rascal_gen_value(n, k, j)
 
     def test_rows_match_word_filter(self):
         # the 2^n filter of numbers is independent of the profile walks
@@ -542,7 +549,7 @@ class TestFolds:
         prev = {**cell, ident.params[-1]: values[-1] - 1}
         assume(in_domain(ident, cell) and in_domain(ident, prev))
         v = source()
-        assert ident.step(v, ident.lhs(v, **prev), **cell) == ident.lhs(source(), **cell)
+        assert ident.step(v, **cell, prev=ident.lhs(v, **prev)) == ident.lhs(source(), **cell)
 
     @pytest.mark.parametrize("name", RHS_STEPPED)
     @pytest.mark.parametrize("source, hi", [(ClosedValues, 300), (EnumerationCounts, 10)])
@@ -555,7 +562,7 @@ class TestFolds:
         prev = {**cell, ident.params[-1]: values[-1] - 1}
         assume(in_domain(ident, cell) and in_domain(ident, prev))
         # the folded right side equals the stated one and the left side
-        assert ident.rhs_step(ident.rhs(**prev), **cell) == ident.rhs(**cell) == ident.lhs(source(), **cell)
+        assert ident.rhs_step(**cell, prev=ident.rhs(**prev)) == ident.rhs(**cell) == ident.lhs(source(), **cell)
 
     @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize(
@@ -672,9 +679,9 @@ class TestBounds:
             visited.append(("rhs", tuple(zip(ident.params, values))))
             return ident.rhs(*values)
 
-        def recording_step(prev, *values):
-            visited.append(("rhs_step", tuple(zip(ident.params, values))))
-            return ident.rhs_step(prev, *values)
+        def recording_step(*values_prev):
+            visited.append(("rhs_step", tuple(zip(ident.params, values_prev[:-1]))))
+            return ident.rhs_step(*values_prev)
 
         sides = {"rhs": recording, "rhs_step": ident.rhs_step and recording_step}
         with patch.dict(identities._REGISTRY, {name: ident._replace(**sides)}):
@@ -692,17 +699,17 @@ class TestRows:
     @pytest.mark.parametrize("source", [ClosedValues, EnumerationCounts])
     def test_row_fills_memo_in_k_order(self, source):
         v = source()
-        v(5, 3, 2)
-        assert v.row(5, 2) == [v(5, k, 2) for k in range(6)]
+        v.cell(5, 3, 2)
+        assert v.row(5, 2) == [v.cell(5, k, 2) for k in range(6)]
         assert list(v._memo) == [(5, 3, 2)] + [(5, k, 2) for k in (0, 1, 2, 4, 5)]
         assert v.row(5, 2) is v.row(5, 2)
         # grown from the row (n, j-1): one new term column for j = 2 at n = 7,
         # none for j = 3 > 5 // 2
         v.row(7, 1)
-        v(7, 4, 2)
-        assert v.row(7, 2) == [v(7, k, 2) for k in range(8)] == [rascal_gen_value(7, k, 2) for k in range(8)]
-        v(5, 1, 3)
-        assert v.row(5, 3) == [v(5, k, 3) for k in range(6)] == [1, 5, 10, 10, 5, 1]
+        v.cell(7, 4, 2)
+        assert v.row(7, 2) == [v.cell(7, k, 2) for k in range(8)] == [rascal_gen_value(7, k, 2) for k in range(8)]
+        v.cell(5, 1, 3)
+        assert v.row(5, 3) == [v.cell(5, k, 3) for k in range(6)] == [1, 5, 10, 10, 5, 1]
         assert list(v._memo)[6:] == (
             [(7, k, 1) for k in range(8)]
             + [(7, 4, 2)] + [(7, k, 2) for k in (0, 1, 2, 3, 5, 6, 7)]
@@ -743,7 +750,7 @@ class TestRows:
 
         class Plain(Grown):
             def _row(self, n, j):
-                return [self(n, k, j) for k in range(n + 1)]
+                return [self.cell(n, k, j) for k in range(n + 1)]
 
         reports = []
         for source in (Grown, Plain):
@@ -769,7 +776,7 @@ class TestRows:
             if is_row:
                 assert v.row(n, j) == ref.row(n, j)
             else:
-                assert v(n, k, j) == ref(n, k, j)
+                assert v.cell(n, k, j) == ref.cell(n, k, j)
         assert list(v._memo.items()) == list(ref.filled.items())
 
     @settings(max_examples=60, derandomize=True, deadline=None)

@@ -95,7 +95,7 @@ class Stores(RuleBasedStateMachine):
 
     @rule(scopes=caps, source=st.sampled_from(("closed", "counts")), n=sizes, k=sizes, j=bounds)
     def source_cell(self, scopes, source, n, k, j):
-        got = self.call(scopes, getattr(self, source), n, k, j)
+        got = self.call(scopes, getattr(self, source).cell, n, k, j)
         assert got in (None, closed_value(n, k, j))
 
     @rule(scopes=caps, source=st.sampled_from(("closed", "counts")), n=sizes, j=bounds)
