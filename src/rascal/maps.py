@@ -2,18 +2,21 @@
 on the word families, each paired with an exhaustive small-size verifier.
 
 Each map is split in two.  A private core (_sym, _to_subset, _altbin,
-...) works on trusted tuples -- for altbin, (frozenset, tuple) pairs --
-and checks nothing.  The public function validates its input once, at
-the edge, and then calls the core.  MarkedWord, SignedPair and
-generate.RestrictedSubset are namedtuples that check their fields when
-called; an object that a core built, or whose fields were checked at
-the edge, is made with the namedtuple's own _make (tuple.__new__),
-which checks nothing.  The maps act pointwise and never enumerate; the
-verify_* functions materialize the small domains with the generators
-and run the cores on those objects, so nothing is validated per object.
-Every image is still tested for membership in a target that a
-generator built (never the map under test), so a core that emits a bad
-object fails its verifier.  The five bijection
+...) works on trusted binary words held as bytes -- for altbin, on
+(S, w, z) triples, z the zeros w ends in -- and checks nothing.  The
+public function validates its input once, at the edge, and then calls
+the core: it reads a binary word once into bytes (_bits), takes the
+binary check, the ascent count and the end runs from them in C-level
+passes, and returns the word a core built as a tuple.  MarkedWord,
+SignedPair and generate.RestrictedSubset are namedtuples that check
+their fields when called; an object that a core built, or whose fields
+were checked at the edge, is made with the namedtuple's own _make
+(tuple.__new__), which checks nothing.  The maps act pointwise and
+never enumerate; the verify_* functions materialize the small domains
+with the generators and run the cores on those objects, so nothing is
+validated per object.  Every image is still tested for membership in a
+target that a generator built (never the map under test), so a core
+that emits a bad object fails its verifier.  The five bijection
 verifiers (sym, strip, ascseq, subset, divider) share one check,
 _check_bijection: every image lies in the target, the inverse undoes
 the map, and the image is the whole target.  Each adds only its own
@@ -35,9 +38,11 @@ cache holds at most the block's largest family.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from bisect import bisect_right
+from collections import Counter, namedtuple
 from functools import cache, partial
 from itertools import accumulate, combinations, product
+from operator import itemgetter, sub
 
 from .errors import DomainViolation
 from .generate import (
@@ -50,53 +55,59 @@ from .generate import (
 )
 from .limits import check_sum, require_sizes, require_subset
 from .numbers import _choose, closed_value
-from .words import Word, _asc, as_word, binary_word, word_str
-
+from .words import Word, _asc, _letter_bytes, as_word, binary_word, word_str
 
 # ---------------------------------------------------------------------------
-# helper views on binary words
+# binary words as bytes
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _leading_ones(w: Word) -> int:
-    return w.index(0) if 0 in w else len(w)
+def _bits(b) -> bytes:
+    """The binary word b as bytes, read once."""
+    s = _letter_bytes(b)
+    if s is None or s.translate(None, b"\x00\x01"):
+        s = bytes(binary_word(b))  # any other input, and every refusal
+    return s
 
 
-def _trailing_zeros(w: Word) -> int:
-    return w[::-1].index(1) if 1 in w else len(w)
+def _require_family(s: bytes, j: int, what: str) -> bytes:
+    """`s`, a binary word, refused if it has more than j ascents."""
+    ascents = s.count(b"\x00\x01")  # the factors 01
+    if ascents > j:
+        raise DomainViolation(f"{what}: {word_str(s)} has {ascents} ascents, more than {j}")
+    return s
 
 
-def _profile(b: Word) -> tuple[int, list[tuple[int, int]], int]:
+def _leading_ones(s: bytes) -> int:
+    return len(s) - len(s.lstrip(b"\x01"))
+
+
+def _trailing_zeros(s: bytes) -> int:
+    return len(s) - 1 - s.rfind(1)
+
+
+def _profile(s: bytes) -> tuple[int, list[tuple[int, int]], int]:
     """Decompose a binary word as 1^x0 (0^y_i 1^x_i)_{i=1..m} 0^y0.
 
-    Returns (x0, [(y_1, x_1), ..., (y_m, x_m)], y0) where m = asc(b);
+    Returns (x0, [(y_1, x_1), ..., (y_m, x_m)], y0) where m = asc(s);
     inner runs are positive, outer runs may be empty.
     """
-    x0 = _leading_ones(b)
-    end = len(b) - (_trailing_zeros(b) if len(b) > x0 else 0)
-    padded = b[:end] + (0,)  # so the last one-run ends at a zero too
+    x0 = _leading_ones(s)
+    end = s.rfind(1) + 1  # where the trailing zeros start, at or after x0
     pairs: list[tuple[int, int]] = []
     start = x0
     while start < end:
-        ones = padded.index(1, start)
-        stop = padded.index(0, ones)
+        ones = s.find(1, start)
+        stop = s.find(0, ones)
+        stop = end if stop < 0 else stop
         pairs.append((ones - start, stop - ones))
         start = stop
-    return x0, pairs, len(b) - end
+    return x0, pairs, len(s) - end
 
 
-def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> Word:
-    bits = [1] * x0
-    for zeros, ones in pairs:
-        bits += [0] * zeros + [1] * ones
-    return tuple(bits + [0] * y0)
-
-
-def _require_family(b: Word, j: int, what: str) -> Word:
-    """`b`, a binary word, refused if it has more than j ascents."""
-    ascents = _asc(b)
-    if ascents > j:
-        raise DomainViolation(f"{what}: {word_str(b)} has {ascents} ascents, more than {j}")
-    return b
+def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> bytes:
+    return b"\x01" * x0 + b"".join([b"\x00" * zeros + b"\x01" * ones for zeros, ones in pairs]) + b"\x00" * y0
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +118,11 @@ def sym_map(b) -> Word:
     """Reverse then complement: swaps the roles of ones and zeros, so it
     carries words with k ones onto words with n-k ones and is an
     involution on the at-most-one-ascent family."""
-    return _sym(_require_family(binary_word(b), 1, "sym_map"))
+    return tuple(_sym(_require_family(_bits(b), 1, "sym_map")))
 
 
-def _sym(b: Word) -> Word:
-    return tuple(1 - x for x in reversed(b))
+def _sym(s: bytes) -> bytes:
+    return s[::-1].translate(_FLIP)
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +131,28 @@ def _sym(b: Word) -> Word:
 
 def strip(b, lead_ones: int, trail_zeros: int) -> Word:
     """Remove `lead_ones` leading 1's and `trail_zeros` trailing 0's."""
-    b = binary_word(b)
+    s = _bits(b)
     require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
-    if _leading_ones(b) < lead_ones:
-        raise DomainViolation(f"{word_str(b)} does not start with {lead_ones} ones")
-    if _trailing_zeros(b) < trail_zeros:
-        raise DomainViolation(f"{word_str(b)} does not end with {trail_zeros} zeros")
-    return _strip(b, lead_ones, trail_zeros)
+    if _leading_ones(s) < lead_ones:
+        raise DomainViolation(f"{word_str(s)} does not start with {lead_ones} ones")
+    if _trailing_zeros(s) < trail_zeros:
+        raise DomainViolation(f"{word_str(s)} does not end with {trail_zeros} zeros")
+    return tuple(_strip(s, lead_ones, trail_zeros))
 
 
-def _strip(b: Word, lead_ones: int, trail_zeros: int) -> Word:
-    return b[lead_ones : len(b) - trail_zeros]
+def _strip(s: bytes, lead_ones: int, trail_zeros: int) -> bytes:
+    return s[lead_ones : len(s) - trail_zeros]
 
 
 def unstrip(b, lead_ones: int, trail_zeros: int) -> Word:
     """Prepend 1's and append 0's; inverse of strip on its image."""
-    b = binary_word(b)
+    s = _bits(b)
     require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
-    return _unstrip(b, lead_ones, trail_zeros)
+    return tuple(_unstrip(s, lead_ones, trail_zeros))
 
 
-def _unstrip(b: Word, lead_ones: int, trail_zeros: int) -> Word:
-    return (1,) * lead_ones + b + (0,) * trail_zeros
+def _unstrip(s: bytes, lead_ones: int, trail_zeros: int) -> bytes:
+    return b"\x01" * lead_ones + s + b"\x00" * trail_zeros
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +167,28 @@ def word_to_ascseq(b) -> Word:
     padded with k's; the one-ascent word 1^(k-x) 0^y 1^x 0^(n-k-y) maps
     to the staircase, y copies of k, then k-x repeated.
     """
-    return _to_ascseq(_require_family(binary_word(b), 1, "word_to_ascseq"))
+    return _to_ascseq(_require_family(_bits(b), 1, "word_to_ascseq"))
 
 
-def _to_ascseq(b: Word) -> Word:
-    n = len(b)
-    k = sum(b)
+def _to_ascseq(s: bytes) -> Word:
+    n = len(s)
+    k = s.count(1)
     staircase = tuple(range(k))
-    _x0, pairs, _y0 = _profile(b)
-    if not pairs:
+    ascent = s.find(b"\x00\x01")
+    if ascent < 0:
         return staircase + (k,) * (n + 1 - k)
-    (y, x), = pairs
-    return staircase + (k,) * y + (k - x,) * (n + 1 - k - y)
+    lead = s.find(0)  # k - x
+    y = ascent + 1 - lead
+    return staircase + (k,) * y + (lead,) * (n + 1 - k - y)
 
 
 def ascseq_to_word(w) -> Word:
     """Inverse of word_to_ascseq; rejects sequences outside the
     {001,210}-avoiding family."""
-    return _from_ascseq(as_word(w))
+    return tuple(_from_ascseq(as_word(w)))
 
 
-def _from_ascseq(w: Word) -> Word:
+def _from_ascseq(w: Word) -> bytes:
     if not w:
         raise DomainViolation("the empty sequence is outside the family (lengths are n+1 >= 1)")
     k = max(w)
@@ -192,12 +204,12 @@ def _from_ascseq(w: Word) -> Word:
         raise DomainViolation(f"{word_str(w)} is missing its largest letter after the staircase")
     tail = rest[y:]
     if not tail:
-        return (1,) * k + (0,) * (n - k)
+        return b"\x01" * k + b"\x00" * (n - k)
     x_letter = tail[0]
     if any(t != x_letter for t in tail) or x_letter >= k:
         raise DomainViolation(f"{word_str(w)} does not end in a constant block below {k}")
     x = k - x_letter
-    return (1,) * (k - x) + (0,) * y + (1,) * x + (0,) * (n - k - y)
+    return b"\x01" * (k - x) + b"\x00" * y + b"\x01" * x + b"\x00" * (n - k - y)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +225,15 @@ def word_to_subset(b, j: int) -> RestrictedSubset:
     high part shifted down by n-k.
     """
     require_sizes(j=j)
-    b = _require_family(binary_word(b), j, "word_to_subset")
-    return RestrictedSubset._make((_to_subset(b), len(b), sum(b), j))
+    s = _require_family(_bits(b), j, "word_to_subset")
+    return RestrictedSubset._make((_to_subset(s), len(s), s.count(1), j))
 
 
-def _to_subset(b: Word) -> tuple[int, ...]:
+def _to_subset(s: bytes) -> tuple[int, ...]:
     """The elements, sorted: the low part is at most n-k, the high part above."""
-    k = sum(b)
-    n_minus_k = len(b) - k
-    _x0, pairs, _y0 = _profile(b)
+    k = s.count(1)
+    n_minus_k = len(s) - k
+    _x0, pairs, _y0 = _profile(s)
     low = accumulate(zeros for zeros, _ones in pairs)
     ones_partial = set(accumulate(ones for _zeros, ones in pairs))
     return (*low, *(v + n_minus_k for v in range(1, k + 1) if v not in ones_partial))
@@ -229,15 +241,17 @@ def _to_subset(b: Word) -> tuple[int, ...]:
 
 def subset_to_word(s: RestrictedSubset) -> Word:
     """Inverse of word_to_subset."""
-    return _from_subset(s.elements, s.n, s.k)
+    if not isinstance(s, RestrictedSubset):
+        raise DomainViolation(f"subset_to_word takes a RestrictedSubset, not {s!r}")
+    return tuple(_from_subset(s.elements, s.n, s.k))
 
 
-def _from_subset(elements: tuple[int, ...], n: int, k: int) -> Word:
+def _from_subset(elements: tuple[int, ...], n: int, k: int) -> bytes:
     """The partial sums of the inner zero and one runs, from 0, give the runs back."""
-    zeros = [0, *(e for e in elements if e <= n - k)]
-    shifted = {e - (n - k) for e in elements if e > n - k}
-    ones = [0, *(v for v in range(1, k + 1) if v not in shifted)]
-    pairs = [(z - z0, o - o0) for z0, z, o0, o in zip(zeros, zeros[1:], ones, ones[1:])]
+    m = bisect_right(elements, n - k)
+    zeros = [0, *elements[:m]]
+    ones = [0, *(v - (n - k) for v in sorted(set(range(n - k + 1, n + 1)).difference(elements[m:])))]
+    pairs = list(zip(map(sub, zeros[1:], zeros), map(sub, ones[1:], ones)))
     return assemble_profile(k - ones[-1], pairs, n - k - zeros[-1])
 
 
@@ -250,27 +264,27 @@ def divider_encode(subset, n: int) -> Word:
     the sections 0..|S| left to right, fill even sections with 1's and
     odd sections with 0's."""
     require_sizes(n=n)
-    return _divider_encode(sorted(set(require_subset(subset, n))), n)
+    return tuple(_divider_encode(sorted(set(require_subset(subset, n))), n))
 
 
-def _divider_encode(s, n: int) -> Word:
+def _divider_encode(s, n: int) -> bytes:
     """On the sorted elements s of a subset of {1..n}."""
     cuts = [1, *s, n + 1]
-    bits: list[int] = []
-    for section in range(len(cuts) - 1):
-        bits += [1 - section % 2] * (cuts[section + 1] - cuts[section])
-    return tuple(bits)
+    return b"".join([(b"\x00" if i % 2 else b"\x01") * (cuts[i + 1] - cuts[i]) for i in range(len(cuts) - 1)])
 
 
 def divider_decode(b) -> tuple[int, ...]:
     """Inverse of divider_encode: position 1 when the word starts with 0,
     plus every position where the letter changes."""
-    return _divider_decode(binary_word(b))
+    return _divider_decode(_bits(b))
 
 
-def _divider_decode(b: Word) -> tuple[int, ...]:
-    changes = tuple(i for i in range(2, len(b) + 1) if b[i - 2] != b[i - 1])
-    return (1, *changes) if b[:1] == (0,) else changes
+def _divider_decode(s: bytes) -> tuple[int, ...]:
+    changes, i, letter = [], 0, 1  # read as if a 1 stood before position 1
+    while (i := s.find(1 - letter, i)) >= 0:
+        changes.append(i + 1)
+        letter = 1 - letter
+    return tuple(changes)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +297,10 @@ class MarkedWord(namedtuple("MarkedWord", "word mark")):
     __slots__ = ()
 
     def __new__(cls, word, mark: int) -> MarkedWord:
-        w = binary_word(word)
-        if type(mark) is not int or not 1 <= mark <= len(w) or w[mark - 1] != 1:
-            raise DomainViolation(f"mark {mark} is not the position of a 1 in {word_str(w)}")
-        return super().__new__(cls, w, mark)
+        s = _bits(word)
+        if type(mark) is not int or not 1 <= mark <= len(s) or s[mark - 1] != 1:
+            raise DomainViolation(f"mark {mark} is not the position of a 1 in {word_str(s)}")
+        return super().__new__(cls, tuple(s), mark)
 
     def __str__(self) -> str:
         return f"{word_str(self.word)} mark {self.mark}"
@@ -300,10 +314,11 @@ def ratio_map(mw: MarkedWord) -> MarkedWord:
 
     Exactly one target is never hit: 1^k 0^(n-k) with its first 1 circled.
     """
+    if not isinstance(mw, MarkedWord):
+        raise DomainViolation(f"ratio_map takes a MarkedWord, not {mw!r}")
     w = mw.word
-    _require_family(w, 1, "ratio_map")
-    first_one = w.index(1) + 1  # a mark exists, so there is a 1
-    if mw.mark == first_one:
+    s = _require_family(bytes(w), 1, "ratio_map")
+    if mw.mark == s.find(1) + 1:  # a mark exists, so there is a 1
         raise DomainViolation(f"{mw}: the circled 1 must not be the first 1")
     image = _ratio(w, mw.mark)
     return mw if image[0] is w else MarkedWord._make(image)  # a fixed word is returned as is
@@ -329,23 +344,23 @@ class SignedPair(namedtuple("SignedPair", "subset word weight")):
     __slots__ = ()
 
     def __new__(cls, subset, word, weight: int) -> SignedPair:
-        w = binary_word(word)
+        w = _bits(word)
         s = frozenset(require_subset(subset, len(w)))
         if type(weight) is not int or weight not in (1, -1):
             raise DomainViolation("weight must be +1 or -1")
-        return super().__new__(cls, s, w, weight)
+        return super().__new__(cls, s, tuple(w), weight)
 
 
 def signed_pair(subset, word, r: int) -> SignedPair:
     """Build a SignedPair, checking it lies in the alternating-sum set:
     the word must end in at least r - |S| zeros."""
     require_sizes(r=r)
-    w = binary_word(word)
+    w = _bits(word)
     s, _ = _require_signed(subset, w, r)
-    return SignedPair._make((s, w, (-1) ** (r - len(s))))
+    return SignedPair._make((s, tuple(w), (-1) ** (r - len(s))))
 
 
-def _require_signed(subset, w: Word, r: int) -> tuple[frozenset[int], int]:
+def _require_signed(subset, w: bytes, r: int) -> tuple[frozenset[int], int]:
     """S, read by require_subset, must lie in {1..r} and w must end in at
     least r - |S| zeros; returns S and how many zeros w ends in."""
     s = frozenset(require_subset(subset, r))
@@ -355,10 +370,10 @@ def _require_signed(subset, w: Word, r: int) -> tuple[frozenset[int], int]:
     return s, zeros
 
 
-def _altbin_fixed(s: frozenset[int], zeros: int, r: int) -> bool:
+def _altbin_fixed(p: tuple[frozenset[int], bytes, int], r: int) -> bool:
     """Fixed points of the first involution: the word ends in exactly
-    r - |S| zeros (`zeros` of them) and r is in S."""
-    return r in s and zeros == r - len(s)
+    r - |S| zeros and r is in S."""
+    return r in p[0] and p[2] == r - len(p[0])
 
 
 def _require_altbin_sizes(r: int, n: int, k: int) -> None:
@@ -379,8 +394,10 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
     _require_altbin_sizes(r, n, k)
     if type(stage) is not int or stage not in (1, 2):
         raise DomainViolation("stage must be 1 or 2")
-    w = pair.word
-    if len(w) != n + r or sum(w) != k:
+    if not isinstance(pair, SignedPair):
+        raise DomainViolation(f"altbin_involution takes a SignedPair, not {pair!r}")
+    w = bytes(pair.word)
+    if len(w) != n + r or w.count(1) != k:
         raise DomainViolation(f"{word_str(w)} is not a length-{n + r} word with {k} ones")
     _require_family(w, 1, "altbin_involution")
     s, zeros = _require_signed(pair.subset, w, r)
@@ -389,32 +406,32 @@ def altbin_involution(stage: int, pair: SignedPair, r: int, n: int, k: int) -> S
             f"{word_str(w)} with subset {sorted(s)} has weight {pair.weight},"
             f" not (-1)^(r-|S|) = {(-1) ** (r - len(s))}"
         )
-    if stage == 2 and not _altbin_fixed(s, zeros, r):
+    if stage == 2 and not _altbin_fixed((s, w, zeros), r):
         raise DomainViolation("stage 2 applies to fixed points of stage 1 only")
-    t, moved = _altbin(stage, s, w, r, zeros)
-    return SignedPair._make((t, moved, (-1) ** (r - len(t))))
+    t, moved, _zeros = _altbin(stage, (s, w, zeros), r)
+    return SignedPair._make((t, tuple(moved), (-1) ** (r - len(t))))
 
 
-def _altbin(stage: int, s: frozenset[int], w: Word, r: int, zeros: int) -> tuple[frozenset[int], Word]:
+def _altbin(stage: int, p: tuple[frozenset[int], bytes, int], r: int) -> tuple[frozenset[int], bytes, int]:
     """Stage 1 toggles r whenever the toggled pair keeps its r - |S|
-    trailing zeros (w ends in `zeros` zeros, which only stage 1 reads).
-    Stage 2 takes a stage-1 fixed point, which has the one-ascent shape
-    1^x0 0^mid 1^x 0^y0 with mid >= 2 when 1 is in S and y0 >= 1 when it
-    is not."""
+    trailing zeros.  Stage 2 takes a stage-1 fixed point, which has the
+    one-ascent shape 1^x0 0^mid 1^x 0^y0 with mid >= 2 when 1 is in S
+    and y0 >= 1 when it is not, so the zero it moves changes y0 by one."""
+    s, w, zeros = p
     if stage == 1:
         t = s - {r} if r in s else s | {r}
-        return (t, w) if zeros >= r - len(t) else (s, w)
-    x0 = _leading_ones(w)
+        return (t, w, zeros) if zeros >= r - len(t) else p
+    x0 = w.find(0)
     if 1 in s:  # a zero of the inner run moves to the trailing run
-        return s - {1}, w[:x0] + w[x0 + 1 :] + (0,)
-    return s | {1}, w[:x0] + (0,) + w[x0:-1]
+        return s - {1}, w[:x0] + w[x0 + 1 :] + b"\x00", zeros + 1
+    return s | {1}, w[:x0] + b"\x00" + w[x0:-1], zeros - 1
 
 
 # ---------------------------------------------------------------------------
 # the alternating-row-sum involution chain
 
 
-def _genalt_fixed(w: Word, d: int) -> bool:
+def _genalt_fixed(w: bytes, d: int) -> bool:
     """Is w a fixed point of the involutions 0..d of the chain?"""
     x0, pairs, y0 = _profile(w)
     if x0 % 2 or y0 != 0:
@@ -437,17 +454,17 @@ def genalt_involution(d: int, w, j: int) -> Word:
     fixed points.
     """
     require_sizes(d=d, j=j)
-    w = _require_family(binary_word(w), j, "genalt_involution")
-    if d > 0 and not _genalt_fixed(w, d - 1):
-        raise DomainViolation(f"{word_str(w)} is not a fixed point of stages 0..{d - 1}")
-    return _genalt(d, w)
+    s = _require_family(_bits(w), j, "genalt_involution")
+    if d > 0 and not _genalt_fixed(s, d - 1):
+        raise DomainViolation(f"{word_str(s)} is not a fixed point of stages 0..{d - 1}")
+    return tuple(_genalt(d, s))
 
 
-def _genalt(d: int, w: Word) -> Word:
+def _genalt(d: int, w: bytes) -> bytes:
     if d == 0:  # one letter between the leading 1-run and the trailing 0-run
         if _leading_ones(w) % 2:
-            return w[1:] + (0,)
-        return (1,) + w[:-1] if w[-1:] == (0,) else w
+            return w[1:] + b"\x00"
+        return b"\x01" + w[:-1] if w[-1:] == b"\x00" else w
     x0, pairs, y0 = _profile(w)
     if len(pairs) < d:
         return w
@@ -515,7 +532,7 @@ def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, 
             partners.add(y)
             continue
         details.append(f"{tag} {fault}" + (f" on {show(x)}" if show else ""))
-    if fixed != [x for x in domain if is_fixed(x)]:
+    if fixed != list(filter(is_fixed, domain)):
         details.append(f"{tag} fixed set differs from its description")
     return fixed
 
@@ -528,7 +545,7 @@ def verify_sym(n_max: int) -> dict:
     details: list[str] = []
     checked = 0
     for n in range(n_max + 1):
-        families = [list(words_with_ascents(n, k, 1)) for k in range(n + 1)]
+        families = [list(map(bytes, words_with_ascents(n, k, 1))) for k in range(n + 1)]
         for k in range(n + 1):
             checked += _check_bijection(
                 "sym", f"n={n}, k={k}", families[k], set(families[n - k]),
@@ -553,14 +570,14 @@ def verify_strip(n_max: int) -> dict:
     checked = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
-            family = [(b, _leading_ones(b), _trailing_zeros(b)) for b in words_with_ascents(n, k, 1)]
+            family = [(b, _leading_ones(b), _trailing_zeros(b)) for b in map(bytes, words_with_ascents(n, k, 1))]
             for lead, trail in product(range(k + 1), range(n - k + 1)):
                 where = f"n={n}, k={k}, lead={lead}, trail={trail}"
                 domain = [b for b, ones, zeros in family if ones >= lead and zeros >= trail]
                 expected = closed_value(n - lead - trail, k - lead)
                 if len(domain) != expected:
                     details.append(f"strip: count {len(domain)} != R = {expected} at ({where})")
-                target = set(words_with_ascents(n - lead - trail, k - lead, 1))
+                target = set(map(bytes, words_with_ascents(n - lead - trail, k - lead, 1)))
                 checked += _check_bijection(
                     "strip", where, domain, target, lambda b: _strip(b, lead, trail),
                     lambda b: _unstrip(b, lead, trail), word_str, details,
@@ -585,7 +602,7 @@ def verify_ascseq(n_max: int) -> dict:
             if target != set(canonical_avoiders(n + 1, k)):
                 details.append(f"ascseq: canonical family differs at n={n + 1}, k={k}")
             checked += _check_bijection(
-                "ascseq", f"n={n}, k={k}", words_with_ascents(n, k, 1), target,
+                "ascseq", f"n={n}, k={k}", map(bytes, words_with_ascents(n, k, 1)), target,
                 _to_ascseq, _from_ascseq, word_str, details,
             )
     return _report(checked, details)
@@ -609,7 +626,7 @@ def verify_subset(n_max: int, j_max: int) -> dict:
             to_subset, to_word = cache(_to_subset), cache(partial(_from_subset, n=n, k=k))
             for j in range(j_max + 1):
                 where = f"n={n}, k={k}, j={j}"
-                family = list(words_with_ascents(n, k, j))
+                family = list(map(bytes, words_with_ascents(n, k, j)))
                 subsets = list(_restricted_elements(n, k, j))
                 if len(family) != len(subsets):
                     details.append(f"subset: family sizes differ at ({where})")
@@ -641,7 +658,7 @@ def verify_divider(n_max: int, j_max: int) -> dict:
         for j in range(j_max + 1):
             where = f"n={n}, j={j}"
             domain = [s for t in range(min(n, 2 * j + 1) + 1) for s in combinations(range(1, n + 1), t)]
-            target = {w for k in range(n + 1) for w in words_with_ascents(n, k, j)}
+            target = {w for k in range(n + 1) for w in map(bytes, words_with_ascents(n, k, j))}
             checked += _check_bijection("divider", where, domain, target, encode, decode, str, details)
     return _report(checked, details)
 
@@ -680,11 +697,11 @@ def verify_ratio(n: int, k: int) -> dict:
     return _report(len(source) + len(target), details, **sizes)
 
 
-def _altbin_space(r: int, zeros: dict[Word, int]) -> list[tuple[frozenset[int], Word]]:
-    """The (S, w) pairs of the signed set, for the words that key `zeros`,
-    each with the trailing zeros it ends in."""
+def _altbin_space(r: int, words: list[tuple[bytes, int]]) -> list[tuple[frozenset[int], bytes, int]]:
+    """The (S, w, z) triples of the signed set, from the (w, z) pairs of
+    the words, each with the z zeros it ends in."""
     subsets = [frozenset(c) for size in range(r + 1) for c in combinations(range(1, r + 1), size)]
-    return [(s, w) for s in subsets for w, ends in zeros.items() if ends >= r - len(s)]
+    return [(s, w, z) for s in subsets for w, z in words if z >= r - len(s)]
 
 
 def verify_altbin(r: int, n: int, k: int) -> dict:
@@ -694,20 +711,18 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
     # 2^r * R(n+r, k) pairs scanned, summed by subset size
     check_sum((_choose(r, t) * closed_value(n + r, k) for t in range(r + 1)), "altbin check")
     details: list[str] = []
-    # one listing of the words, each with its trailing zeros, read by the
-    # space, the core and the fixed-set description alike
-    zeros = {w: _trailing_zeros(w) for w in words_with_ascents(n + r, k, 1)}
-    space = _altbin_space(r, zeros)
+    space = _altbin_space(r, [(w, _trailing_zeros(w)) for w in map(bytes, words_with_ascents(n + r, k, 1))])
     members = set(space)
-    signed_sum = sum((-1) ** (r - len(s)) for s, _w in space)
+    sizes = Counter(map(len, map(itemgetter(0), space)))
+    signed_sum = sum((-1) ** (r - t) * count for t, count in sizes.items())
     formula = sum((-1) ** (r - t) * _choose(r, t) * closed_value(n + t, k) for t in range(r + 1))
     if signed_sum != formula:
         details.append(f"altbin: signed sum {signed_sum} != binomial sum {formula}")
     fixed = space  # the grade is |S|; stage 2 acts on stage 1's fixed points and has none
-    for stage, is_fixed in ((1, lambda p: _altbin_fixed(p[0], zeros[p[1]], r)), (2, lambda p: False)):
+    for stage, is_fixed in ((1, partial(_altbin_fixed, r=r)), (2, lambda p: False)):
         fixed = _check_involution(
             f"altbin: stage {stage}", "signed space", fixed, members,
-            lambda p: _altbin(stage, *p, r, zeros[p[1]]), lambda p: len(p[0]), is_fixed, details,
+            partial(_altbin, stage, r=r), lambda p: len(p[0]), is_fixed, details,
         )
     if signed_sum != 0:
         details.append(f"altbin: signed sum is {signed_sum}, expected 0")
@@ -722,7 +737,7 @@ def verify_genalt(n: int, j: int) -> dict:
     # each of the j + 1 stages visits at most the whole domain
     check_sum(((j + 1) * closed_value(n, k, j) for k in range(n + 1)), "genalt check")
     details: list[str] = []
-    domain = [w for k in range(n + 1) for w in words_with_ascents(n, k, j)]
+    domain = [w for k in range(n + 1) for w in map(bytes, words_with_ascents(n, k, j))]
     members = set(domain)
     checked = 0
     current = domain

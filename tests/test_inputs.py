@@ -1,7 +1,9 @@
 """The structured inputs: every public callable that reads a word, a
 pattern, a subset, a grid or a cap refuses a malformed one with
 DomainViolation or ValueError naming it, never a bare TypeError or
-AttributeError, and reads a one-shot iterator as the tuple it yields."""
+AttributeError, and reads a one-shot iterator as the tuple it yields.
+The maps that read a binary word into bytes return and refuse what the
+tuple edge they replaced (tests/reference.py) returns and refuses."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from rascal.maps import (
     divider_decode,
     divider_encode,
     genalt_involution,
+    ratio_map,
     signed_pair,
     strip,
+    subset_to_word,
     sym_map,
     unstrip,
     word_to_ascseq,
@@ -38,10 +42,10 @@ from rascal.words import (
     word_str,
 )
 
+from reference import MAX_LETTER, binary_family_word
+
 # each public reader with the drawn value in the one structured argument it
-# reads.  Not drawn: subset_to_word, ratio_map and altbin_involution's pair,
-# which take the package's own value types (RestrictedSubset, MarkedWord,
-# SignedPair), not a raw argument.
+# reads; the maps that take the package's own value types refuse any other value
 READERS = {
     "as_word": as_word,
     "word_str": word_str,
@@ -62,7 +66,10 @@ READERS = {
     "ascseq_to_word": ascseq_to_word,
     "word_to_subset": lambda x: word_to_subset(x, 1),
     "divider_decode": divider_decode,
+    "subset_to_word": subset_to_word,
     "MarkedWord": lambda x: MarkedWord(x, 1),
+    "ratio_map": ratio_map,
+    "altbin_involution(pair)": lambda x: altbin_involution(1, x, 2, 1, 1),
     "genalt_involution": lambda x: genalt_involution(0, x, 1),
     "divider_encode": lambda x: divider_encode(x, 3),
     "signed_pair(subset)": lambda x: signed_pair(x, "1000", 2),
@@ -128,6 +135,19 @@ REPRODUCTIONS = {
     ),
     "evaluate('row_sum', 5)": (lambda: evaluate("row_sum", 5), "^row_sum needs a dict of values, not 5$"),
     "SignedPair([[1]], '00', 1)": (lambda: SignedPair([[1]], "00", 1), r"^subset \[\[1\]\] not within \{1..2\}$"),
+    # a map that takes a record refuses a plain tuple of its fields
+    "ratio_map(((0, 1, 1), 2))": (
+        lambda: ratio_map(((0, 1, 1), 2)),
+        r"^ratio_map takes a MarkedWord, not \(\(0, 1, 1\), 2\)$",
+    ),
+    "subset_to_word(((1, 2), 3, 2, 1))": (
+        lambda: subset_to_word(((1, 2), 3, 2, 1)),
+        r"^subset_to_word takes a RestrictedSubset, not \(\(1, 2\), 3, 2, 1\)$",
+    ),
+    "altbin_involution(1, (frozenset(), (1, 0, 0), 1), 2, 1, 1)": (
+        lambda: altbin_involution(1, (frozenset(), (1, 0, 0), 1), 2, 1, 1),
+        r"^altbin_involution takes a SignedPair, not \(frozenset\(\), \(1, 0, 0\), 1\)$",
+    ),
     # a cap follows the size rule
     "verify_range(max_cells='10')": (
         lambda: verify_range("row_sum", {"n": (0, 3)}, max_cells="10"),
@@ -191,3 +211,61 @@ def test_pattern_read_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^12 is not a pattern \(not self-reduced\)$"):
         _as_pattern("12")
     assert [is_pattern(w) for w in ("", "0", "0210", "01259", "11", "1")] == [True, True, True, False, False, False]
+
+
+# each public map that reads a binary word at its bytes edge: (the map on
+# the drawn word, the ascent bound its edge names, or None for none)
+EDGE_MAPS = {
+    "sym_map": (sym_map, 1),
+    "strip": (lambda w: strip(w, 1, 1), None),
+    "unstrip": (lambda w: unstrip(w, 1, 1), None),
+    "word_to_ascseq": (word_to_ascseq, 1),
+    "word_to_subset": (lambda w: word_to_subset(w, 2), 2),
+    "divider_decode": (divider_decode, None),
+    "genalt_involution": (lambda w: genalt_involution(0, w, 2), 2),
+    "MarkedWord": (lambda w: MarkedWord(w, 1), None),
+    "SignedPair": (lambda w: SignedPair((), w, 1), None),
+    "signed_pair": (lambda w: signed_pair((1,), w, 2), None),
+}
+
+
+@st.composite
+def near_binary(draw):
+    """A maker of a word of up to 200 letters, runs of 0s and 1s with up
+    to two letters swapped for 2, a bool or a letter above 255, as a
+    tuple, a list, a digit string or a one-shot iterator."""
+    runs = draw(st.lists(st.tuples(st.sampled_from((0, 1)), st.integers(1, 60)), max_size=6))
+    letters = [bit for bit, size in runs for _ in range(size)][:200]
+    for _ in range(draw(st.integers(0, 2)) if letters else 0):
+        at = draw(st.integers(0, len(letters) - 1))
+        letters[at] = draw(st.sampled_from((2, True, False, 256, MAX_LETTER, MAX_LETTER + 1)))
+    form = draw(st.sampled_from(("tuple", "list", "digits", "iterator")))
+    if form == "digits":
+        text = "".join(str(int(x)) for x in letters)
+        return lambda: text
+    return {"tuple": lambda: tuple(letters), "list": lambda: list(letters), "iterator": lambda: iter(letters)}[form]
+
+
+def refusal_or(call):
+    """repr(call()), which tells 1 from True and a tuple from a list, or the
+    type name and message of the ValueError it raises."""
+    try:
+        return repr(call())
+    except ValueError as refusal:
+        return type(refusal).__name__, str(refusal)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(near_binary())
+def test_bytes_edge_matches_tuple_edge(make):
+    # each map returns on a raw word what it returns on the tuple that the
+    # tuple edge (binary_word, then the ascent bound) reads, and refuses
+    # what that edge refuses, with the same type and message
+    for name, (call, j) in EDGE_MAPS.items():
+        try:
+            word = binary_family_word(make(), j, name)
+        except ValueError as refusal:
+            expected = type(refusal).__name__, str(refusal)
+        else:
+            expected = refusal_or(lambda: call(word))
+        assert refusal_or(lambda: call(make())) == expected, name

@@ -48,10 +48,10 @@ class TestRunProfile:
         from rascal.generate import all_binary_words
 
         for n in range(9):
-            for w in all_binary_words(n):
+            for w in map(bytes, all_binary_words(n)):
                 x0, pairs, y0 = _profile(w)
                 assert assemble_profile(x0, pairs, y0) == w
-                assert len(pairs) == asc(w)
+                assert len(pairs) == asc(tuple(w))
 
 
 class TestSymMap:
@@ -215,7 +215,7 @@ class TestAltbinInvolution:
         r, n, k = 2, 2, 1
         # word ends in exactly r - |S| = 0 zeros and r is in S
         pair = signed_pair({1, 2}, "0001", r)
-        assert maps._altbin_fixed(pair.subset, _trail(pair.word), r)
+        assert maps._altbin_fixed(_triple(pair), r)
         assert altbin_involution(1, pair, r, n, k) == pair
 
     def test_many_trailing_zeros_toggles_r(self):
@@ -383,7 +383,7 @@ class TestCheckInvolution:
 
     def test_genalt_three_cycle_reports_each_word(self, monkeypatch):
         core = maps._genalt
-        cycle = {(1, 1, 0, 0): (1, 0, 0, 0), (1, 0, 0, 0): (1, 1, 1, 0), (1, 1, 1, 0): (1, 1, 0, 0)}
+        cycle = {b"\1\1\0\0": b"\1\0\0\0", b"\1\0\0\0": b"\1\1\1\0", b"\1\1\1\0": b"\1\1\0\0"}
         monkeypatch.setattr(maps, "_genalt", lambda d, w: cycle.get(w, core(d, w)) if d == 0 else core(d, w))
         assert verify_genalt(4, 1)["details"] == [
             "genalt: stage 0 is not an involution on 0000",
@@ -395,7 +395,7 @@ class TestCheckInvolution:
     def test_cached_subset_core_fault_reported_at_every_j(self, monkeypatch):
         core = maps._to_subset
         # 0110 takes the subset of 0101
-        monkeypatch.setattr(maps, "_to_subset", lambda b: core((0, 1, 0, 1)) if b == (0, 1, 1, 0) else core(b))
+        monkeypatch.setattr(maps, "_to_subset", lambda b: core(b"\0\1\0\1") if b == b"\0\1\1\0" else core(b))
         assert verify_subset(4, 2)["details"] == [
             "subset: image of 0110 is outside the target family",
             "subset: round trip fails on 0110",
@@ -427,13 +427,42 @@ class TestCheckInvolution:
     def test_altbin_stage2_fixed_point_fails(self, monkeypatch):
         core = maps._altbin
 
-        def fixing(stage, s, w, r, zeros):
-            return (s, w) if stage == 2 and 1 in s else core(stage, s, w, r, zeros)
+        def fixing(stage, p, r):
+            return p if stage == 2 and 1 in p[0] else core(stage, p, r)
 
         monkeypatch.setattr(maps, "_altbin", fixing)
         report = verify_altbin(2, 3, 1)
         assert not report["ok"]
         assert "altbin: stage 2 fixed set differs from its description" in report["details"]
+
+
+class TestCoreCalls:
+    """Each core runs once per distinct object, as the maps docstring says."""
+
+    def test_altbin_core_and_description_once_per_object(self, monkeypatch):
+        calls = {"core": [], "description": []}
+        core, description = maps._altbin, maps._altbin_fixed
+        monkeypatch.setattr(maps, "_altbin", lambda stage, p, r: calls["core"].append((stage, p)) or core(stage, p, r))
+        monkeypatch.setattr(maps, "_altbin_fixed", lambda p, r: calls["description"].append(p) or description(p, r))
+        report = verify_altbin(4, 10, 5)
+        assert (report["ok"], report["checked"]) == (True, 576)
+        space = calls["description"]
+        assert len(space) == len(set(space)) == 576
+        for stage, domain in ((1, set(space)), (2, {p for p in space if description(p, 4)})):
+            objects = [p for at, p in calls["core"] if at == stage]
+            assert len(objects) == len(set(objects)) and set(objects) == domain, stage
+
+    def test_subset_cores_miss_once_per_object(self, monkeypatch):
+        calls = {"_to_subset": [], "_from_subset": []}
+        to_subset, from_subset = maps._to_subset, maps._from_subset
+        monkeypatch.setattr(maps, "_to_subset", lambda s: calls["_to_subset"].append(s) or to_subset(s))
+        monkeypatch.setattr(
+            maps, "_from_subset", lambda e, n, k: calls["_from_subset"].append((e, n, k)) or from_subset(e, n, k)
+        )
+        assert verify_subset(6, 2)["ok"]
+        objects = sum(rascal_gen_value(n, k, 2) for n in range(7) for k in range(n + 1))
+        for name, seen in calls.items():
+            assert len(seen) == len(set(seen)) == objects, name
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +501,11 @@ def _lead(b):
 
 def _trail(b):
     return _lead(tuple(1 - x for x in reversed(b)))
+
+
+def _triple(pair):
+    """The (S, w, z) triple that the altbin cores read for a signed pair."""
+    return pair.subset, bytes(pair.word), _trail(pair.word)
 
 
 @st.composite
@@ -620,7 +654,7 @@ class TestMapProperties:
         out = altbin_involution(1, pair, r, n, k)
         if out == pair:
             assert r in pair.subset and _trail(pair.word) == r - len(pair.subset)
-            assert maps._altbin_fixed(pair.subset, _trail(pair.word), r)
+            assert maps._altbin_fixed(_triple(pair), r)
             return
         assert out.word == pair.word and out.subset == pair.subset ^ {r}
         assert out.weight == -pair.weight
@@ -630,10 +664,10 @@ class TestMapProperties:
     @given(altbin_fixed_points())
     def test_altbin_stage2_sign_reversing_involution(self, case):
         pair, r, n, k = case
-        assert maps._altbin_fixed(pair.subset, _trail(pair.word), r)
+        assert maps._altbin_fixed(_triple(pair), r)
         out = altbin_involution(2, pair, r, n, k)
         assert out != pair and out.weight == -pair.weight
-        assert out.subset == pair.subset ^ {1} and maps._altbin_fixed(out.subset, _trail(out.word), r)
+        assert out.subset == pair.subset ^ {1} and maps._altbin_fixed(_triple(out), r)
         assert altbin_involution(2, out, r, n, k) == pair
 
     @PROPERTY
@@ -651,13 +685,13 @@ class TestMapProperties:
     @given(genalt_fixed_points())
     def test_genalt_stage_d_sign_reversing_involution(self, case):
         d, w, j = case
-        assert asc(w) <= j and maps._genalt_fixed(w, d - 1)
+        assert asc(w) <= j and maps._genalt_fixed(bytes(w), d - 1)
         out = genalt_involution(d, w, j)
         if out == w:
-            assert maps._genalt_fixed(w, d)
+            assert maps._genalt_fixed(bytes(w), d)
             return
         assert abs(sum(out) - sum(w)) == 1
-        assert asc(out) <= j and maps._genalt_fixed(out, d - 1) and not maps._genalt_fixed(out, d)
+        assert asc(out) <= j and maps._genalt_fixed(bytes(out), d - 1) and not maps._genalt_fixed(bytes(out), d)
         assert genalt_involution(d, out, j) == w
 
     @PROPERTY
@@ -735,8 +769,8 @@ class TestRunScans:
         x0 = runs.pop(0)[1] if runs and runs[0][0] == 1 else 0
         y0 = runs.pop()[1] if runs and runs[-1][0] == 0 else 0
         pairs = [(zeros, ones) for (_, zeros), (_, ones) in zip(runs[::2], runs[1::2])]
-        assert _profile(b) == (x0, pairs, y0)
-        assert (_leading_ones(b), _trailing_zeros(b)) == (x0, y0)
+        assert _profile(bytes(b)) == (x0, pairs, y0)
+        assert (_leading_ones(bytes(b)), _trailing_zeros(bytes(b))) == (x0, y0)
 
 
 class TestValueTypes:
@@ -810,9 +844,11 @@ class TestPublicEdge:
             (lambda pair: altbin_involution(1, pair, 2, 2, 1), signed_pair({1}, "1000", 2)),
             (lambda pair: altbin_involution(2, pair, 2, 2, 1), signed_pair({1, 2}, "0001", 2)),
         ]
+        # a word is read through as_word or, at the bytes edge of maps, _letter_bytes
         seen = []
-        as_word = words.as_word
-        monkeypatch.setattr(words, "as_word", lambda w: seen.append(w) or as_word(w))
+        for module, reader in ((words, "as_word"), (maps, "_letter_bytes")):
+            read = getattr(module, reader)
+            monkeypatch.setattr(module, reader, lambda w, read=read: seen.append(w) or read(w))
         for call, obj in cases:
             call(obj)
             assert obj.word not in seen, call
@@ -1071,9 +1107,9 @@ class TestVerifierStructure:
     def test_altbin_image_outside_space_fails(self, monkeypatch):
         core = maps._altbin
 
-        def leaky(stage, s, w, r, zeros):
-            t, out = core(stage, s, w, r, zeros)
-            return (t, out + (0,)) if stage == 2 else (t, out)
+        def leaky(stage, p, r):
+            t, out, zeros = core(stage, p, r)
+            return (t, out + b"\0", zeros) if stage == 2 else (t, out, zeros)
 
         monkeypatch.setattr(maps, "_altbin", leaky)
         report = verify_altbin(2, 3, 1)
@@ -1083,7 +1119,7 @@ class TestVerifierStructure:
     def test_genalt_image_outside_domain_fails(self, monkeypatch):
         core = maps._genalt
         # stage 0 lengthens every word that starts with a 1
-        monkeypatch.setattr(maps, "_genalt", lambda d, w: w + (0,) if d == 0 and w[:1] == (1,) else core(d, w))
+        monkeypatch.setattr(maps, "_genalt", lambda d, w: w + b"\0" if d == 0 and w[:1] == b"\1" else core(d, w))
         report = verify_genalt(4, 1)
         assert not report["ok"]
         assert any("outside the domain" in line for line in report["details"])
