@@ -14,8 +14,10 @@ listing R(n, k; j) and one of every k sum_{t <= 2j+1} C(n, t), the profile
 oracle each growth of its profile table plus each row's new term columns
 and own cells, a pattern search (contains_pattern) the partial embeddings
 it can try, sum_{d <= min(m, n)} C(n, d) for m pattern letters in n word
-letters.  The shared input rules live here too: require_sizes, and
-require_subset, the one reader of a subset argument.
+letters, a map that builds a word longer than its input (unstrip,
+divider_encode, subset_to_word) the letters of that word.  The shared
+input rules live here too: require_sizes, and require_subset, the one
+reader of a subset argument.
 """
 
 import os

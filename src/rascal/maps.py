@@ -4,36 +4,37 @@ on the word families, each paired with an exhaustive small-size verifier.
 Each map is split in two.  A private core (_sym, _to_subset, _altbin,
 ...) works on trusted binary words held as bytes -- for altbin, on
 (S, w, z) triples, z the zeros w ends in -- and checks nothing.  The
-public function validates its input once, at the edge, and then calls
-the core: it reads a binary word once into bytes (_bits), takes the
-binary check, the ascent count and the end runs from them in C-level
-passes, and returns the word a core built as a tuple.  MarkedWord,
-SignedPair and generate.RestrictedSubset are namedtuples that check
-their fields when called; an object that a core built, or whose fields
-were checked at the edge, is made with the namedtuple's own _make
-(tuple.__new__), which checks nothing.  The maps act pointwise and
-never enumerate; the verify_* functions materialize the small domains
-with the generators and run the cores on those objects, so nothing is
-validated per object.  Every image is still tested for membership in a
-target that a generator built (never the map under test), so a core
-that emits a bad object fails its verifier.  The five bijection
-verifiers (sym, strip, ascseq, subset, divider) share one check,
-_check_bijection: every image lies in the target, the inverse undoes
-the map, and the image is the whole target.  Each adds only its own
-counting facts.  The altbin and genalt verifiers run each stage of
-their involution chains through one check, _check_involution: every
-moved object lands in the signed set, changes its grade by one (so its
-sign flips) and comes back, and the fixed points are exactly those of
-a separate description (_altbin_fixed, _genalt_fixed), which the next
-stage then acts on.  The ratio verifier checks its injection directly.
-Before building anything, every verifier prices the objects it will
-check from closed forms, once (limits.check_sum), then lists them with
-unpriced walks (generate._avoiders, not the public avoiders).
-Each core runs once per distinct object: _check_involution skips the
-partner of an object that passed, whose checks are the same, and
-verify_subset (per (n, k)) and verify_divider (per n) keep one
-functools.cache per core over the nested families of every j, so a
-cache holds at most the block's largest family.
+public function validates its input once, at the edge: it reads a
+binary word once into bytes (_bits), takes the binary check, the ascent
+count and the end runs from them in C-level passes, calls the core and
+returns the word it built as a tuple.  MarkedWord, SignedPair and
+generate.RestrictedSubset are namedtuples that check their fields when
+called; one built by a core or from fields checked at the edge is made
+with _make, which checks nothing.  One codec splits a word 1^x0 0^y1
+1^x1 ... 0^ym 1^xm 0^y0 into runs and builds one back: _runs returns
+[x0, y1, x1, ..., ym, xm, y0] (2m + 2 lengths, the inner ones positive)
+with one bytes.find per run, and _from_runs joins such a list, ones
+first.  The subset cores and the genalt chain past stage 0 read runs
+only through it, and they, the divider encoder and the ascseq inverse
+build words only through it.  The end runs, the ascent count,
+_to_ascseq, _divider_decode and _ratio keep their one C-level read,
+which a list of runs only slows.  The maps act pointwise; the
+verify_* functions list the small domains with the generators, run the
+cores on them (validating nothing per object) and test every image for
+membership in a generator-built target, so a core that emits a bad
+object fails.  The five bijection verifiers (sym, strip, ascseq, subset,
+divider) share _check_bijection: every image lies in the target, the
+inverse undoes the map, and the image is the whole target; each adds
+its own counting facts.  The altbin and genalt verifiers run each stage
+of their chains through _check_involution: every moved object lands in
+the signed set, changes its grade by one (so its sign flips) and comes
+back, and the fixed points are those of a separate description
+(_altbin_fixed, _genalt_fixed), on which the next stage acts.  Every
+verifier prices its objects from closed forms once (limits.check_sum),
+then lists them with unpriced walks (generate._avoiders).  Each core
+runs once per distinct object: _check_involution skips the partner of
+an object that passed, and verify_subset (per (n, k)) and verify_divider
+(per n) keep one functools.cache per core over the families of every j.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cache, partial
 from itertools import accumulate, combinations, product
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 
 from .errors import DomainViolation
 from .generate import (
@@ -53,7 +54,7 @@ from .generate import (
     canonical_avoiders,
     words_with_ascents,
 )
-from .limits import check_sum, require_sizes, require_subset
+from .limits import check_cells, check_sum, require_sizes, require_subset
 from .numbers import _choose, closed_value
 from .words import Word, _asc, _letter_bytes, as_word, binary_word, word_str
 
@@ -87,27 +88,19 @@ def _trailing_zeros(s: bytes) -> int:
     return len(s) - 1 - s.rfind(1)
 
 
-def _profile(s: bytes) -> tuple[int, list[tuple[int, int]], int]:
-    """Decompose a binary word as 1^x0 (0^y_i 1^x_i)_{i=1..m} 0^y0.
-
-    Returns (x0, [(y_1, x_1), ..., (y_m, x_m)], y0) where m = asc(s);
-    inner runs are positive, outer runs may be empty.
-    """
-    x0 = _leading_ones(s)
-    end = s.rfind(1) + 1  # where the trailing zeros start, at or after x0
-    pairs: list[tuple[int, int]] = []
-    start = x0
-    while start < end:
-        ones = s.find(1, start)
-        stop = s.find(0, ones)
-        stop = end if stop < 0 else stop
-        pairs.append((ones - start, stop - ones))
-        start = stop
-    return x0, pairs, len(s) - end
+def _runs(s: bytes) -> list[int]:
+    """[x0, y1, x1, ..., ym, xm, y0] for s = 1^x0 0^y1 1^x1 ... 0^ym 1^xm 0^y0, m = asc(s)."""
+    runs, start, letter = [], 0, 0  # each find ends the run of 1 - letter
+    while (i := s.find(letter, start)) >= 0:
+        runs.append(i - start)
+        start, letter = i, 1 - letter
+    runs.append(len(s) - start)
+    return runs if letter else runs + [0]  # a word that ends in 1 has y0 = 0
 
 
-def assemble_profile(x0: int, pairs: list[tuple[int, int]], y0: int) -> bytes:
-    return b"\x01" * x0 + b"".join([b"\x00" * zeros + b"\x01" * ones for zeros, ones in pairs]) + b"\x00" * y0
+def _from_runs(runs) -> bytes:
+    """The word of the run lengths in the list `runs`, ones first: inverse of _runs."""
+    return b"".join(map(mul, (b"\x01", b"\x00") * len(runs), runs))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +141,7 @@ def unstrip(b, lead_ones: int, trail_zeros: int) -> Word:
     """Prepend 1's and append 0's; inverse of strip on its image."""
     s = _bits(b)
     require_sizes(lead_ones=lead_ones, trail_zeros=trail_zeros)
+    check_cells(len(s) + lead_ones + trail_zeros, "unstrip")
     return tuple(_unstrip(s, lead_ones, trail_zeros))
 
 
@@ -192,24 +186,17 @@ def _from_ascseq(w: Word) -> bytes:
     if not w:
         raise DomainViolation("the empty sequence is outside the family (lengths are n+1 >= 1)")
     k = max(w)
-    n = len(w) - 1
-    staircase = tuple(range(k))
-    if w[:k] != staircase:
+    if w[:k] != tuple(range(k)):
         raise DomainViolation(f"{word_str(w)} does not start with the staircase 0..{k - 1}")
-    rest = w[k:]
-    y = 0
-    while y < len(rest) and rest[y] == k:
-        y += 1
-    if y == 0:
+    if w[k : k + 1] != (k,):
         raise DomainViolation(f"{word_str(w)} is missing its largest letter after the staircase")
-    tail = rest[y:]
-    if not tail:
-        return b"\x01" * k + b"\x00" * (n - k)
-    x_letter = tail[0]
-    if any(t != x_letter for t in tail) or x_letter >= k:
+    y = w.count(k)  # the staircase holds no k: a block of y k's, then a constant tail below k
+    tail = w[k + y :]
+    if w[k : k + y] != (k,) * y or tail[1:] != tail[:-1]:
         raise DomainViolation(f"{word_str(w)} does not end in a constant block below {k}")
-    x = k - x_letter
-    return b"\x01" * (k - x) + b"\x00" * y + b"\x01" * x + b"\x00" * (n - k - y)
+    if not tail:  # 1^k 0^(n-k), n + 1 = k + y
+        return _from_runs([k, y - 1])
+    return _from_runs([tail[0], y, k - tail[0], len(tail) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +220,9 @@ def _to_subset(s: bytes) -> tuple[int, ...]:
     """The elements, sorted: the low part is at most n-k, the high part above."""
     k = s.count(1)
     n_minus_k = len(s) - k
-    _x0, pairs, _y0 = _profile(s)
-    low = accumulate(zeros for zeros, _ones in pairs)
-    ones_partial = set(accumulate(ones for _zeros, ones in pairs))
+    runs = _runs(s)
+    low = accumulate(runs[1:-1:2])  # the inner zero runs y1..ym
+    ones_partial = set(accumulate(runs[2:-1:2]))  # the inner one runs x1..xm
     return (*low, *(v + n_minus_k for v in range(1, k + 1) if v not in ones_partial))
 
 
@@ -243,16 +230,19 @@ def subset_to_word(s: RestrictedSubset) -> Word:
     """Inverse of word_to_subset."""
     if not isinstance(s, RestrictedSubset):
         raise DomainViolation(f"subset_to_word takes a RestrictedSubset, not {s!r}")
+    check_cells(s.n, "subset_to_word")
     return tuple(_from_subset(s.elements, s.n, s.k))
 
 
 def _from_subset(elements: tuple[int, ...], n: int, k: int) -> bytes:
     """The partial sums of the inner zero and one runs, from 0, give the runs back."""
     m = bisect_right(elements, n - k)
-    zeros = [0, *elements[:m]]
-    ones = [0, *(v - (n - k) for v in sorted(set(range(n - k + 1, n + 1)).difference(elements[m:])))]
-    pairs = list(zip(map(sub, zeros[1:], zeros), map(sub, ones[1:], ones)))
-    return assemble_profile(k - ones[-1], pairs, n - k - zeros[-1])
+    zeros = [0, *elements[:m], n - k]  # y1..ym, then y0, by differences
+    ones = [n - k, *sorted(set(range(n - k + 1, n + 1)).difference(elements[m:]))]  # x1..xm, shifted by n-k
+    runs = [n - ones[-1]] * (2 * m + 2)  # x0 = k - (x1 + ... + xm) leads
+    runs[1::2] = map(sub, zeros[1:], zeros)
+    runs[2::2] = map(sub, ones[1:], ones)
+    return _from_runs(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +254,15 @@ def divider_encode(subset, n: int) -> Word:
     the sections 0..|S| left to right, fill even sections with 1's and
     odd sections with 0's."""
     require_sizes(n=n)
-    return tuple(_divider_encode(sorted(set(require_subset(subset, n))), n))
+    elements = require_subset(subset, n)
+    check_cells(n, "divider_encode")
+    return tuple(_divider_encode(sorted(set(elements)), n))
 
 
 def _divider_encode(s, n: int) -> bytes:
-    """On the sorted elements s of a subset of {1..n}."""
+    """On the sorted elements s of a subset of {1..n}: the sections are runs."""
     cuts = [1, *s, n + 1]
-    return b"".join([(b"\x00" if i % 2 else b"\x01") * (cuts[i + 1] - cuts[i]) for i in range(len(cuts) - 1)])
+    return _from_runs(list(map(sub, cuts[1:], cuts)))
 
 
 def divider_decode(b) -> tuple[int, ...]:
@@ -433,14 +425,11 @@ def _altbin(stage: int, p: tuple[frozenset[int], bytes, int], r: int) -> tuple[f
 
 def _genalt_fixed(w: bytes, d: int) -> bool:
     """Is w a fixed point of the involutions 0..d of the chain?"""
-    x0, pairs, y0 = _profile(w)
-    if x0 % 2 or y0 != 0:
+    if _leading_ones(w) % 2 or w[-1:] == b"\x00":  # stage 0 moves it
         return False
-    for t in range(1, min(d, len(pairs)) + 1):
-        y_t, x_t = pairs[t - 1]
-        if x_t % 2 == 0 or y_t != 1:
-            return False
-    return True
+    runs = _runs(w)
+    ys, xs = runs[1:-1:2][:d], runs[2:-1:2][:d]  # y_t and x_t for t = 1..min(d, m)
+    return ys.count(1) == len(ys) and all(x % 2 for x in xs)
 
 
 def genalt_involution(d: int, w, j: int) -> Word:
@@ -465,17 +454,14 @@ def _genalt(d: int, w: bytes) -> bytes:
         if _leading_ones(w) % 2:
             return w[1:] + b"\x00"
         return b"\x01" + w[:-1] if w[-1:] == b"\x00" else w
-    x0, pairs, y0 = _profile(w)
-    if len(pairs) < d:
+    runs = _runs(w)
+    i = 2 * d  # runs[i - 1] and runs[i] are y_d and x_d
+    if len(runs) < i + 2 or (runs[i] % 2 and runs[i - 1] == 1):
         return w
-    y_d, x_d = pairs[d - 1]
-    if x_d % 2 == 0:
-        pairs[d - 1] = (y_d + 1, x_d - 1)
-    elif y_d > 1:
-        pairs[d - 1] = (y_d - 1, x_d + 1)
-    else:
-        return w
-    return assemble_profile(x0, pairs, y0)
+    step = 1 if runs[i] % 2 == 0 else -1  # a one of x_d joins y_d, or a zero of y_d joins x_d
+    runs[i - 1] += step
+    runs[i] -= step
+    return _from_runs(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -66,3 +66,31 @@ def binary_family_word(w, j=None, what=""):
     if j is not None and ascents > j:
         raise DomainViolation(f"{what}: {shown} has {ascents} ascents, more than {j}")
     return word
+
+
+def ascseq_word(w) -> tuple[int, ...]:
+    """The binary word of a {001,210}-avoiding ascent sequence w (a tuple
+    of ints), read letter by letter: the staircase 0..k-1 (k = max(w)),
+    a run of k's, then a constant tail below k; refusals carry the
+    messages of maps.ascseq_to_word."""
+    shown = "".join(map(str, w))
+    if not w:
+        raise DomainViolation("the empty sequence is outside the family (lengths are n+1 >= 1)")
+    k = max(w)
+    n = len(w) - 1
+    if w[:k] != tuple(range(k)):
+        raise DomainViolation(f"{shown} does not start with the staircase 0..{k - 1}")
+    rest = w[k:]
+    y = 0
+    while y < len(rest) and rest[y] == k:
+        y += 1
+    if y == 0:
+        raise DomainViolation(f"{shown} is missing its largest letter after the staircase")
+    tail = rest[y:]
+    if not tail:
+        return (1,) * k + (0,) * (n - k)
+    x_letter = tail[0]
+    if any(t != x_letter for t in tail) or x_letter >= k:
+        raise DomainViolation(f"{shown} does not end in a constant block below {k}")
+    x = k - x_letter
+    return (1,) * (k - x) + (0,) * y + (1,) * x + (0,) * (n - k - y)

@@ -2,6 +2,8 @@
 verifiers at small sizes."""
 
 import ast
+import re
+import time
 from enum import IntEnum
 from itertools import groupby
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rascal import cli, generate, limits, maps, words
-from rascal.errors import DomainViolation
+from rascal.errors import DomainViolation, ResourceLimit
 from rascal.generate import RestrictedSubset, restricted_subsets, words_with_ascents
 from rascal.maps import (
     MarkedWord,
@@ -40,18 +42,19 @@ from rascal.maps import (
 )
 from rascal.numbers import rascal_gen_value
 from rascal.words import as_word, asc, contains_001, contains_210, is_ascent_sequence, word_str
+from reference import ascseq_word
 
 
 class TestRunProfile:
     def test_round_trip_on_small_words(self):
-        from rascal.maps import _profile, assemble_profile
+        from rascal.maps import _from_runs, _runs
         from rascal.generate import all_binary_words
 
         for n in range(9):
             for w in map(bytes, all_binary_words(n)):
-                x0, pairs, y0 = _profile(w)
-                assert assemble_profile(x0, pairs, y0) == w
-                assert len(pairs) == asc(tuple(w))
+                runs = _runs(w)
+                assert _from_runs(runs) == w
+                assert len(runs) == 2 * asc(tuple(w)) + 2
 
 
 class TestSymMap:
@@ -96,6 +99,28 @@ class TestStripUnstrip:
         assert report["ok"], report["details"][:3]
 
 
+# ascseq_to_word's refusals, one per message (the k's split in two and a
+# tail that is not constant share the last)
+ASCSEQ_REFUSALS = {
+    "": "the empty sequence is outside the family (lengths are n+1 >= 1)",
+    "10": "10 does not start with the staircase 0..0",
+    "0010": "0010 is missing its largest letter after the staircase",
+    "01212": "01212 does not end in a constant block below 2",
+    "01210": "01210 does not end in a constant block below 2",
+}
+
+
+@st.composite
+def near_ascseqs(draw):
+    """A staircase 0..k-1, a block of k's and a block of one letter up to
+    k, with up to two letters after the staircase set to any of 0..k."""
+    k = draw(st.integers(0, 5))
+    w = [*range(k), *[k] * draw(st.integers(0, 4)), *[draw(st.integers(0, k))] * draw(st.integers(0, 4))]
+    for _ in range(draw(st.integers(0, 2)) if len(w) > k else 0):
+        w[draw(st.integers(k, len(w) - 1))] = draw(st.integers(0, k))
+    return w[:12]
+
+
 class TestWordAscseqBridge:
     def test_zero_ascent_case(self):
         assert word_str(word_to_ascseq("1100")) == "01222"
@@ -119,6 +144,22 @@ class TestWordAscseqBridge:
         for bad in ("", "10", "0101", "0011", "0121012"):
             with pytest.raises(DomainViolation):
                 ascseq_to_word(bad)
+
+    @pytest.mark.parametrize("bad", sorted(ASCSEQ_REFUSALS))
+    def test_refusal_messages(self, bad):
+        with pytest.raises(DomainViolation, match=f"^{re.escape(ASCSEQ_REFUSALS[bad])}$"):
+            ascseq_to_word(bad)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(near_ascseqs(), near_ascseqs(), st.lists(st.integers(0, 6), max_size=12)).map(tuple))
+    def test_matches_letter_by_letter_reading(self, w):
+        try:
+            expected = ascseq_word(w)
+        except ValueError as refused:
+            with pytest.raises(DomainViolation, match=f"^{re.escape(str(refused))}$"):
+                ascseq_to_word(w)
+        else:
+            assert ascseq_to_word(w) == expected
 
     def test_exhaustive(self):
         report = verify_ascseq(9)
@@ -149,6 +190,38 @@ class TestSubsetBridge:
     def test_exhaustive(self):
         report = verify_subset(10, 3)
         assert report["ok"], report["details"][:3]
+
+
+# the maps that build a word longer than their input, each priced by the
+# letters it builds: (the map, a call, its price), far over the default cap
+# and small enough to build
+OVER_CAP = [
+    ("unstrip", lambda: unstrip("0", 10**9, 0), 10**9 + 1),
+    ("divider_encode", lambda: divider_encode([], 10**9), 10**9),
+    ("subset_to_word", lambda: subset_to_word(RestrictedSubset((), 10**9, 0, 0)), 10**9),
+    ("subset_to_word", lambda: subset_to_word(RestrictedSubset((), 3 * 10**6, 0, 0)), 3 * 10**6),
+]
+SMALL_BUILDS = [
+    ("unstrip", lambda: unstrip("01", 3, 2), 7),
+    ("divider_encode", lambda: divider_encode([2, 4], 5), 5),
+    ("subset_to_word", lambda: subset_to_word(RestrictedSubset((2, 4), 4, 2, 1)), 4),
+]
+
+
+class TestPricedBuilds:
+    @pytest.mark.parametrize(("name", "call", "price"), OVER_CAP)
+    def test_refused_at_once(self, name, call, price, monkeypatch):
+        monkeypatch.delenv("RASCAL_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=f"^{name} needs {price} cells, over the cap {1 << 20}$"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(("name", "call", "price"), SMALL_BUILDS)
+    def test_priced_at_the_word_length(self, name, call, price):
+        assert len(limits.run_capped(price, call)) == price
+        with pytest.raises(ResourceLimit, match=f"^{name} needs {price} cells, over the cap {price - 1}$"):
+            limits.run_capped(price - 1, call)
 
 
 class TestDivider:
@@ -763,14 +836,30 @@ class TestRunScans:
     @PROPERTY
     @given(st.lists(st.integers(0, 1), max_size=N_MAX).map(tuple))
     def test_against_groupby(self, b):
-        from rascal.maps import _leading_ones, _profile, _trailing_zeros
+        from rascal.maps import _from_runs, _leading_ones, _runs, _trailing_zeros
 
         runs = [(bit, len(list(group))) for bit, group in groupby(b)]
         x0 = runs.pop(0)[1] if runs and runs[0][0] == 1 else 0
         y0 = runs.pop()[1] if runs and runs[-1][0] == 0 else 0
         pairs = [(zeros, ones) for (_, zeros), (_, ones) in zip(runs[::2], runs[1::2])]
-        assert _profile(bytes(b)) == (x0, pairs, y0)
+        expected = [x0, *(size for pair in pairs for size in pair), y0]
+        assert _runs(bytes(b)) == expected
+        assert _from_runs(expected) == bytes(b)
         assert (_leading_ones(bytes(b)), _trailing_zeros(bytes(b))) == (x0, y0)
+
+    @PROPERTY
+    @given(st.integers(0, 1), st.lists(st.integers(1, 400), max_size=200))
+    def test_codec_on_long_words(self, first, sizes):
+        # up to 2,000 letters in runs that alternate from `first`, any number of ascents
+        from rascal.maps import _from_runs, _runs
+
+        s = bytes(bit for i, size in enumerate(sizes) for bit in [(first + i) % 2] * size)[:2000]
+        groups = [len(list(group)) for _, group in groupby(s)]
+        expected = ([] if s[:1] == b"\x01" else [0]) + groups + ([] if s[-1:] == b"\x00" else [0])
+        runs = _runs(s)
+        assert _from_runs(runs) == s
+        assert len(runs) == 2 * s.count(b"\x00\x01") + 2
+        assert runs == expected
 
 
 class TestValueTypes:
