@@ -46,7 +46,7 @@ import json
 import os
 import time
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, product, repeat
 from math import factorial, perm, prod
 from operator import mul
@@ -65,7 +65,10 @@ class ClosedValues:
 
     def __init__(self) -> None:
         self._served: dict[tuple[int, int | None, int], int | list[int]] = {}
-        self._cols: dict[int, list[int]] = {}
+
+    @cached_property
+    def _cols(self) -> dict[int, list[int]]:  # built on first read: only _row reads it
+        return {}
 
     def cell(self, n: int, k: int, j: int = 1) -> int:
         key = (n, k, j)
@@ -98,9 +101,9 @@ class ClosedValues:
         column, if that row was built, else from scratch; columns from `_cols`
         (keys 1 up).  Priced first: n + 1 cells, and n + 1 per column new to
         `_cols`; a column it holds grows only as far as the row reads."""
-        new = max(0, min(j, n // 2) - len(self._cols))
+        new = max(0, min(j, n // 2) - len(cols := self._cols))
         limits.check_cells((new + 1) * (n + 1), "closed-form row")
-        return _closed_row(n, j, self._cols, self._served.get((n, None, j - 1)))
+        return _closed_row(n, j, cols, self._served.get((n, None, j - 1)))
 
 
 class EnumerationCounts(ClosedValues):
@@ -362,14 +365,6 @@ _register(
     lambda n, j: 1,
 )
 
-_register(
-    "gen_alt_row_sum",
-    "sum_{k=0..n} (-1)^k*R(n,k;j) = 0 if n odd, else (-1)^j*C(n/2-1,j) with C(-1,j) = (-1)^j",
-    {"n": (0, None), "j": (0, None)},
-    lambda v, n, j: _alt_sum(v.row(n, j)),
-    lambda n, j: _gen_alt_rhs(n, j),
-)
-
 
 def _gen_alt_rhs(n: int, j: int) -> int:
     if n % 2:
@@ -378,6 +373,15 @@ def _gen_alt_rhs(n: int, j: int) -> int:
         # C(-1, j) = (-1)^j by convention, so the signs cancel
         return 1
     return (-1) ** j * _choose(n // 2 - 1, j)
+
+
+_register(
+    "gen_alt_row_sum",
+    "sum_{k=0..n} (-1)^k*R(n,k;j) = 0 if n odd, else (-1)^j*C(n/2-1,j) with C(-1,j) = (-1)^j",
+    {"n": (0, None), "j": (0, None)},
+    lambda v, n, j: _alt_sum(v.row(n, j)),
+    _gen_alt_rhs,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,21 @@ on the word families, each paired with an exhaustive small-size verifier.
 Each map is split in two.  A private core (_sym, _to_subset, _altbin,
 ...) works on trusted binary words held as bytes -- for altbin, on
 (S, w, z) triples, z the zeros w ends in -- and checks nothing.  The
-public function validates its input once, at the edge: it reads a
-binary word once into bytes (_bits), takes the binary check, the ascent
-count and the end runs from them in C-level passes, calls the core and
-returns the word it built as a tuple.  MarkedWord, SignedPair and
-generate.RestrictedSubset are namedtuples that check their fields when
-called; one built by a core or from fields checked at the edge is made
-with _make, which checks nothing.  One codec splits a word 1^x0 0^y1
-1^x1 ... 0^ym 1^xm 0^y0 into runs and builds one back: _runs returns
-[x0, y1, x1, ..., ym, xm, y0] (2m + 2 lengths, the inner ones positive)
-with one bytes.find per run, and _from_runs joins such a list, ones
-first.  The subset cores and the genalt chain past stage 0 read runs
-only through it, and they, the divider encoder and the ascseq inverse
-build words only through it.  The end runs, the ascent count,
-_to_ascseq, _divider_decode and _ratio keep their one C-level read,
-which a list of runs only slows.  The maps act pointwise; the
+public function validates its input once, at the edge: _bits passes a
+binary word once to words._letters and tests the letters it returns for
+0 and 1; the edge takes the ascent count and the end runs from those
+bytes in C-level passes, calls the core and returns its word as a tuple.
+MarkedWord, SignedPair and generate.RestrictedSubset are namedtuples
+that check their fields when called; one built by a core or from fields
+checked at the edge is made with _make, which checks nothing.  One codec
+splits a word 1^x0 0^y1 1^x1 ... 0^ym 1^xm 0^y0 into runs and builds one
+back: _runs returns [x0, y1, x1, ..., ym, xm, y0] (2m + 2 lengths, the
+inner ones positive) with one bytes.find per run, and _from_runs joins
+such a list, ones first.  The subset cores and the genalt chain past
+stage 0 read runs only through it, and they, the divider encoder and the
+ascseq inverse build words only through it.  The end runs, the ascent
+count, _to_ascseq, _divider_decode and _ratio keep their one C-level
+read, which a list of runs only slows.  The maps act pointwise; the
 verify_* functions list the small domains with the generators, run the
 cores on them (validating nothing per object) and test every image for
 membership in a generator-built target, so a core that emits a bad
@@ -56,7 +56,7 @@ from .generate import (
 )
 from .limits import check_cells, check_sum, require_sizes, require_subset
 from .numbers import _choose, closed_value
-from .words import Word, _asc, _letter_bytes, as_word, binary_word, word_str
+from .words import Word, _asc, _letters, as_word, word_str
 
 # ---------------------------------------------------------------------------
 # binary words as bytes
@@ -65,11 +65,13 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _bits(b) -> bytes:
-    """The binary word b as bytes, read once."""
-    s = _letter_bytes(b)
-    if s is None or s.translate(None, b"\x00\x01"):
-        s = bytes(binary_word(b))  # any other input, and every refusal
-    return s
+    """The binary word b as bytes, read once by _letters."""
+    s = _letters(b)
+    if type(s) is bytes and not s.translate(None, b"\x00\x01"):
+        return s
+    if {*s} <= {0, 1}:  # a word read letter by letter
+        return bytes(s)
+    raise DomainViolation(f"{word_str(s)} is not a binary word")
 
 
 def _require_family(s: bytes, j: int, what: str) -> bytes:
@@ -490,15 +492,15 @@ def _check_bijection(tag, where, domain, target, f, f_inv, show, details) -> int
     return checked
 
 
-def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, show=None) -> list:
+def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, show) -> list:
     """Check one stage f of an involution chain on `domain`, which lies in
     `members`: each object f moves must land in `members`, change its
     grade by exactly one (so its sign flips) and come back under f, and
     the objects f fixes must be the ones `is_fixed` picks out, in domain
     order.  Once x passes, f(x) is skipped: its image, return and grade
     were checked with x.  The partner of an object that failed is
-    checked on its own.  Add a line to `details` for each failure;
-    return the fixed objects."""
+    checked on its own.  Add a line to `details` for each failure, naming
+    a failing object by `show`; return the fixed objects."""
     fixed = []
     partners = set()
     for x in domain:
@@ -517,7 +519,7 @@ def _check_involution(tag, space, domain, members, f, grade, is_fixed, details, 
         else:
             partners.add(y)
             continue
-        details.append(f"{tag} {fault}" + (f" on {show(x)}" if show else ""))
+        details.append(f"{tag} {fault} on {show(x)}")
     if fixed != list(filter(is_fixed, domain)):
         details.append(f"{tag} fixed set differs from its description")
     return fixed
@@ -709,6 +711,7 @@ def verify_altbin(r: int, n: int, k: int) -> dict:
         fixed = _check_involution(
             f"altbin: stage {stage}", "signed space", fixed, members,
             partial(_altbin, stage, r=r), lambda p: len(p[0]), is_fixed, details,
+            lambda p: f"{word_str(p[1])} with subset {sorted(p[0])}",
         )
     if signed_sum != 0:
         details.append(f"altbin: signed sum is {signed_sum}, expected 0")

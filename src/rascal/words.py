@@ -4,12 +4,12 @@ A word is a tuple of nonnegative integers.  Every public function also
 accepts a compact digit string ("2051159858") or any iterable of ints.
 The letter contract: exact ints 0..2^16 are accepted, bools and other int
 subclasses come back as ints, and anything else is refused with a
-ValueError naming the letter.  A tuple of letters up to 255, or a string
-of ASCII digits, is checked in one C-level pass through bytes, and
-word_str prints letters below 10 from the same bytes; any other word is
-checked letter by letter, with the same values and messages; a word
-that is not iterable is refused with a ValueError naming it.  A pattern
-is read by as_word once, and is_pattern tests the tuple.
+ValueError naming the letter.  One reader, _letters, reads each word once:
+bytes as given, and a tuple of letters up to 255 or a string of ASCII
+digits into bytes in one C-level pass, from which word_str prints letters
+below 10; any other word letter by letter, with the same values and
+messages.  A word that is not iterable is refused with a ValueError
+naming it.  A pattern is read by as_word once; is_pattern tests the tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from itertools import accumulate
 from math import comb
 from operator import gt, le, lt
 
-from .errors import DomainViolation
 from .limits import check_sum
 
 Word = tuple[int, ...]
@@ -35,33 +34,27 @@ _TO_DIGITS = bytes(range(48, 58)).ljust(256, b"-")
 
 def as_word(w) -> Word:
     """Coerce a digit string or an iterable of ints or bools into a word tuple."""
-    letters = _letter_bytes(w)
-    return _checked_word(w) if letters is None else tuple(letters)
+    return tuple(_letters(w))
 
 
-def _letter_bytes(w) -> bytes | None:
-    """The letters of a tuple of ints 0..255, or of a string of ASCII
-    digits, as bytes, each read in one C-level pass; else None, for the
-    letter-by-letter check.  bytes() also takes an object that only has
-    __index__, which is no int, so sum() must come out an int first."""
+def _letters(w) -> bytes | Word:
+    """The letters of w, read and checked once: bytes as given; a tuple of
+    ints 0..255 or a string of ASCII digits as bytes, in one C-level pass;
+    any other word letter by letter into a tuple, with the message that
+    names the first bad letter.  bytes() also takes an object that only
+    has __index__, which is no int, so sum() must come out an int first."""
+    if type(w) is bytes:
+        return w
     if type(w) is tuple:
         try:
             if type(sum(w)) is int:
                 return bytes(w)
         except (TypeError, ValueError):
             pass
-    elif type(w) is str and w.isascii() and w.isdigit():
-        return w.encode().translate(_FROM_DIGITS)
-    return None
-
-
-def _checked_word(w) -> Word:
-    """as_word letter by letter: digits of any script, any iterable, letters
-    up to MAX_LETTER, and the message that names the first bad letter."""
-    if isinstance(w, str):
+    elif isinstance(w, str):
         if w and not w.isdecimal():
             raise ValueError(f"{w!r} is not a word of decimal digits")
-        return tuple(map(int, w))  # one letter 0..9 per digit
+        return w.encode().translate(_FROM_DIGITS) if w.isascii() else tuple(map(int, w))
     try:
         letters = tuple(w)
     except TypeError:
@@ -76,20 +69,10 @@ def _checked_word(w) -> Word:
 
 def word_str(w) -> str:
     """Compact display form: letters concatenated as digits."""
-    letters = _letter_bytes(w)
-    if letters is None:
-        letters = _checked_word(w)
-    elif (digits := letters.translate(_TO_DIGITS)).isdigit():
+    letters = _letters(w)
+    if type(letters) is bytes and (digits := letters.translate(_TO_DIGITS)).isdigit():
         return digits.decode()
     return "".join([str(x) for x in letters])  # str(x) calls are specialized, map(str) is not
-
-
-def binary_word(w) -> Word:
-    """Like as_word, but rejects non-bit letters."""
-    word = as_word(w)
-    if not {*word} <= {0, 1}:
-        raise DomainViolation(f"{word_str(word)} is not a binary word")
-    return word
 
 
 def asc(w) -> int:

@@ -68,9 +68,7 @@ FREE_MODULES = ("limits", "errors")
 
 # input-edge helpers that both sides of a pair may read, and why
 SHARED = {
-    "words.as_word": "reads a raw word or pattern into a tuple: the one letter contract",
-    "words._letter_bytes": "as_word's one-pass check of a tuple or a digit string",
-    "words._checked_word": "as_word's letter-by-letter check, which names the bad letter",
+    "words._letters": "reads and checks a raw word or pattern once: the one letter contract",
     "words.word_str": "prints a refused word in its message",
 }
 

@@ -412,16 +412,16 @@ class TestCheckInvolution:
         details = []
         # 1 <-> 4 flips the sign but moves three grades
         _check_involution(
-            "t: stage 1", "space", [1, 4], {1, 4}, lambda x: 5 - x, lambda x: x, lambda x: False, details
+            "t: stage 1", "space", [1, 4], {1, 4}, lambda x: 5 - x, lambda x: x, lambda x: False, details, str
         )
-        assert details == ["t: stage 1 does not change its grade by exactly one"] * 2
+        assert details == [f"t: stage 1 does not change its grade by exactly one on {x}" for x in (1, 4)]
         details = []
         fixed = _check_involution(
-            "t: stage 2", "space", [1], {1}, lambda x: x + 1, lambda x: x, lambda x: True, details
+            "t: stage 2", "space", [1], {1}, lambda x: x + 1, lambda x: x, lambda x: True, details, str
         )
         assert fixed == []
         assert details == [
-            "t: stage 2 image is outside the space",
+            "t: stage 2 image is outside the space on 1",
             "t: stage 2 fixed set differs from its description",
         ]
 
@@ -933,11 +933,11 @@ class TestPublicEdge:
             (lambda pair: altbin_involution(1, pair, 2, 2, 1), signed_pair({1}, "1000", 2)),
             (lambda pair: altbin_involution(2, pair, 2, 2, 1), signed_pair({1, 2}, "0001", 2)),
         ]
-        # a word is read through as_word or, at the bytes edge of maps, _letter_bytes
+        # every word is read through _letters, which maps imports by name
         seen = []
-        for module, reader in ((words, "as_word"), (maps, "_letter_bytes")):
-            read = getattr(module, reader)
-            monkeypatch.setattr(module, reader, lambda w, read=read: seen.append(w) or read(w))
+        read = words._letters
+        for module in (words, maps):
+            monkeypatch.setattr(module, "_letters", lambda w: seen.append(w) or read(w))
         for call, obj in cases:
             call(obj)
             assert obj.word not in seen, call
@@ -1203,7 +1203,10 @@ class TestVerifierStructure:
         monkeypatch.setattr(maps, "_altbin", leaky)
         report = verify_altbin(2, 3, 1)
         assert not report["ok"]
-        assert "altbin: stage 2 image is outside the signed space" in report["details"]
+        assert report["details"] == [
+            "altbin: stage 2 image is outside the signed space on 00010 with subset [2]",
+            "altbin: stage 2 image is outside the signed space on 00001 with subset [1, 2]",
+        ]
 
     def test_genalt_image_outside_domain_fails(self, monkeypatch):
         core = maps._genalt

@@ -59,7 +59,7 @@ class Stores(RuleBasedStateMachine):
         held = {
             "cache": (self.cache._linear, self.cache._product, self.cache._cols),
             "closed": (self.closed._served, self.closed._cols),
-            "counts": (self.counts._served, self.counts._cols, self.counts._table.columns),
+            "counts": (self.counts._served, self.counts._table.columns),
             "table": self.table.columns,
         }
         filled = (self.counts._table.filled, self.table.filled, _signed_binomials.cache_info().currsize)
@@ -125,6 +125,12 @@ class Stores(RuleBasedStateMachine):
         assert got in (None, (1, 1))
         if got:
             self.signed.add(2 * j + 1)
+
+    @invariant()
+    def oracle_builds_no_columns(self):
+        """Only ClosedValues._row reads the closed-form term columns, so the
+        enumeration source never builds them."""
+        assert "_cols" not in vars(self.counts)
 
     @invariant()
     def signed_rows(self):

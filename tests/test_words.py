@@ -20,9 +20,9 @@ from rascal.words import (
     des,
     is_ascent_sequence,
     is_pattern,
-    binary_word,
     word_str,
 )
+from rascal import maps, words
 
 from reference import is_rgf, reduce_word
 
@@ -199,10 +199,16 @@ class TestWordCoercion:
         assert word_str("") == ""
 
 
-# the letter-by-letter check as_word, binary_word and word_str made before
-# tuples of letters 0..255 and ASCII digit strings were checked in one
-# C-level pass: the fast path must give the same values and the same refusals
+# the letter-by-letter check as_word, the binary check of maps._bits and
+# word_str made before bytes, tuples of letters 0..255 and ASCII digit
+# strings were read in one C-level pass: the fast path must give the same
+# values and the same refusals
 REFERENCE_MAX_LETTER = 1 << 16
+
+
+def maps_bits(w):
+    """The binary word w as maps reads it at its edge, as a tuple."""
+    return tuple(maps._bits(w))
 
 
 def reference_as_word(w):
@@ -249,10 +255,18 @@ class OnlyIndex:
         return f"OnlyIndex({self.value})"
 
 
+class Digits(str):
+    """A str subclass, read on the decimal-digit path like a str."""
+
+
+class OneShot(list):
+    """Letters given to each reader as a fresh one-shot iterator."""
+
+
 def outcome(f, w):
     """("value", f(w)), or ("raised", the type and message of what it raised)."""
     try:
-        return "value", f(w)
+        return "value", f(iter(w) if isinstance(w, OneShot) else w)
     except Exception as exc:  # the reference raises ValueError and DomainViolation only
         return "raised", type(exc), str(exc)
 
@@ -274,6 +288,12 @@ coerced_words = st.one_of(
     st.lists(letters, max_size=8),
     st.text("0123456789", max_size=40),
     st.text("01 a-.\u0663\u00b2", max_size=6),  # with an Arabic-Indic digit and a superscript two
+    st.lists(st.integers(0, 1), max_size=70).map(bytes),
+    st.binary(max_size=12),
+    st.binary(max_size=12).map(bytearray),
+    st.text("0123456789", max_size=12).map(Digits),
+    st.text("01 a\u0663", max_size=4).map(Digits),
+    st.lists(letters, max_size=8).map(OneShot),
 )
 
 
@@ -283,7 +303,7 @@ class TestOnePassEquivalence:
     def test_same_values_and_refusals(self, w):
         for fast, reference in (
             (as_word, reference_as_word),
-            (binary_word, reference_binary_word),
+            (maps_bits, reference_binary_word),
             (word_str, reference_word_str),
         ):
             got = outcome(fast, w)
@@ -303,7 +323,7 @@ class TestOnePassEquivalence:
         ],
     )
     def test_refusals_named(self, w, message):
-        for f in (as_word, binary_word, word_str):
+        for f in (as_word, maps_bits, word_str):
             with pytest.raises(ValueError, match=re.escape(message)):
                 f(w)
 
@@ -311,7 +331,7 @@ class TestOnePassEquivalence:
         for w in ((True, False, True), (Colour.RED, 0), (Colour.BLUE, Colour.GREEN)):
             got = as_word(w)
             assert got == tuple(map(int, w)) and [type(x) for x in got] == [int] * len(w)
-        assert binary_word((True, Colour.RED, 0)) == (1, 1, 0)
+        assert maps_bits((True, Colour.RED, 0)) == (1, 1, 0)
 
     def test_word_str_letters_past_nine(self):
         assert word_str((0, 1, 2, 10, 11)) == "0121011"
@@ -319,8 +339,55 @@ class TestOnePassEquivalence:
         assert word_str("\u0663\u0660") == "30"  # any decimal digits, printed in ASCII
         assert word_str(()) == word_str("") == word_str([]) == ""
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 255), max_size=40).map(tuple))
+    def test_word_str_same_from_bytes(self, t):
+        assert word_str(bytes(t)) == word_str(t)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (0, 1, 1),
+            lambda: "0110",
+            lambda: [0, 1, True],
+            lambda: iter([0, 1, 1]),
+            lambda: b"\x01\x00",
+            lambda: (0, 2, 1),
+            lambda: "012",
+            lambda: [0, 300],
+            lambda: iter([1, 2]),
+            lambda: (0, 1.5),
+            lambda: "01a",
+        ],
+        ids=["tuple", "str", "list", "iterator", "bytes", "tuple 012", "str 012", "list 300",
+             "iterator 12", "float", "letter a"],
+    )
+    def test_each_reader_reads_its_argument_once(self, monkeypatch, make):
+        # _letters sees the caller's word once per call; a refusal message
+        # may only format what that one read returned
+        seen, returned = [], []
+        read = words._letters
+
+        def counted(w):
+            seen.append(w)
+            returned.append(read(w))
+            return returned[-1]
+
+        for module in (words, maps):
+            monkeypatch.setattr(module, "_letters", counted)
+        for f in (as_word, word_str, maps._bits):
+            seen.clear()
+            returned.clear()
+            w = make()
+            try:
+                f(w)
+            except ValueError:
+                pass
+            assert [x is w for x in seen] == [True] + [False] * (len(seen) - 1), f.__name__
+            assert all(any(x is y for y in returned) for x in seen[1:]), f.__name__
+
     def test_binary_refusal_printed(self):
         with pytest.raises(DomainViolation, match="^0120 is not a binary word$"):
-            binary_word((0, 1, 2, 0))
+            maps_bits((0, 1, 2, 0))
         with pytest.raises(DomainViolation, match="^01011 is not a binary word$"):
-            binary_word((0, 10, 11))
+            maps_bits((0, 10, 11))
